@@ -150,7 +150,7 @@ def _cmd_export(args) -> int:
         return code
     try:
         bundle = export_tlm(desc)
-    except (CodegenError, ValueError) as exc:
+    except (CodegenError, ValueError, TimeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     out_dir = Path(args.out)
@@ -211,3 +211,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

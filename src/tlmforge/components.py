@@ -7,7 +7,8 @@ Declared delays are nominal at 1 GHz; an instance's effective delay is
 rational arithmetic before rounding).  A module with a declared bandwidth
 additionally serializes each transaction for ``ceil(bytes / bandwidth)``
 (computed in picoseconds).  Instances sharing a CPU do not contend for
-cycles; the frequency only scales their own delays.
+cycles; the frequency only scales their own delays.  Each model scales its
+delays once, when it is built.
 
 An initiator charges its own effective delay plus transfer time before
 issuing (compute, then send).  A 1-to-N socket binding or a router
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .kernel import Activity, QuantumKeeper, Scheduler, SimulationError
+from .kernel import Activity, QuantumKeeper, Scheduler
 from .payload import Command, GenericPayload, ResponseStatus, deep_copy_payload, validate_payload
 from .simtime import U64_MAX, TimeOverflowError, time_add
 from .trace import TraceRecord
@@ -32,8 +33,6 @@ from .transport import DmiAccess, DmiDescriptor
 
 # Extension slot the simulator uses to tag payloads with a transaction id.
 TXN_ID_EXTENSION = "tlmforge.txn-id"
-
-DEFAULT_HOP_LIMIT = 1000
 
 
 # --------------------------------------------------------------------------
@@ -135,11 +134,11 @@ def in_socket_count(spec: ModuleSpec) -> int:
 
 def effective_delay(nominal_ps: int, frequency_ghz: Fraction | int) -> int:
     """Scale a nominal delay by CPU frequency: round(nominal / f), ties away from zero."""
-    f = Fraction(frequency_ghz)
-    if f <= 0:
-        raise ValueError(f"frequency must be positive, got {f}")
-    scaled = Fraction(nominal_ps) / f
-    n, d = scaled.numerator, scaled.denominator
+    if frequency_ghz <= 0:
+        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
+    # nominal / f = n / d exactly; floor(n / d + 1/2) rounds ties upward
+    n = nominal_ps * frequency_ghz.denominator
+    d = frequency_ghz.numerator
     result = (2 * n + d) // (2 * d)
     if result > U64_MAX:
         raise TimeOverflowError(f"scaled delay {result} ps exceeds the 64-bit range")
@@ -153,11 +152,9 @@ def transfer_time(length_bytes: int, bandwidth: Fraction | None) -> int:
     """
     if bandwidth is None:
         return 0
-    b = Fraction(bandwidth)
-    if b <= 0:
-        raise ValueError(f"bandwidth must be positive, got {b}")
-    ps = Fraction(length_bytes * 1000) / b
-    result = -((-ps.numerator) // ps.denominator)
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    result = -((-length_bytes * 1000 * bandwidth.denominator) // bandwidth.numerator)
     if result > U64_MAX:
         raise TimeOverflowError(f"transfer time {result} ps exceeds the 64-bit range")
     return result
@@ -259,7 +256,6 @@ class ModelContext:
 
     scheduler: Scheduler
     records: list[TraceRecord] = field(default_factory=list)
-    hop_limit: int = DEFAULT_HOP_LIMIT
     txn_ids: Iterator[int] = field(default_factory=itertools.count)
 
 
@@ -286,55 +282,60 @@ def _status_for_invalid(code: str) -> ResponseStatus:
     return ResponseStatus.GENERIC_ERROR
 
 
-def deliver(destinations: list[Destination], p: GenericPayload, t: int, depth: int = 0) -> int:
+def deliver(destinations: list[Destination], p: GenericPayload, t: int) -> int:
     """Send a payload to every destination; returns the slowest arm's time.
 
     A single destination gets the original payload; with several, each arm
     gets a storage-disjoint deep copy and the merged status is written back
-    into ``p``.  READ fan-out greater than one is rejected during
-    description validation, so reads always see exactly one arm here.
+    into ``p``.  Elaboration guarantees at least one destination, and
+    description validation (E004) exactly one for a READ.
     """
-    if not destinations:
-        raise SimulationError("E-NO-DEST", "transaction has no bound destination")
     if len(destinations) == 1:
         model, in_socket = destinations[0]
-        return model.b_transport(in_socket, p, t, depth)
-    if p.command is Command.READ:
-        raise SimulationError(
-            "E-READ-FANOUT", "READ reached a fan-out greater than one; "
-            "the description validator should have rejected this (E004)")
+        return model.b_transport(in_socket, p, t)
     times: list[int] = []
     statuses: list[ResponseStatus] = []
     for model, in_socket in destinations:
         arm = deep_copy_payload(p)
-        times.append(model.b_transport(in_socket, arm, t, depth))
+        times.append(model.b_transport(in_socket, arm, t))
         statuses.append(arm.response_status)
     p.response_status = _merge_status(statuses)
     return max(times)
 
 
-class TargetModel:
+class _Responder:
+    """The transport prologue and trace row that targets and routers share."""
+
+    def __init__(self, name: str, spec: TargetSpec | RouterSpec, ctx: ModelContext):
+        self.name = name
+        self.spec = spec
+        self.ctx = ctx
+        self._activations = itertools.count()
+
+    def _arrive(self, delay_ps: int, p: GenericPayload, t: int) -> tuple[int, int, int]:
+        """Returns ``(activation, arrival, t plus the service time)``; numbering on
+        arrival keeps a router re-entered through another in-socket in order."""
+        arrival = time_add(self.ctx.scheduler.now, t)
+        service = time_add(delay_ps, transfer_time(p.data_length, self.spec.bandwidth))
+        return next(self._activations), arrival, time_add(t, service)
+
+    def _record(self, activation: int, arrival: int, t: int, p: GenericPayload) -> None:
+        self.ctx.records.append(TraceRecord(
+            instance=self.name, activation=activation,
+            start=arrival, end=time_add(self.ctx.scheduler.now, t),
+            txn_id=_txn_id(p), status=p.response_status))
+
+
+class TargetModel(_Responder):
     """A memory-mapped target: per-in-socket delays over byte storage."""
 
     def __init__(self, name: str, spec: TargetSpec, frequency_ghz: Fraction, ctx: ModelContext):
-        self.name = name
-        self.spec = spec
-        self.frequency_ghz = frequency_ghz
-        self.ctx = ctx
+        super().__init__(name, spec, ctx)
+        self.delays_ps = tuple(effective_delay(d, frequency_ghz) for d in spec.socket_delays_ps)
         self.storage = Storage(spec.storage_base, spec.storage_size, spec.storage_fill)
-        self._activations = itertools.count()
 
-    def b_transport(self, in_socket: int, p: GenericPayload, t: int, depth: int = 0) -> int:
-        if depth > self.ctx.hop_limit:
-            raise SimulationError(
-                "E-HOP-LIMIT", f"transaction exceeded {self.ctx.hop_limit} hops; "
-                "the binding graph is likely cyclic")
-        arrival = time_add(self.ctx.scheduler.now, t)
-        service = time_add(
-            effective_delay(self.spec.socket_delays_ps[in_socket], self.frequency_ghz),
-            transfer_time(p.data_length, self.spec.bandwidth))
-        t = time_add(t, service)
-
+    def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
+        activation, arrival, t = self._arrive(self.delays_ps[in_socket], p, t)
         problems = validate_payload(p)
         if problems:
             p.response_status = _status_for_invalid(problems[0].code)
@@ -345,11 +346,7 @@ class TargetModel:
         else:
             p.response_status = ResponseStatus.OK
         p.dmi_allowed = self.spec.dmi_allowed
-
-        self.ctx.records.append(TraceRecord(
-            instance=self.name, activation=next(self._activations),
-            start=arrival, end=time_add(self.ctx.scheduler.now, t),
-            txn_id=_txn_id(p), status=p.response_status))
+        self._record(activation, arrival, t, p)
         return t
 
     def transport_dbg(self, p: GenericPayload) -> int:
@@ -368,7 +365,7 @@ class TargetModel:
 
     def get_dmi(self, address: int) -> DmiDescriptor:
         """Grant direct access to the whole storage when allowed and in range."""
-        beat = effective_delay(self.spec.socket_delays_ps[0], self.frequency_ghz)
+        beat = self.delays_ps[0]
         if self.spec.dmi_allowed and self.storage.contains(address):
             return DmiDescriptor(
                 granted=True, start_address=self.storage.base,
@@ -378,45 +375,25 @@ class TargetModel:
             granted=False, start_address=self.storage.base, end_address=self.storage.end - 1)
 
 
-class RouterModel:
+class RouterModel(_Responder):
     """Forwards transactions from in-sockets to bound out-sockets."""
 
     def __init__(self, name: str, spec: RouterSpec, frequency_ghz: Fraction, ctx: ModelContext):
-        self.name = name
-        self.spec = spec
-        self.frequency_ghz = frequency_ghz
-        self.ctx = ctx
+        super().__init__(name, spec, ctx)
+        self.delay_ps = effective_delay(spec.delay_ps, frequency_ghz)
         # out-socket index -> ordered destination list, filled in at elaboration
         self.out_bindings: dict[int, list[Destination]] = {}
-        self._activations = itertools.count()
 
-    def b_transport(self, in_socket: int, p: GenericPayload, t: int, depth: int = 0) -> int:
-        if depth > self.ctx.hop_limit:
-            raise SimulationError(
-                "E-HOP-LIMIT", f"transaction exceeded {self.ctx.hop_limit} hops; "
-                "the binding graph is likely cyclic")
-        arrival = time_add(self.ctx.scheduler.now, t)
-        activation = next(self._activations)
-        service = time_add(
-            effective_delay(self.spec.delay_ps, self.frequency_ghz),
-            transfer_time(p.data_length, self.spec.bandwidth))
-        t = time_add(t, service)
-        forwarded = time_add(self.ctx.scheduler.now, t)
-
+    def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
+        activation, arrival, t = self._arrive(self.delay_ps, p, t)
         try:
             outs = route(self.spec, in_socket, p)
         except NoRouteError:
             p.response_status = ResponseStatus.ADDRESS_ERROR
-            self.ctx.records.append(TraceRecord(
-                instance=self.name, activation=activation, start=arrival, end=forwarded,
-                txn_id=_txn_id(p), status=p.response_status))
+            self._record(activation, arrival, t, p)
             return t
-
-        destinations = [dest for out in outs for dest in self.out_bindings.get(out, [])]
-        t_done = deliver(destinations, p, t, depth + 1)
-        self.ctx.records.append(TraceRecord(
-            instance=self.name, activation=activation, start=arrival, end=forwarded,
-            txn_id=_txn_id(p), status=p.response_status))
+        t_done = deliver([dest for out in outs for dest in self.out_bindings[out]], p, t)
+        self._record(activation, arrival, t, p)
         return t_done
 
 
@@ -427,8 +404,8 @@ class InitiatorModel:
                  ctx: ModelContext, quantum_ps: int = 0):
         self.name = name
         self.spec = spec
-        self.frequency_ghz = frequency_ghz
         self.ctx = ctx
+        self.delay_ps = effective_delay(spec.delay_ps, frequency_ghz)
         self.quantum_keeper = QuantumKeeper(quantum_ps)
         # out-socket index -> ordered destination list, filled in at elaboration
         self.out_bindings: dict[int, list[Destination]] = {}
@@ -449,9 +426,7 @@ class InitiatorModel:
         sched = self.ctx.scheduler
         start = time_add(sched.now, qk.local_offset)
 
-        own = time_add(
-            effective_delay(self.spec.delay_ps, self.frequency_ghz),
-            transfer_time(len(template.data), self.spec.bandwidth))
+        own = time_add(self.delay_ps, transfer_time(len(template.data), self.spec.bandwidth))
         qk.advance(own)
         if qk.need_sync():
             yield from qk.sync()
@@ -461,11 +436,7 @@ class InitiatorModel:
             command=template.command, address=template.address,
             data=bytearray(template.data),
             extensions={TXN_ID_EXTENSION: txn})
-        destinations = self.out_bindings.get(template.socket)
-        if not destinations:
-            raise SimulationError(
-                "E-UNBOUND", f"initiator '{self.name}' socket {template.socket} is unbound")
-        t = deliver(destinations, p, qk.local_offset)
+        t = deliver(self.out_bindings[template.socket], p, qk.local_offset)
 
         qk.local_offset = t
         if qk.need_sync():

@@ -19,6 +19,7 @@ Validation rules on a parsed description:
     E006  router internal wiring is invalid (bad socket, bad address range)
     E007  constraint references an unknown instance
     E008  in-socket bound more than once
+    E009  binding cycle: a transaction could return to an in-socket it passed
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .components import (
     TransactionTemplate,
     in_socket_count,
     out_socket_count,
-    DEFAULT_HOP_LIMIT,
 )
 from .diagnostics import IDENTIFIER_RE, Diagnostic, sort_diagnostics
 from .jsontext import JsonSyntaxError, Node, parse_json
@@ -583,7 +583,7 @@ def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 def validate_description(d: SystemDescription) -> list[Diagnostic]:
-    """Apply the E001..E008 rule set; an empty result means the model is sound."""
+    """Apply the E001..E009 rule set; an empty result means the model is sound."""
     diags: list[Diagnostic] = []
     add = lambda code, message, where: diags.append(Diagnostic(code, message, where=where))
 
@@ -740,6 +740,35 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                     "with no disjoint address decode",
                     f"{inst.name}.workload[{idx}]")
 
+    # E009: no binding cycle.  Nodes are sockets (instance, index, is_out); a router
+    # joins each in-socket to its connected outs, a binding an out to an in.  The
+    # coloured search is iterative so no description can exhaust the stack.
+    successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
+    for inst in d.instances:
+        if isinstance(inst_spec := spec_of(inst.name), RouterSpec):
+            for in_socket, outs in inst_spec.connections.items():
+                successors[(inst.name, in_socket, False)] = [(inst.name, o, True) for o in outs]
+    for binding in d.bindings:
+        successors.setdefault((binding.from_instance, binding.from_socket, True), []).append(
+            (binding.to_instance, binding.to_socket, False))
+    position: dict[tuple[str, int, bool], int] = {}  # index on the path; -1 once finished
+    for root in successors:
+        if root in position:
+            continue
+        position[root] = 0
+        path = [(root, iter(successors[root]))]
+        while path:
+            node = next(path[-1][1], None)
+            if node is None:
+                position[path.pop()[0]] = -1
+            elif node not in position:
+                position[node] = len(path)
+                path.append((node, iter(successors.get(node, ()))))
+            elif position[node] >= 0:
+                loop = [f"{name}[{socket}]" for (name, socket, is_out), _ in path[position[node]:]
+                        if not is_out]
+                add("E009", "binding cycle " + " -> ".join(loop + loop[:1]), "bindings")
+
     # E007: constraints must point at real instances
     for i, constraint in enumerate(d.constraints):
         if constraint.instance not in instances:
@@ -804,14 +833,14 @@ def elaborate(
     *,
     quantum_ps: int | None = None,
     event_limit: int | None = None,
-    hop_limit: int = DEFAULT_HOP_LIMIT,
 ) -> ExecutableModel:
     """Build the executable model: storage, quantum keepers, kernel activities.
 
     Refuses descriptions with validation diagnostics.  Elaboration order
     follows description order, so two elaborations of equal descriptions
     produce identical runs.  ``quantum_ps`` and ``event_limit`` override
-    the description's options when given.
+    the description's options when given.  Delays are scaled here, once; one
+    outside the 64-bit range raises ``TimeOverflowError`` before anything runs.
     """
     problems = validate_description(d)
     if problems:
@@ -820,8 +849,7 @@ def elaborate(
             f"description has {len(problems)} validation diagnostic(s): {summary}")
 
     ctx = ModelContext(
-        scheduler=Scheduler(event_limit if event_limit is not None else d.options.event_limit),
-        hop_limit=hop_limit)
+        scheduler=Scheduler(event_limit if event_limit is not None else d.options.event_limit))
     quantum = quantum_ps if quantum_ps is not None else d.options.quantum_ps
 
     specs = {m.name: m for m in d.modules}
@@ -849,7 +877,7 @@ def elaborate(
         model.out_bindings[from_socket] = [(models[to], to_socket)
                                            for _, to, to_socket in entries]
 
-    # Fail fast on wiring a transaction could fall off of.
+    # Fail fast on wiring a transaction could fall off of; start the initiators.
     bound_in: dict[str, set[int]] = {}
     for binding in d.bindings:
         bound_in.setdefault(binding.to_instance, set()).add(binding.to_socket)
@@ -860,10 +888,11 @@ def elaborate(
                 if template.socket not in models[inst.name].out_bindings:
                     raise ElaborationError(
                         f"initiator '{inst.name}' socket {template.socket} is unbound")
+            ctx.scheduler.schedule(models[inst.name].activity(), 0, name=inst.name)
         elif isinstance(spec, RouterSpec):
             for in_socket in sorted(bound_in.get(inst.name, ())):
                 outs = spec.connections.get(in_socket)
-                if outs is None:
+                if not outs:
                     raise ElaborationError(
                         f"router '{inst.name}' in-socket {in_socket} is bound "
                         "but has no connection entry")
@@ -871,10 +900,5 @@ def elaborate(
                     if out not in models[inst.name].out_bindings:
                         raise ElaborationError(
                             f"router '{inst.name}' out-socket {out} is unbound")
-
-    for inst in d.instances:
-        model = models[inst.name]
-        if isinstance(model, InitiatorModel):
-            ctx.scheduler.schedule(model.activity(), 0, name=inst.name)
 
     return ExecutableModel(ctx, models)

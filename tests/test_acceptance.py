@@ -199,15 +199,19 @@ def test_criterion_07_validation_coverage(abs_description):
             d.constraints.append(TimingConstraint("ghost", 1_000))
         elif code == "E008":
             d.bindings.append(Binding("i0", 0, "t0", 0))
+        elif code == "E009":
+            d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
+            d.instances.append(Instance("r0", "R", "C0"))
+            d.bindings.append(Binding("r0", 0, "r0", 0))
         return d
 
     wrong = []
-    for code in [f"E00{i}" for i in range(1, 9)]:
+    for code in [f"E00{i}" for i in range(1, 10)]:
         found = [diag.code for diag in validate_description(mutate(code))]
         if found != [code]:
             wrong.append((code, found))
     clean = validate_description(abs_description) == []
-    report(7, "each E001..E008 has a minimal trigger, abs.json has none",
+    report(7, "each E001..E009 has a minimal trigger, abs.json has none",
            not wrong and clean, f"wrong={wrong}" if wrong else "")
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tlmforge
 from tlmforge.cli import run_command
 
 
@@ -24,6 +28,59 @@ BROKEN_E003 = {
                   {"name": "t0", "module": "T", "cpu": "Cpu1"}],
     "bindings": [{"from": ["i0", 0], "to": ["t0", 0]}],
 }
+
+
+CPU = [{"name": "Cpu0", "frequency": "1GHz"}]
+WRITER = {"kind": "initiator", "name": "I", "delay": "1ns", "sockets": 1,
+          "workload": [{"command": "WRITE", "address": 0, "length": 1}]}
+
+# r0's in-socket 1 forwards to out-socket 0, which is bound back to in-socket 1.
+LOOPED = {
+    "cpus": CPU,
+    "modules": [WRITER, {"kind": "router", "name": "R", "delay": "1ns", "in_sockets": 2,
+                         "out_sockets": 1, "connections": {"0": [0], "1": [0]}}],
+    "instances": [{"name": "i0", "module": "I", "cpu": "Cpu0"},
+                  {"name": "r0", "module": "R", "cpu": "Cpu0"}],
+    "bindings": [{"from": ["i0", 0], "to": ["r0", 0]},
+                 {"from": ["r0", 0], "to": ["r0", 1]}],
+}
+
+# r0 is bound to its own other in-socket, which leads on to t0: no loop.
+SELF_BOUND_ACYCLIC = {
+    "cpus": CPU,
+    "modules": [
+        {**WRITER, "workload": [{"command": "WRITE", "address": 0, "length": 4, "repeat": 2}]},
+        {"kind": "router", "name": "R", "delay": "2ns", "in_sockets": 2, "out_sockets": 2,
+         "connections": {"0": [0], "1": [1]}},
+        {"kind": "target", "name": "T", "socket_delays": ["3ns"], "storage": {"size": 16}},
+    ],
+    "instances": [{"name": "i0", "module": "I", "cpu": "Cpu0"},
+                  {"name": "r0", "module": "R", "cpu": "Cpu0"},
+                  {"name": "t0", "module": "T", "cpu": "Cpu0"}],
+    "bindings": [{"from": ["i0", 0], "to": ["r0", 0]},
+                 {"from": ["r0", 0], "to": ["r0", 1]},
+                 {"from": ["r0", 1], "to": ["t0", 0]}],
+}
+
+# "big" scales 1 s by a 1 Hz CPU to 10^21 ps; nothing is bound to it.
+UNBOUND_OVERFLOW = {
+    "cpus": CPU + [{"name": "Slow", "frequency": "1Hz"}],
+    "modules": [
+        WRITER,
+        {"kind": "target", "name": "T", "socket_delays": ["1ns"], "storage": {"size": 16}},
+        {"kind": "target", "name": "Big", "socket_delays": ["1s"], "storage": {"size": 16}},
+    ],
+    "instances": [{"name": "i0", "module": "I", "cpu": "Cpu0"},
+                  {"name": "t0", "module": "T", "cpu": "Cpu0"},
+                  {"name": "big", "module": "Big", "cpu": "Slow"}],
+    "bindings": [{"from": ["i0", 0], "to": ["t0", 0]}],
+}
+
+
+def write_description(tmp_path, doc) -> str:
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture()
@@ -180,3 +237,45 @@ def test_color_disabled_without_tty(capsys, abs_path, tmp_path, monkeypatch):
     invoke(capsys, "run", str(abs_path), "--trace", str(trace))
     _, out, _ = invoke(capsys, "check", str(abs_path), str(trace))
     assert "\x1b[" not in out
+
+
+def test_binding_cycle_is_a_validation_failure(capsys, tmp_path):
+    path = write_description(tmp_path, LOOPED)
+    for command in ("validate", "run"):
+        code, out, _ = invoke(capsys, command, path)
+        assert code == 1
+        assert out == "E009 bindings: binding cycle r0[1] -> r0[1]\n"
+
+
+def test_router_bound_to_its_other_in_socket_runs(capsys, tmp_path):
+    path = write_description(tmp_path, SELF_BOUND_ACYCLIC)
+    code, out, _ = invoke(capsys, "run", path)
+    assert code == 0
+    assert out == (
+        "# tlm-forge-trace v1\n"
+        "instance,activation,start_ps,end_ps,txn_id,status\n"
+        "i0,0,0,8000,0,OK\n"
+        "r0,0,1000,3000,0,OK\n"
+        "r0,1,3000,5000,0,OK\n"
+        "t0,0,5000,8000,0,OK\n"
+        "i0,1,8000,16000,1,OK\n"
+        "r0,2,9000,11000,1,OK\n"
+        "r0,3,11000,13000,1,OK\n"
+        "t0,1,13000,16000,1,OK\n")
+
+
+def test_out_of_range_delay_refuses_run_and_export(capsys, tmp_path):
+    path = write_description(tmp_path, UNBOUND_OVERFLOW)
+    assert invoke(capsys, "validate", path)[0] == 0
+    for argv in (("run", path), ("export", path, "--out", str(tmp_path / "gen"))):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3
+        assert err == "error: scaled delay 1000000000000000000000 ps exceeds the 64-bit range\n"
+
+
+def test_module_entry_point_runs_the_command(broken_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "tlmforge.cli", "validate", str(broken_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert "E003" in done.stdout

@@ -14,7 +14,6 @@ from tlmforge.components import (
     Instance,
     ModelContext,
     NoRouteError,
-    RouterModel,
     RouterSpec,
     Storage,
     TargetModel,
@@ -27,7 +26,7 @@ from tlmforge.components import (
     route,
     transfer_time,
 )
-from tlmforge.kernel import Scheduler, SimulationError
+from tlmforge.kernel import Scheduler
 from tlmforge.payload import Command, GenericPayload, ResponseStatus
 from tlmforge.sysdesc import SystemDescription, elaborate
 from tlmforge.trace import end_to_end_latency
@@ -286,29 +285,6 @@ def test_fanout_status_merge_order():
     p2 = GenericPayload(command=Command.WRITE, address=0, data=bytearray(4))
     deliver([(tiny, 0), (ok, 0)], p2, 0)
     assert p2.response_status is ResponseStatus.ADDRESS_ERROR
-
-
-def test_read_fanout_guard():
-    ctx = ModelContext(scheduler=Scheduler())
-    a = make_target_model(ctx, "a", 0)
-    b = make_target_model(ctx, "b", 0)
-    p = GenericPayload(command=Command.READ, address=0, data=bytearray(1))
-    with pytest.raises(SimulationError) as info:
-        deliver([(a, 0), (b, 0)], p, 0)
-    assert info.value.code == "E-READ-FANOUT"
-
-
-def test_hop_limit_breaks_cycles():
-    ctx = ModelContext(scheduler=Scheduler(), hop_limit=50)
-    spec = RouterSpec("M_loop", 0, 1, 1, {0: (0,)})
-    r1 = RouterModel("r1", spec, Fraction(1), ctx)
-    r2 = RouterModel("r2", spec, Fraction(1), ctx)
-    r1.out_bindings[0] = [(r2, 0)]
-    r2.out_bindings[0] = [(r1, 0)]
-    p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
-    with pytest.raises(SimulationError) as info:
-        r1.b_transport(0, p, 0)
-    assert info.value.code == "E-HOP-LIMIT"
 
 
 # -- whole-model behavior ------------------------------------------------------

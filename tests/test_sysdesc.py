@@ -283,6 +283,26 @@ def test_e008_in_socket_bound_twice():
     assert the_codes(d) == ["E008"]
 
 
+def test_e009_names_the_loop_through_two_routers():
+    d = base_description()
+    d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
+    d.instances += [Instance("r0", "R", "C0"), Instance("r1", "R", "C0")]
+    d.bindings += [Binding("r0", 0, "r1", 0), Binding("r1", 0, "r0", 0)]
+    assert [str(x) for x in validate_description(d)] == [
+        "E009 bindings: binding cycle r0[0] -> r1[0] -> r0[0]"]
+
+
+def test_e009_walks_a_long_acyclic_chain_without_recursion():
+    d = base_description()
+    d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
+    n = 3_000
+    d.instances += [Instance(f"r{k}", "R", "C0") for k in range(n)]
+    d.bindings[0] = Binding("i0", 0, "r0", 0)
+    d.bindings += [Binding(f"r{k}", 0, f"r{k + 1}", 0) for k in range(n - 1)]
+    d.bindings.append(Binding(f"r{n - 1}", 0, "t0", 0))
+    assert validate_description(d) == []
+
+
 def test_validate_is_pure_and_ordered():
     d = base_description()
     d.instances[0] = Instance("i0", "I", "C9")
@@ -347,13 +367,14 @@ def test_elaborate_refuses_unbound_initiator_socket():
 
 
 def test_elaborate_refuses_bound_router_without_connection():
-    d = base_description()
-    d.modules.append(RouterSpec("R", 1_000, 1, 1, {}))
-    d.instances.append(Instance("r0", "R", "C0"))
-    d.bindings = [Binding("i0", 0, "r0", 0)]
-    with pytest.raises(ElaborationError) as info:
-        elaborate(d)
-    assert "no connection entry" in str(info.value)
+    for connections in ({}, {0: ()}):
+        d = base_description()
+        d.modules.append(RouterSpec("R", 1_000, 1, 1, connections))
+        d.instances.append(Instance("r0", "R", "C0"))
+        d.bindings = [Binding("i0", 0, "r0", 0)]
+        with pytest.raises(ElaborationError) as info:
+            elaborate(d)
+        assert "no connection entry" in str(info.value)
 
 
 def test_elaborate_refuses_unbound_router_out():
