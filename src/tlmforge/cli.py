@@ -16,7 +16,13 @@ from . import __version__
 from .codegen import CodegenError, export_tlm
 from .kernel import SimulationError
 from .simtime import TimeOverflowError, format_ns, parse_time
-from .sysdesc import ElaborationError, elaborate, parse_description, validate_description
+from .sysdesc import (
+    ElaborationError,
+    InvalidDescriptionError,
+    elaborate,
+    parse_description,
+    require_valid,
+)
 from .trace import (
     TraceSyntaxError,
     check_constraints,
@@ -46,7 +52,7 @@ def _verdict(word: str) -> str:
 
 
 def _load_description(path: str):
-    """Returns (description, exit_code); prints diagnostics on failure."""
+    """Returns (parsed description, exit_code); prints diagnostics on failure."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -55,11 +61,6 @@ def _load_description(path: str):
     desc, diags = parse_description(text)
     if desc is None:
         for d in diags:
-            print(str(d))
-        return None, EXIT_FAIL
-    problems = validate_description(desc)
-    if problems:
-        for d in problems:
             print(str(d))
         return None, EXIT_FAIL
     return desc, EXIT_OK
@@ -82,15 +83,13 @@ def _cmd_validate(args) -> int:
     desc, code = _load_description(args.description)
     if desc is None:
         return code
+    require_valid(desc)
     print(f"OK: {len(desc.cpus)} cpus, {len(desc.buses)} buses, {len(desc.modules)} modules, "
           f"{len(desc.instances)} instances, {len(desc.bindings)} bindings")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    desc, code = _load_description(args.description)
-    if desc is None:
-        return code
     quantum = None
     if args.quantum is not None:
         try:
@@ -98,12 +97,11 @@ def _cmd_run(args) -> int:
         except (ValueError, OverflowError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
-        model.run()
-    except (SimulationError, ElaborationError, TimeOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    desc, code = _load_description(args.description)
+    if desc is None:
+        return code
+    model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
+    model.run()
     text = write_trace(model.records)
     out_path = args.trace or desc.options.trace_path
     if out_path is None:
@@ -132,6 +130,7 @@ def _cmd_check(args) -> int:
     desc, code = _load_description(args.description)
     if desc is None:
         return code
+    require_valid(desc)
     records, code = _load_trace(args.trace)
     if records is None:
         return code
@@ -148,11 +147,7 @@ def _cmd_export(args) -> int:
     desc, code = _load_description(args.description)
     if desc is None:
         return code
-    try:
-        bundle = export_tlm(desc)
-    except (CodegenError, ValueError, TimeOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    bundle = export_tlm(desc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in bundle.files:
@@ -206,7 +201,15 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InvalidDescriptionError as exc:
+        for d in exc.diagnostics:
+            print(str(d))
+        return EXIT_FAIL
+    except (SimulationError, ElaborationError, CodegenError, TimeOverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def main() -> None:

@@ -23,6 +23,7 @@ from .components import (
     effective_delay,
     transfer_time,
 )
+from .sysdesc import require_valid
 
 _IDENT_CHARS = set(string.ascii_letters + string.digits + "_")
 
@@ -401,17 +402,10 @@ def export_tlm(description) -> SourceBundle:
     """Emit the source bundle for a validated description.
 
     One header per module spec plus ``top.cpp``; raises CodegenError when a
-    name cannot be sanitized and ValueError when the description still has
-    validation diagnostics.
+    name cannot be sanitized and InvalidDescriptionError (a ValueError) when
+    the description has validation diagnostics.
     """
-    from .sysdesc import validate_description  # local import avoids a cycle
-
-    problems = validate_description(description)
-    if problems:
-        raise ValueError(
-            f"description has {len(problems)} validation diagnostic(s); "
-            "export requires a clean description")
-
+    require_valid(description)
     file_namer = _Namer(case_insensitive=True)
     class_namer = _Namer()
     classes: dict[str, str] = {}
@@ -431,6 +425,7 @@ def export_tlm(description) -> SourceBundle:
 
     freqs = {c.name: c.frequency_ghz for c in description.cpus}
     specs = {m.name: m for m in description.modules}
+    spec_of = {inst.name: specs[inst.module] for inst in description.instances}
     var_namer = _Namer()
     variables = {inst.name: var_namer.unique(inst.name) for inst in description.instances}
 
@@ -460,10 +455,7 @@ def export_tlm(description) -> SourceBundle:
     if description.bindings:
         top.append("")
     for binding in description.bindings:
-        from_spec = specs[
-            next(i.module for i in description.instances if i.name == binding.from_instance)]
-        to_spec = specs[
-            next(i.module for i in description.instances if i.name == binding.to_instance)]
+        from_spec, to_spec = spec_of[binding.from_instance], spec_of[binding.to_instance]
         from_sock = (f"out{binding.from_socket}" if isinstance(from_spec, RouterSpec)
                      else f"socket{binding.from_socket}")
         to_sock = (f"in{binding.to_socket}" if isinstance(to_spec, RouterSpec)

@@ -459,6 +459,7 @@ class ExecutableModel:
     def __init__(self, ctx: ModelContext, instances: dict[str, ComponentModel]):
         self.ctx = ctx
         self.instances = instances
+        self._unstarted = [m for m in instances.values() if isinstance(m, InitiatorModel)]
 
     @property
     def scheduler(self) -> Scheduler:
@@ -472,5 +473,8 @@ class ExecutableModel:
         return self.instances[name]
 
     def run(self) -> int:
-        """Run to completion; returns the final kernel time in picoseconds."""
+        """Start the initiators, run to completion; returns the final time in ps."""
+        for model in self._unstarted:
+            self.ctx.scheduler.schedule(model.activity(), 0, name=model.name)
+        self._unstarted = []
         return self.ctx.scheduler.run()

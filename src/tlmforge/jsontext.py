@@ -4,6 +4,9 @@ The standard library parser throws positions away once a document is
 loaded; description diagnostics need them, so this reader returns a tree
 of :class:`Node` objects, each carrying the 1-based line and column where
 its value starts.  Object members map plain string keys to child nodes.
+The reader tracks only a character offset; it turns one into a line and
+column, through the offsets where lines start, when it builds a node or
+raises an error.
 
 Stricter than the RFC in one way: duplicate object keys are an error
 rather than a silent last-one-wins.
@@ -12,9 +15,13 @@ rather than a silent last-one-wins.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_WS_RE = re.compile(r"[ \t\r\n]*")
+_PLAIN_RE = re.compile(r'[^"\\\n\r]*')  # string characters that stand for themselves
+_HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
 
@@ -56,24 +63,17 @@ class _Reader:
         self.text = text
         self.n = len(text)
         self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.starts = [0] + [m.end() for m in re.finditer("\n", text)]  # offset of each line
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+    def _where(self, pos: int) -> tuple[int, int]:
+        line = bisect_right(self.starts, pos)
+        return line, pos - self.starts[line - 1] + 1
 
-    def _error(self, message: str):
-        raise JsonSyntaxError(message, self.line, self.column)
+    def _error(self, message: str, pos: int | None = None):
+        raise JsonSyntaxError(message, *self._where(self.pos if pos is None else pos))
 
     def _skip_ws(self) -> None:
-        while self.pos < self.n and self.text[self.pos] in " \t\r\n":
-            self._advance()
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def _peek(self) -> str:
         return self.text[self.pos] if self.pos < self.n else ""
@@ -95,58 +95,58 @@ class _Reader:
         if ch == "[":
             return self._array()
         if ch == '"':
-            line, col = self.line, self.column
-            return Node(self._string(), line, col)
+            where = self._where(self.pos)
+            return Node(self._string(), *where)
         if ch == "-" or ch.isdigit():
             return self._number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                node = Node(value, self.line, self.column)
-                self._advance(len(literal))
+                node = Node(value, *self._where(self.pos))
+                self.pos += len(literal)
                 return node
         if ch == "":
             self._error("unexpected end of input")
         self._error(f"unexpected character {ch!r}")
 
     def _object(self) -> Node:
-        node = Node({}, self.line, self.column)
+        node = Node({}, *self._where(self.pos))
         members: dict[str, Node] = node.value
-        self._advance()  # '{'
+        self.pos += 1  # '{'
         self._skip_ws()
         if self._peek() == "}":
-            self._advance()
+            self.pos += 1
             return node
         while True:
             self._skip_ws()
             if self._peek() != '"':
                 self._error("expected a string key")
-            key_line, key_col = self.line, self.column
+            key_pos = self.pos
             key = self._string()
             if key in members:
-                raise JsonSyntaxError(f"duplicate key {key!r}", key_line, key_col)
+                self._error(f"duplicate key {key!r}", key_pos)
             self._skip_ws()
             if self._peek() != ":":
                 self._error("expected ':' after key")
-            self._advance()
+            self.pos += 1
             self._skip_ws()
             members[key] = self._value()
             self._skip_ws()
             ch = self._peek()
             if ch == ",":
-                self._advance()
+                self.pos += 1
                 continue
             if ch == "}":
-                self._advance()
+                self.pos += 1
                 return node
             self._error("expected ',' or '}' in object")
 
     def _array(self) -> Node:
-        node = Node([], self.line, self.column)
+        node = Node([], *self._where(self.pos))
         items: list[Node] = node.value
-        self._advance()  # '['
+        self.pos += 1  # '['
         self._skip_ws()
         if self._peek() == "]":
-            self._advance()
+            self.pos += 1
             return node
         while True:
             self._skip_ws()
@@ -154,56 +154,53 @@ class _Reader:
             self._skip_ws()
             ch = self._peek()
             if ch == ",":
-                self._advance()
+                self.pos += 1
                 continue
             if ch == "]":
-                self._advance()
+                self.pos += 1
                 return node
             self._error("expected ',' or ']' in array")
 
     def _string(self) -> str:
-        self._advance()  # opening quote
+        self.pos += 1  # opening quote
         parts: list[str] = []
         while True:
+            end = _PLAIN_RE.match(self.text, self.pos).end()
+            parts.append(self.text[self.pos:end])
+            self.pos = end
             if self.pos >= self.n:
                 self._error("unterminated string")
             ch = self.text[self.pos]
             if ch == '"':
-                self._advance()
+                self.pos += 1
                 return "".join(parts)
             if ch == "\\":
-                self._advance()
+                self.pos += 1
                 esc = self._peek()
                 if esc in _ESCAPES:
                     parts.append(_ESCAPES[esc])
-                    self._advance()
+                    self.pos += 1
                 elif esc == "u":
-                    self._advance()
+                    self.pos += 1
                     parts.append(self._unicode_escape())
                 else:
                     self._error(f"bad escape \\{esc}")
-            elif ch in "\n\r":
-                self._error("newline inside string")
             else:
-                parts.append(ch)
-                self._advance()
-        raise AssertionError("unreachable")
+                self._error("newline inside string")
 
     def _unicode_escape(self) -> str:
         def hex4() -> int:
             if self.pos + 4 > self.n:
                 self._error("truncated \\u escape")
             digits = self.text[self.pos:self.pos + 4]
-            try:
-                code = int(digits, 16)
-            except ValueError:
+            if not _HEX4_RE.fullmatch(digits):
                 self._error(f"bad \\u escape {digits!r}")
-            self._advance(4)
-            return code
+            self.pos += 4
+            return int(digits, 16)
 
         code = hex4()
         if 0xD800 <= code <= 0xDBFF and self.text.startswith("\\u", self.pos):
-            self._advance(2)
+            self.pos += 2
             low = hex4()
             if 0xDC00 <= low <= 0xDFFF:
                 return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
@@ -214,12 +211,12 @@ class _Reader:
         m = _NUMBER_RE.match(self.text, self.pos)
         if m is None:
             self._error("bad number")
-        node_line, node_col = self.line, self.column
+        where = self._where(self.pos)
         literal = m.group(0)
-        self._advance(len(literal))
+        self.pos = m.end()
         if "." in literal or "e" in literal or "E" in literal:
-            return Node(float(literal), node_line, node_col)
-        return Node(int(literal), node_line, node_col)
+            return Node(float(literal), *where)
+        return Node(int(literal), *where)
 
 
 def parse_json(text: str) -> Node:

@@ -91,6 +91,15 @@ class ElaborationError(RuntimeError):
     """The description cannot be turned into an executable model."""
 
 
+class InvalidDescriptionError(ElaborationError, ValueError):
+    """The description has validation diagnostics, kept sorted in ``diagnostics``."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        summary = "; ".join(str(p) for p in diagnostics[:3])
+        super().__init__(f"description has {len(diagnostics)} validation diagnostic(s): {summary}")
+        self.diagnostics = diagnostics
+
+
 # --------------------------------------------------------------------------
 # Parsing
 
@@ -700,57 +709,46 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 "is bound more than once", f"bindings[{i}].to")
         bound_in.add(key)
 
-    # E004: a READ must never face more than one destination at once
-    bindings_by_from: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for binding in d.bindings:
-        bindings_by_from.setdefault(
-            (binding.from_instance, binding.from_socket), []).append(
-            (binding.to_instance, binding.to_socket))
-
-    for inst in d.instances:
-        inst_spec = spec_of(inst.name)
-        if not isinstance(inst_spec, InitiatorSpec):
-            continue
-        for idx, template in enumerate(inst_spec.workload):
-            if template.command is not Command.READ:
-                continue
-            frontier = [(inst.name, template.socket)]
-            visited: set[tuple[str, int]] = set()
-            fanned = False
-            while frontier:
-                key = frontier.pop()
-                if key in visited:
-                    continue
-                visited.add(key)
-                dests = bindings_by_from.get(key, [])
-                if len(dests) > 1:
-                    fanned = True
-                    continue
-                for to_name, to_socket in dests:
-                    spec = spec_of(to_name)
-                    if not isinstance(spec, RouterSpec):
-                        continue
-                    outs = spec.connections.get(to_socket, ())
-                    if len(set(outs)) > 1 and spec.address_map is None:
-                        fanned = True
-                    frontier.extend((to_name, out) for out in outs)
-            if fanned:
-                add("E004",
-                    f"READ issued by '{inst.name}' can reach more than one destination "
-                    "with no disjoint address decode",
-                    f"{inst.name}.workload[{idx}]")
-
-    # E009: no binding cycle.  Nodes are sockets (instance, index, is_out); a router
-    # joins each in-socket to its connected outs, a binding an out to an in.  The
-    # coloured search is iterative so no description can exhaust the stack.
+    # One socket graph for E004 and E009.  Nodes are sockets (instance, index, is_out); a
+    # router joins each in-socket to its connected outs, a binding an out to an in.  A fan
+    # is a socket where a transaction can split: an out with several bindings, or a router
+    # in-socket with several outs and no address decode.
     successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
+    fans: list[tuple[str, int, bool]] = []
     for inst in d.instances:
         if isinstance(inst_spec := spec_of(inst.name), RouterSpec):
             for in_socket, outs in inst_spec.connections.items():
                 successors[(inst.name, in_socket, False)] = [(inst.name, o, True) for o in outs]
+                if len(set(outs)) > 1 and inst_spec.address_map is None:
+                    fans.append((inst.name, in_socket, False))
     for binding in d.bindings:
         successors.setdefault((binding.from_instance, binding.from_socket, True), []).append(
             (binding.to_instance, binding.to_socket, False))
+    fans += [node for node, nexts in successors.items() if node[2] and len(nexts) > 1]
+
+    # E004: a READ's out-socket must not reach a fan.  One reverse walk finds all that do.
+    predecessors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
+    for node, nexts in successors.items():
+        for nxt in nexts:
+            predecessors.setdefault(nxt, []).append(node)
+    reaches_fan = set(fans)
+    stack = list(reaches_fan)
+    while stack:
+        for prev in predecessors.get(stack.pop(), ()):
+            if prev not in reaches_fan:
+                reaches_fan.add(prev)
+                stack.append(prev)
+    for inst in d.instances:
+        if isinstance(inst_spec := spec_of(inst.name), InitiatorSpec):
+            for idx, template in enumerate(inst_spec.workload):
+                if (template.command is Command.READ
+                        and (inst.name, template.socket, True) in reaches_fan):
+                    add("E004",
+                        f"READ issued by '{inst.name}' can reach more than one destination "
+                        "with no disjoint address decode",
+                        f"{inst.name}.workload[{idx}]")
+
+    # E009: no binding cycle.  The search is iterative so no description can exhaust the stack.
     position: dict[tuple[str, int, bool], int] = {}  # index on the path; -1 once finished
     for root in successors:
         if root in position:
@@ -776,6 +774,13 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 f"constraints[{i}].instance")
 
     return sort_diagnostics(diags)
+
+
+def require_valid(d: SystemDescription) -> None:
+    """The one validation gate: raises InvalidDescriptionError unless ``d`` is sound."""
+    problems = validate_description(d)
+    if problems:
+        raise InvalidDescriptionError(problems)
 
 
 # --------------------------------------------------------------------------
@@ -834,20 +839,16 @@ def elaborate(
     quantum_ps: int | None = None,
     event_limit: int | None = None,
 ) -> ExecutableModel:
-    """Build the executable model: storage, quantum keepers, kernel activities.
+    """Build the executable model: component models, storage and bindings.
 
-    Refuses descriptions with validation diagnostics.  Elaboration order
-    follows description order, so two elaborations of equal descriptions
-    produce identical runs.  ``quantum_ps`` and ``event_limit`` override
-    the description's options when given.  Delays are scaled here, once; one
-    outside the 64-bit range raises ``TimeOverflowError`` before anything runs.
+    Raises InvalidDescriptionError for an invalid description.  The initiators
+    start when ``run()`` is called.  Elaboration order follows description order,
+    so two elaborations of equal descriptions produce identical runs.
+    ``quantum_ps`` and ``event_limit`` override the description's options when
+    given.  Delays are scaled here, once; one outside the 64-bit range raises
+    ``TimeOverflowError`` before anything runs.
     """
-    problems = validate_description(d)
-    if problems:
-        summary = "; ".join(str(p) for p in problems[:3])
-        raise ElaborationError(
-            f"description has {len(problems)} validation diagnostic(s): {summary}")
-
+    require_valid(d)
     ctx = ModelContext(
         scheduler=Scheduler(event_limit if event_limit is not None else d.options.event_limit))
     quantum = quantum_ps if quantum_ps is not None else d.options.quantum_ps
@@ -877,7 +878,7 @@ def elaborate(
         model.out_bindings[from_socket] = [(models[to], to_socket)
                                            for _, to, to_socket in entries]
 
-    # Fail fast on wiring a transaction could fall off of; start the initiators.
+    # Fail fast on wiring a transaction could fall off of.
     bound_in: dict[str, set[int]] = {}
     for binding in d.bindings:
         bound_in.setdefault(binding.to_instance, set()).add(binding.to_socket)
@@ -888,7 +889,6 @@ def elaborate(
                 if template.socket not in models[inst.name].out_bindings:
                     raise ElaborationError(
                         f"initiator '{inst.name}' socket {template.socket} is unbound")
-            ctx.scheduler.schedule(models[inst.name].activity(), 0, name=inst.name)
         elif isinstance(spec, RouterSpec):
             for in_socket in sorted(bound_in.get(inst.name, ())):
                 outs = spec.connections.get(in_socket)

@@ -279,3 +279,55 @@ def test_module_entry_point_runs_the_command(broken_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 1
     assert "E003" in done.stdout
+
+
+@pytest.mark.parametrize("escape", ["\\u-123", "\\u 12 ", "\\u+fff", "\\u1_2a"])
+def test_bad_unicode_escape_is_a_syntax_error(capsys, tmp_path, abs_path, escape):
+    path = tmp_path / "desc.json"
+    path.write_text('{"cpus": "%s"}' % escape, encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    for argv in (("validate", path), ("run", path), ("check", path, trace),
+                 ("export", path, "--out", tmp_path / "gen")):
+        code, out, err = invoke(capsys, *map(str, argv))
+        assert (code, out, err) == (1, f"E-SYNTAX 1:13: bad \\u escape '{escape[2:]}'\n", "")
+
+
+def test_run_and_export_validate_once(capsys, monkeypatch, abs_path, tmp_path):
+    from tlmforge import cli, codegen, sysdesc
+
+    calls = []
+    real = sysdesc.validate_description
+
+    def counting(desc):
+        calls.append(desc)
+        return real(desc)
+
+    for module in (sysdesc, cli, codegen):
+        if hasattr(module, "validate_description"):
+            monkeypatch.setattr(module, "validate_description", counting)
+    for argv in (("run", abs_path, "--trace", tmp_path / "t.csv"),
+                 ("export", abs_path, "--out", tmp_path / "gen")):
+        calls.clear()
+        assert invoke(capsys, *map(str, argv))[0] == 0
+        assert len(calls) == 1
+
+
+def test_every_command_reports_diagnostics_like_validate(capsys, broken_path, abs_path, tmp_path):
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    code, expected, err = invoke(capsys, "validate", str(broken_path))
+    assert (code, err) == (1, "")
+    assert expected.startswith("E003 bindings[0]:")
+    for argv in (("run", broken_path, "--trace", tmp_path / "r.csv"),
+                 ("export", broken_path, "--out", tmp_path / "gen"),
+                 ("check", broken_path, trace)):
+        assert invoke(capsys, *map(str, argv)) == (1, expected, "")
+    assert not (tmp_path / "r.csv").exists()
+    assert not (tmp_path / "gen").exists()
+
+
+def test_bad_quantum_is_reported_before_the_description(capsys, broken_path):
+    code, out, err = invoke(capsys, "run", str(broken_path), "--quantum", "fast")
+    assert (code, out) == (2, "")
+    assert err == "error: bad time 'fast': expected <number><ps|ns|us|ms|s>\n"

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -402,3 +404,14 @@ def test_two_elaborations_produce_identical_traces(abs_description):
     second = elaborate(abs_description)
     second.run()
     assert write_trace(first.records) == write_trace(second.records)
+
+
+def test_unrun_model_is_freed_without_the_cycle_collector(abs_description):
+    gc.disable()
+    try:
+        model = elaborate(abs_description)
+        initiator = weakref.ref(model.instance("Brake"))
+        del model
+        assert initiator() is None
+    finally:
+        gc.enable()
