@@ -18,7 +18,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-_NUMBER_RE = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")  # ASCII digits
 _WS_RE = re.compile(r"[ \t\r\n]*")
 _PLAIN_RE = re.compile(r'[^"\\\n\r]*')  # string characters that stand for themselves
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")

@@ -28,9 +28,10 @@ _FREQ_UNITS_GHZ = {
     "Hz": Fraction(1, 10**9),
 }
 
-_TIME_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ps|ns|us|ms|s)\s*$")
-_FREQ_RE = re.compile(r"^\s*(\d+(?:\.\d+)?|\d+\s*/\s*\d+)\s*(GHz|MHz|kHz|Hz)\s*$")
-_RATIONAL_RE = re.compile(r"^\s*(\d+(?:\.\d+)?|\d+\s*/\s*\d+)\s*$")
+# Digits are ASCII only: \d would also take other scripts' digits, which int() accepts.
+_TIME_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ps|ns|us|ms|s)\s*$")
+_FREQ_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*(GHz|MHz|kHz|Hz)\s*$")
+_RATIONAL_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*$")
 
 
 class TimeOverflowError(OverflowError):

@@ -25,6 +25,7 @@ Validation rules on a parsed description:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,8 +104,42 @@ class InvalidDescriptionError(ElaborationError, ValueError):
 # --------------------------------------------------------------------------
 # Parsing
 
+_ADDRESS_RE = re.compile(r"0x[0-9A-Fa-f]+")
+_SOCKET_KEY_RE = re.compile(r"[0-9]+")
+_MAX_LENGTH = 2**32 - 1  # a TLM-2.0 data length is an unsigned int
+
+
+def _typed(kind: type, what: str):
+    """A converter that accepts values of one JSON type as they are."""
+    def convert(self: _Build, node: Node, where: str):
+        if isinstance(node.value, kind):
+            return node.value
+        return self.err(node, "E-TYPE", f"expected {what}, got {node.kind}", where)
+    return convert
+
+
+def _parsed(parse):
+    """A converter that reads a string with ``parse`` and reports what it raises."""
+    def convert(self: _Build, node: Node, where: str):
+        s = self.str_(node, where)
+        if s is None:
+            return None
+        try:
+            return parse(s)
+        except (ValueError, OverflowError) as exc:
+            return self.err(node, "E-TYPE", str(exc), where)
+    return convert
+
+
 class _Build:
-    """Walks the annotated JSON tree, collecting typed values and diagnostics."""
+    """Walks the annotated JSON tree, collecting typed values and diagnostics.
+
+    Every converter takes ``(node, where)``: a node of the tree and the path
+    that names it in diagnostics.  It returns the typed value, or records at
+    least one diagnostic and returns None; None is never a value.  A record is
+    a table of key -> converter read by ``fields``; arrays, fixed pairs and
+    objects keyed by socket index go through ``items``, ``pair`` and ``by_socket``.
+    """
 
     def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
@@ -115,95 +150,57 @@ class _Build:
             line=node.line if node else None,
             column=node.column if node else None))
 
-    # -- typed accessors; each returns None after recording a diagnostic
+    # -- converters of single values
 
-    def obj(self, node: Node, where: str) -> dict[str, Node] | None:
-        if not isinstance(node.value, dict):
-            self.err(node, "E-TYPE", f"expected an object, got {node.kind}", where)
-            return None
-        return node.value
-
-    def arr(self, node: Node, where: str) -> list[Node] | None:
-        if not isinstance(node.value, list):
-            self.err(node, "E-TYPE", f"expected an array, got {node.kind}", where)
-            return None
-        return node.value
-
-    def str_(self, node: Node, where: str) -> str | None:
-        if not isinstance(node.value, str):
-            self.err(node, "E-TYPE", f"expected a string, got {node.kind}", where)
-            return None
-        return node.value
+    obj = _typed(dict, "an object")
+    arr = _typed(list, "an array")
+    str_ = _typed(str, "a string")
+    bool_ = _typed(bool, "a boolean")
+    time_ps = _parsed(parse_time)
+    freq_ghz = _parsed(parse_frequency_ghz)
 
     def int_(self, node: Node, where: str, minimum: int | None = None,
              maximum: int | None = None) -> int | None:
         if not isinstance(node.value, int) or isinstance(node.value, bool):
-            self.err(node, "E-TYPE", f"expected an integer, got {node.kind}", where)
-            return None
+            return self.err(node, "E-TYPE", f"expected an integer, got {node.kind}", where)
         v = node.value
         if minimum is not None and v < minimum:
-            self.err(node, "E-TYPE", f"expected an integer >= {minimum}, got {v}", where)
-            return None
+            return self.err(node, "E-TYPE", f"expected an integer >= {minimum}, got {v}", where)
         if maximum is not None and v > maximum:
-            self.err(node, "E-TYPE", f"expected an integer <= {maximum}, got {v}", where)
-            return None
+            return self.err(node, "E-TYPE", f"expected an integer <= {maximum}, got {v}", where)
         return v
 
-    def bool_(self, node: Node, where: str) -> bool | None:
-        if not isinstance(node.value, bool):
-            self.err(node, "E-TYPE", f"expected a boolean, got {node.kind}", where)
-            return None
-        return node.value
+    def count(self, node: Node, where: str) -> int | None:
+        return self.int_(node, where, minimum=1)
 
     def ident(self, node: Node, where: str) -> str | None:
         s = self.str_(node, where)
-        if s is None:
-            return None
-        if not IDENTIFIER_RE.match(s):
-            self.err(node, "E-TYPE",
-                     f"bad identifier {s!r}: use letters, digits, '_', '.', '-'", where)
-            return None
-        return s
+        if s is None or IDENTIFIER_RE.match(s):
+            return s
+        return self.err(node, "E-TYPE",
+                        f"bad identifier {s!r}: use letters, digits, '_', '.', '-'", where)
 
-    def time_ps(self, node: Node, where: str) -> int | None:
+    def command(self, node: Node, where: str) -> Command | None:
         s = self.str_(node, where)
         if s is None:
             return None
         try:
-            return parse_time(s)
-        except (ValueError, OverflowError) as exc:
-            self.err(node, "E-TYPE", str(exc), where)
-            return None
-
-    def freq_ghz(self, node: Node, where: str) -> Fraction | None:
-        s = self.str_(node, where)
-        if s is None:
-            return None
-        try:
-            return parse_frequency_ghz(s)
-        except ValueError as exc:
-            self.err(node, "E-TYPE", str(exc), where)
-            return None
+            return Command(s)
+        except ValueError:
+            return self.err(node, "E-TYPE", f"unknown command {s!r}", where)
 
     def address(self, node: Node, where: str) -> int | None:
         v = node.value
         if isinstance(v, int) and not isinstance(v, bool):
             if 0 <= v <= U64_MAX:
                 return v
-            self.err(node, "E-TYPE", f"address {v} outside the unsigned 64-bit range", where)
-            return None
+            return self.err(node, "E-TYPE", f"address {v} outside the unsigned 64-bit range",
+                            where)
         if isinstance(v, str):
-            if v.startswith("0x"):
-                try:
-                    parsed = int(v, 16)
-                except ValueError:
-                    parsed = -1
-                if 0 <= parsed <= U64_MAX:
-                    return parsed
-            self.err(node, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex", where)
-            return None
-        self.err(node, "E-TYPE", f"expected an address, got {node.kind}", where)
-        return None
+            if _ADDRESS_RE.fullmatch(v) and int(v, 16) <= U64_MAX:
+                return int(v, 16)
+            return self.err(node, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex", where)
+        return self.err(node, "E-TYPE", f"expected an address, got {node.kind}", where)
 
     def bandwidth(self, node: Node, where: str) -> Fraction | None:
         v = node.value
@@ -221,8 +218,7 @@ class _Build:
             if result <= 0:
                 raise ValueError(f"bandwidth must be positive, got {v!r}")
         except ValueError as exc:
-            self.err(node, "E-TYPE", str(exc), where)
-            return None
+            return self.err(node, "E-TYPE", str(exc), where)
         return result
 
     def hex_data(self, node: Node, where: str) -> bytes | None:
@@ -230,231 +226,195 @@ class _Build:
         if s is None:
             return None
         if len(s) % 2 != 0:
-            self.err(node, "E-TYPE", "hex data needs an even number of digits", where)
-            return None
+            return self.err(node, "E-TYPE", "hex data needs an even number of digits", where)
+        if not s:
+            return self.err(node, "E-TYPE", "data must hold at least one byte", where)
         try:
             data = bytes.fromhex(s)
         except ValueError:
-            self.err(node, "E-TYPE", f"bad hex data {s!r}", where)
-            return None
-        if not data:
-            self.err(node, "E-TYPE", "data must hold at least one byte", where)
-            return None
+            data = b""
+        if 2 * len(data) != len(s):  # fromhex also skips blanks; a description has none
+            return self.err(node, "E-TYPE", f"bad hex data {s!r}", where)
         return data
 
-    # -- object member helpers
+    # -- records, arrays, pairs and socket-keyed objects
 
-    def get(self, obj_node: Node, key: str, where: str) -> Node | None:
-        node = obj_node.value.get(key)
-        if node is None:
-            self.err(obj_node, "E-MISSING", f"required key '{key}' is missing", where)
-        return node
+    def absent(self, obj_node: Node, keys, where: str) -> bool:
+        """Report each of ``keys`` missing from the object; True if any is."""
+        missing = [key for key in keys if key not in obj_node.value]
+        for key in missing:
+            # The root names a missing section by its key, a record by the record's path.
+            self.err(obj_node, "E-MISSING", f"required key '{key}' is missing",
+                     key if where == "$" else where)
+        return bool(missing)
 
-    def check_keys(self, obj_node: Node, allowed: tuple[str, ...], where: str) -> None:
-        for key, child in obj_node.value.items():
-            if key not in allowed:
+    def fields(self, node: Node, where: str, required: dict, optional: dict | None = None,
+               other_keys: tuple[str, ...] = ()) -> dict | None:
+        """An object whose members are converted by ``required`` and ``optional``.
+
+        ``other_keys`` are allowed but left to the caller.  Returns the present
+        members' values by key, or None if anything was reported.
+        """
+        members = self.obj(node, where)
+        if members is None:
+            return None
+        optional = optional or {}
+        start = len(self.diags)
+        prefix = "" if where == "$" else f"{where}."  # the root's members go by their key
+        values = {}
+        for key, child in members.items():
+            convert = required.get(key) or optional.get(key)
+            if convert is not None:
+                values[key] = convert(child, prefix + key)
+            elif key not in other_keys:
                 self.err(child, "E-TYPE", f"unknown key '{key}'", f"{where}.{key}")
+        self.absent(node, required, where)
+        return values if len(self.diags) == start else None
 
-
-def _build_template(b: _Build, node: Node, where: str) -> TransactionTemplate | None:
-    if b.obj(node, where) is None:
-        return None
-    b.check_keys(node, ("command", "address", "data", "length", "socket", "repeat"), where)
-    cmd_node = b.get(node, "command", where)
-    addr_node = b.get(node, "address", where)
-    command = None
-    if cmd_node is not None:
-        s = b.str_(cmd_node, f"{where}.command")
-        if s is not None:
-            try:
-                command = Command(s)
-            except ValueError:
-                b.err(cmd_node, "E-TYPE", f"unknown command {s!r}", f"{where}.command")
-    address = b.address(addr_node, f"{where}.address") if addr_node is not None else None
-
-    data_node = node.value.get("data")
-    length_node = node.value.get("length")
-    data: bytes | None = None
-    if data_node is not None and length_node is not None:
-        b.err(length_node, "E-TYPE", "give 'data' or 'length', not both", f"{where}.length")
-    elif data_node is not None:
-        data = b.hex_data(data_node, f"{where}.data")
-    elif length_node is not None:
-        length = b.int_(length_node, f"{where}.length", minimum=1)
-        data = bytes(length) if length is not None else None
-    else:
-        b.err(node, "E-MISSING", "required key 'data' or 'length' is missing", where)
-
-    socket = 0
-    if (socket_node := node.value.get("socket")) is not None:
-        socket = b.int_(socket_node, f"{where}.socket")
-    repeat = 1
-    if (repeat_node := node.value.get("repeat")) is not None:
-        repeat = b.int_(repeat_node, f"{where}.repeat", minimum=0)
-
-    if None in (command, address, data, socket, repeat):
-        return None
-    return TransactionTemplate(command, address, data, socket, repeat)
-
-
-def _build_module(b: _Build, node: Node, where: str) -> ModuleSpec | None:
-    if b.obj(node, where) is None:
-        return None
-    kind_node = b.get(node, "kind", where)
-    name_node = b.get(node, "name", where)
-    if kind_node is None or name_node is None:
-        return None
-    kind = b.str_(kind_node, f"{where}.kind")
-    name = b.ident(name_node, f"{where}.name")
-    if kind is None or name is None:
-        return None
-
-    bandwidth = None
-    if (bw_node := node.value.get("bandwidth")) is not None:
-        bandwidth = b.bandwidth(bw_node, f"{where}.bandwidth")
-
-    if kind == "initiator":
-        b.check_keys(node, ("kind", "name", "delay", "sockets", "workload", "bandwidth"), where)
-        delay_node = b.get(node, "delay", where)
-        sockets_node = b.get(node, "sockets", where)
-        delay = b.time_ps(delay_node, f"{where}.delay") if delay_node is not None else None
-        sockets = (b.int_(sockets_node, f"{where}.sockets", minimum=1)
-                   if sockets_node is not None else None)
-        workload: list[TransactionTemplate] = []
-        ok = True
-        if (wl_node := node.value.get("workload")) is not None:
-            items = b.arr(wl_node, f"{where}.workload")
-            if items is None:
-                ok = False
-            else:
-                for i, item in enumerate(items):
-                    t = _build_template(b, item, f"{where}.workload[{i}]")
-                    if t is None:
-                        ok = False
-                    else:
-                        workload.append(t)
-        if delay is None or sockets is None or not ok:
+    def items(self, node: Node, where: str, convert, least: int = 0, too_few: str = "",
+              every: bool = False) -> list | None:
+        """An array of at least ``least`` elements; the walk stops at the first bad
+        element unless ``every`` is set."""
+        nodes = self.arr(node, where)
+        if nodes is None:
             return None
-        return InitiatorSpec(name, delay, sockets, tuple(workload), bandwidth)
+        if len(nodes) < least:
+            return self.err(node, "E-TYPE", too_few, where)
+        start = len(self.diags)
+        values = []
+        for i, item in enumerate(nodes):
+            value = convert(item, f"{where}[{i}]")
+            if value is None and not every:
+                return None
+            values.append(value)
+        return values if len(self.diags) == start else None
 
-    if kind == "target":
-        b.check_keys(node, ("kind", "name", "socket_delays", "storage", "dmi", "bandwidth"), where)
-        delays_node = b.get(node, "socket_delays", where)
-        storage_node = b.get(node, "storage", where)
-        delays: list[int] | None = []
-        if delays_node is not None:
-            items = b.arr(delays_node, f"{where}.socket_delays")
-            if items is None or not items:
-                if items is not None:
-                    b.err(delays_node, "E-TYPE", "socket_delays must not be empty",
-                          f"{where}.socket_delays")
-                delays = None
-            else:
-                for i, item in enumerate(items):
-                    d = b.time_ps(item, f"{where}.socket_delays[{i}]")
-                    if d is None:
-                        delays = None
-                        break
-                    delays.append(d)
+    def pair(self, node: Node, where: str, first, second, message: str) -> tuple | None:
+        """An array of exactly two elements; both are converted."""
+        nodes = self.arr(node, where)
+        if nodes is None:
+            return None
+        if len(nodes) != 2:
+            return self.err(node, "E-TYPE", message, where)
+        a, b = first(nodes[0], f"{where}[0]"), second(nodes[1], f"{where}[1]")
+        return None if a is None or b is None else (a, b)
+
+    def by_socket(self, node: Node, where: str, convert, label: str) -> dict | None:
+        """An object keyed by socket index; every entry is converted."""
+        members = self.obj(node, where)
+        if members is None:
+            return None
+        start = len(self.diags)
+        values = {}
+        for key, child in members.items():
+            kwhere = f"{where}[{key}]"
+            if not _SOCKET_KEY_RE.fullmatch(key):
+                self.err(child, "E-TYPE", f"{label} key {key!r} must be a socket index", kwhere)
+            elif (value := convert(child, kwhere)) is not None:
+                values[int(key)] = value
+        return values if len(self.diags) == start else None
+
+    # -- the records of a description
+
+    def cpu(self, node: Node, where: str) -> CpuSpec | None:
+        f = self.fields(node, where, {"name": self.ident, "frequency": self.freq_ghz})
+        return None if f is None else CpuSpec(f["name"], f["frequency"])
+
+    def bus(self, node: Node, where: str) -> BusSpec | None:
+        f = self.fields(node, where, {
+            "name": self.ident,
+            "cpus": lambda n, w: self.items(n, w, self.ident, 2, "a bus joins at least two CPUs")})
+        return None if f is None else BusSpec(f["name"], tuple(f["cpus"]))
+
+    def template(self, node: Node, where: str) -> TransactionTemplate | None:
+        f = self.fields(node, where, {"command": self.command, "address": self.address},
+                        {"socket": self.int_, "repeat": lambda n, w: self.int_(n, w, minimum=0)},
+                        ("data", "length"))
+        if not isinstance(node.value, dict):
+            return None
+        data_node, length_node = node.value.get("data"), node.value.get("length")
+        if data_node is not None and length_node is not None:
+            data = self.err(length_node, "E-TYPE", "give 'data' or 'length', not both",
+                            f"{where}.length")
+        elif data_node is not None:
+            data = self.hex_data(data_node, f"{where}.data")
+        elif length_node is not None:
+            length = self.int_(length_node, f"{where}.length", minimum=1, maximum=_MAX_LENGTH)
+            data = None if length is None else bytes(length)
         else:
-            delays = None
-        base, size, fill = 0, None, 0
-        if storage_node is not None and b.obj(storage_node, f"{where}.storage") is not None:
-            b.check_keys(storage_node, ("base", "size", "fill"), f"{where}.storage")
-            if (base_node := storage_node.value.get("base")) is not None:
-                base = b.address(base_node, f"{where}.storage.base")
-            size_node = b.get(storage_node, "size", f"{where}.storage")
-            if size_node is not None:
-                size = b.int_(size_node, f"{where}.storage.size", minimum=1)
-            if (fill_node := storage_node.value.get("fill")) is not None:
-                fill = b.int_(fill_node, f"{where}.storage.fill", minimum=0, maximum=255)
-        dmi = False
-        if (dmi_node := node.value.get("dmi")) is not None:
-            dmi = b.bool_(dmi_node, f"{where}.dmi")
-        if delays is None or base is None or size is None or fill is None or dmi is None:
+            data = self.err(node, "E-MISSING", "required key 'data' or 'length' is missing",
+                            where)
+        if f is None or data is None:
             return None
-        return TargetSpec(name, tuple(delays), base, size, fill, dmi, bandwidth)
+        return TransactionTemplate(f["command"], f["address"], data, f.get("socket", 0),
+                                   f.get("repeat", 1))
 
-    if kind == "router":
-        b.check_keys(node, ("kind", "name", "delay", "in_sockets", "out_sockets",
-                            "connections", "address_map", "bandwidth"), where)
-        delay_node = b.get(node, "delay", where)
-        in_node = b.get(node, "in_sockets", where)
-        out_node = b.get(node, "out_sockets", where)
-        conn_node = b.get(node, "connections", where)
-        delay = b.time_ps(delay_node, f"{where}.delay") if delay_node is not None else None
-        ins = b.int_(in_node, f"{where}.in_sockets", minimum=1) if in_node is not None else None
-        outs = b.int_(out_node, f"{where}.out_sockets", minimum=1) if out_node is not None else None
+    def storage(self, node: Node, where: str) -> tuple[int, int, int] | None:
+        f = self.fields(node, where, {"size": self.count}, {
+            "base": self.address, "fill": lambda n, w: self.int_(n, w, minimum=0, maximum=255)})
+        return None if f is None else (f.get("base", 0), f["size"], f.get("fill", 0))
 
-        connections: dict[int, tuple[int, ...]] | None = {}
-        if conn_node is not None and b.obj(conn_node, f"{where}.connections") is not None:
-            for key, value in conn_node.value.items():
-                cwhere = f"{where}.connections[{key}]"
-                if not key.isdigit():
-                    b.err(value, "E-TYPE", f"connection key {key!r} must be a socket index", cwhere)
-                    connections = None
-                    continue
-                items = b.arr(value, cwhere)
-                if items is None or not items:
-                    if items is not None:
-                        b.err(value, "E-TYPE", "connection list must not be empty", cwhere)
-                    connections = None
-                    continue
-                out_list = []
-                for i, item in enumerate(items):
-                    v = b.int_(item, f"{cwhere}[{i}]")
-                    if v is None:
-                        connections = None
-                        break
-                    out_list.append(v)
-                if connections is not None:
-                    connections[int(key)] = tuple(out_list)
-        else:
-            connections = None
-
-        address_map: dict[int, tuple[int, int]] | None = None
-        if (map_node := node.value.get("address_map")) is not None:
-            address_map = {}
-            if b.obj(map_node, f"{where}.address_map") is not None:
-                for key, value in map_node.value.items():
-                    mwhere = f"{where}.address_map[{key}]"
-                    if not key.isdigit():
-                        b.err(value, "E-TYPE", f"address_map key {key!r} must be a socket index",
-                              mwhere)
-                        continue
-                    items = b.arr(value, mwhere)
-                    if items is None or len(items) != 2:
-                        if items is not None:
-                            b.err(value, "E-TYPE", "expected [base, limit]", mwhere)
-                        continue
-                    lo = b.address(items[0], f"{mwhere}[0]")
-                    hi = b.address(items[1], f"{mwhere}[1]")
-                    if lo is not None and hi is not None:
-                        address_map[int(key)] = (lo, hi)
-            else:
-                address_map = None
-
-        if delay is None or ins is None or outs is None or connections is None:
+    def module(self, node: Node, where: str) -> ModuleSpec | None:
+        # Without a good kind and name no other member is looked at.
+        members = self.obj(node, where)
+        if members is None or self.absent(node, ("kind", "name"), where):
             return None
-        return RouterSpec(name, delay, ins, outs, connections, address_map, bandwidth)
+        kind = self.str_(members["kind"], f"{where}.kind")
+        name = self.ident(members["name"], f"{where}.name")
+        if kind is None or name is None:
+            return None
+        head, bandwidth = ("kind", "name"), {"bandwidth": self.bandwidth}
+        if kind == "initiator":
+            f = self.fields(node, where, {"delay": self.time_ps, "sockets": self.count}, {
+                "workload": lambda n, w: self.items(n, w, self.template, every=True),
+                **bandwidth}, head)
+            return None if f is None else InitiatorSpec(
+                name, f["delay"], f["sockets"], tuple(f.get("workload", ())), f.get("bandwidth"))
+        if kind == "target":
+            f = self.fields(node, where, {
+                "socket_delays": lambda n, w: self.items(
+                    n, w, self.time_ps, 1, "socket_delays must not be empty"),
+                "storage": self.storage}, {"dmi": self.bool_, **bandwidth}, head)
+            return None if f is None else TargetSpec(
+                name, tuple(f["socket_delays"]), *f["storage"], f.get("dmi", False),
+                f.get("bandwidth"))
+        if kind == "router":
+            outs = lambda n, w: self.items(n, w, self.int_, 1, "connection list must not be empty")
+            ranges = lambda n, w: self.pair(n, w, self.address, self.address,
+                                            "expected [base, limit]")
+            f = self.fields(node, where, {
+                "delay": self.time_ps, "in_sockets": self.count, "out_sockets": self.count,
+                "connections": lambda n, w: self.by_socket(n, w, outs, "connection")}, {
+                "address_map": lambda n, w: self.by_socket(n, w, ranges, "address_map"),
+                **bandwidth}, head)
+            return None if f is None else RouterSpec(
+                name, f["delay"], f["in_sockets"], f["out_sockets"],
+                {k: tuple(v) for k, v in f["connections"].items()}, f.get("address_map"),
+                f.get("bandwidth"))
+        if "bandwidth" in members:
+            self.bandwidth(members["bandwidth"], f"{where}.bandwidth")
+        return self.err(members["kind"], "E-TYPE",
+                        f"unknown module kind {kind!r}: expected initiator, target, or router",
+                        f"{where}.kind")
 
-    b.err(kind_node, "E-TYPE",
-          f"unknown module kind {kind!r}: expected initiator, target, or router",
-          f"{where}.kind")
-    return None
+    def instance(self, node: Node, where: str) -> Instance | None:
+        f = self.fields(node, where, {"name": self.ident, "module": self.ident, "cpu": self.ident})
+        return None if f is None else Instance(f["name"], f["module"], f["cpu"])
 
+    def binding(self, node: Node, where: str) -> Binding | None:
+        end = lambda n, w: self.pair(n, w, self.ident, self.int_, "expected [instance, socket]")
+        f = self.fields(node, where, {"from": end, "to": end})
+        return None if f is None else Binding(*f["from"], *f["to"])
 
-def _build_endpoint(b: _Build, node: Node, where: str) -> tuple[str, int] | None:
-    items = b.arr(node, where)
-    if items is None or len(items) != 2:
-        if items is not None:
-            b.err(node, "E-TYPE", "expected [instance, socket]", where)
-        return None
-    name = b.ident(items[0], f"{where}[0]")
-    socket = b.int_(items[1], f"{where}[1]")
-    if name is None or socket is None:
-        return None
-    return name, socket
+    def constraint(self, node: Node, where: str) -> TimingConstraint | None:
+        f = self.fields(node, where, {"instance": self.ident, "max_end": self.time_ps})
+        return None if f is None else TimingConstraint(f["instance"], f["max_end"])
+
+    def options(self, node: Node, where: str) -> SimOptions | None:
+        f = self.fields(node, where, {}, {
+            "quantum": self.time_ps, "event_limit": self.count, "trace": self.str_})
+        return None if f is None else SimOptions(
+            f.get("quantum", 0), f.get("event_limit", DEFAULT_EVENT_LIMIT), f.get("trace"))
 
 
 def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnostic]]:
@@ -465,123 +425,14 @@ def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnos
         return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
 
     b = _Build()
-    if b.obj(root, "$") is None:
+    section = lambda record: lambda n, w: b.items(n, w, record, every=True)
+    top = b.fields(root, "$", {"cpus": section(b.cpu)}, {
+        "buses": section(b.bus), "modules": section(b.module),
+        "instances": section(b.instance), "bindings": section(b.binding),
+        "constraints": section(b.constraint), "options": b.options})
+    if top is None:
         return None, sort_diagnostics(b.diags)
-    b.check_keys(root, ("cpus", "buses", "modules", "instances", "bindings",
-                        "constraints", "options"), "$")
-
-    desc = SystemDescription()
-
-    cpus_node = b.get(root, "cpus", "cpus")
-    if cpus_node is not None and (items := b.arr(cpus_node, "cpus")) is not None:
-        for i, item in enumerate(items):
-            where = f"cpus[{i}]"
-            if b.obj(item, where) is None:
-                continue
-            b.check_keys(item, ("name", "frequency"), where)
-            name_node = b.get(item, "name", where)
-            freq_node = b.get(item, "frequency", where)
-            name = b.ident(name_node, f"{where}.name") if name_node is not None else None
-            freq = b.freq_ghz(freq_node, f"{where}.frequency") if freq_node is not None else None
-            if name is not None and freq is not None:
-                desc.cpus.append(CpuSpec(name, freq))
-
-    if (buses_node := root.value.get("buses")) is not None:
-        if (items := b.arr(buses_node, "buses")) is not None:
-            for i, item in enumerate(items):
-                where = f"buses[{i}]"
-                if b.obj(item, where) is None:
-                    continue
-                b.check_keys(item, ("name", "cpus"), where)
-                name_node = b.get(item, "name", where)
-                cpus_ref = b.get(item, "cpus", where)
-                name = b.ident(name_node, f"{where}.name") if name_node is not None else None
-                members: list[str] | None = []
-                if cpus_ref is not None and (refs := b.arr(cpus_ref, f"{where}.cpus")) is not None:
-                    if len(refs) < 2:
-                        b.err(cpus_ref, "E-TYPE", "a bus joins at least two CPUs", f"{where}.cpus")
-                        members = None
-                    else:
-                        for j, ref in enumerate(refs):
-                            cpu = b.ident(ref, f"{where}.cpus[{j}]")
-                            if cpu is None:
-                                members = None
-                                break
-                            members.append(cpu)
-                else:
-                    members = None
-                if name is not None and members is not None:
-                    desc.buses.append(BusSpec(name, tuple(members)))
-
-    if (modules_node := root.value.get("modules")) is not None:
-        if (items := b.arr(modules_node, "modules")) is not None:
-            for i, item in enumerate(items):
-                spec = _build_module(b, item, f"modules[{i}]")
-                if spec is not None:
-                    desc.modules.append(spec)
-
-    if (instances_node := root.value.get("instances")) is not None:
-        if (items := b.arr(instances_node, "instances")) is not None:
-            for i, item in enumerate(items):
-                where = f"instances[{i}]"
-                if b.obj(item, where) is None:
-                    continue
-                b.check_keys(item, ("name", "module", "cpu"), where)
-                parts = {}
-                for key in ("name", "module", "cpu"):
-                    node = b.get(item, key, where)
-                    parts[key] = b.ident(node, f"{where}.{key}") if node is not None else None
-                if None not in parts.values():
-                    desc.instances.append(Instance(parts["name"], parts["module"], parts["cpu"]))
-
-    if (bindings_node := root.value.get("bindings")) is not None:
-        if (items := b.arr(bindings_node, "bindings")) is not None:
-            for i, item in enumerate(items):
-                where = f"bindings[{i}]"
-                if b.obj(item, where) is None:
-                    continue
-                b.check_keys(item, ("from", "to"), where)
-                from_node = b.get(item, "from", where)
-                to_node = b.get(item, "to", where)
-                src = (_build_endpoint(b, from_node, f"{where}.from")
-                       if from_node is not None else None)
-                dst = _build_endpoint(b, to_node, f"{where}.to") if to_node is not None else None
-                if src is not None and dst is not None:
-                    desc.bindings.append(Binding(src[0], src[1], dst[0], dst[1]))
-
-    if (constraints_node := root.value.get("constraints")) is not None:
-        if (items := b.arr(constraints_node, "constraints")) is not None:
-            for i, item in enumerate(items):
-                where = f"constraints[{i}]"
-                if b.obj(item, where) is None:
-                    continue
-                b.check_keys(item, ("instance", "max_end"), where)
-                inst_node = b.get(item, "instance", where)
-                end_node = b.get(item, "max_end", where)
-                inst = b.ident(inst_node, f"{where}.instance") if inst_node is not None else None
-                max_end = b.time_ps(end_node, f"{where}.max_end") if end_node is not None else None
-                if inst is not None and max_end is not None:
-                    desc.constraints.append(TimingConstraint(inst, max_end))
-
-    if (options_node := root.value.get("options")) is not None:
-        if b.obj(options_node, "options") is not None:
-            b.check_keys(options_node, ("quantum", "event_limit", "trace"), "options")
-            if (q_node := options_node.value.get("quantum")) is not None:
-                q = b.time_ps(q_node, "options.quantum")
-                if q is not None:
-                    desc.options.quantum_ps = q
-            if (limit_node := options_node.value.get("event_limit")) is not None:
-                limit = b.int_(limit_node, "options.event_limit", minimum=1)
-                if limit is not None:
-                    desc.options.event_limit = limit
-            if (trace_node := options_node.value.get("trace")) is not None:
-                path = b.str_(trace_node, "options.trace")
-                if path is not None:
-                    desc.options.trace_path = path
-
-    if b.diags:
-        return None, sort_diagnostics(b.diags)
-    return desc, []
+    return SystemDescription(**top), []
 
 
 # --------------------------------------------------------------------------
@@ -656,6 +507,10 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 f"bindings[{i}].to")
 
     # E003: cross-CPU bindings need a shared bus
+    buses_of: dict[str, set[int]] = {}
+    for k, bus in enumerate(d.buses):
+        for cpu in bus.cpus:
+            buses_of.setdefault(cpu, set()).add(k)
     for i, binding in enumerate(d.bindings):
         src = instances.get(binding.from_instance)
         dst = instances.get(binding.to_instance)
@@ -663,7 +518,7 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
             continue
         if src.cpu == dst.cpu:
             continue
-        if not any(src.cpu in bus.cpus and dst.cpu in bus.cpus for bus in d.buses):
+        if buses_of.get(src.cpu, set()).isdisjoint(buses_of.get(dst.cpu, ())):
             add("E003",
                 f"instances '{src.name}' ({src.cpu}) and '{dst.name}' ({dst.cpu}) "
                 "share no bus", f"bindings[{i}]")

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
+
+import descmut
 
 import tlmforge
 from tlmforge.cli import run_command
@@ -331,3 +337,82 @@ def test_bad_quantum_is_reported_before_the_description(capsys, broken_path):
     code, out, err = invoke(capsys, "run", str(broken_path), "--quantum", "fast")
     assert (code, out) == (2, "")
     assert err == "error: bad time 'fast': expected <number><ps|ns|us|ms|s>\n"
+
+
+# Digits outside ASCII: Unicode superscripts and Arabic-Indic digits, and a
+# separator or blank that int() and bytes.fromhex() would skip.
+@pytest.mark.parametrize("path,value,expected", [
+    (("modules", 1, "connections"), {"²": [0, 1, 2, 3]},
+     "E-TYPE modules[1].connections[²] (70:14): connection key '²' must be a socket index"),
+    (("modules", 1, "connections"), {"١": [0, 1, 2, 3]},
+     "E-TYPE modules[1].connections[١] (70:14): connection key '١' must be a socket index"),
+    (("modules", 1, "address_map"), {"²": ["0x0", "0x40"]},
+     "E-TYPE modules[1].address_map[²] (78:14): address_map key '²' must be a socket index"),
+    (("modules", 0, "workload", 0, "address"), "0x١٠",
+     "E-TYPE modules[0].workload[0].address (56:22): bad address '0x١٠': expected 0x-prefixed hex"),
+    (("modules", 0, "workload", 0, "address"), "0x1_0",
+     "E-TYPE modules[0].workload[0].address (56:22): bad address '0x1_0': expected 0x-prefixed hex"),
+    (("modules", 0, "workload", 0, "address"), "0x10 ",
+     "E-TYPE modules[0].workload[0].address (56:22): bad address '0x10 ': expected 0x-prefixed hex"),
+    (("modules", 0, "workload", 0, "data"), "de  ad",
+     "E-TYPE modules[0].workload[0].data (57:19): bad hex data 'de  ad'"),
+    (("modules", 0, "delay"), "١٠ns",
+     "E-TYPE modules[0].delay (51:16): bad time '١٠ns': expected <number><ps|ns|us|ms|s>"),
+    (("cpus", 0, "frequency"), "١GHz",
+     "E-TYPE cpus[0].frequency (5:20): bad frequency '١GHz': expected <number><GHz|MHz|kHz|Hz>"),
+    (("cpus", 0, "frequency"), "1/٣GHz",
+     "E-TYPE cpus[0].frequency (5:20): bad frequency '1/٣GHz': expected <number><GHz|MHz|kHz|Hz>"),
+    (("modules", 1, "bandwidth"), "٣",
+     "E-TYPE modules[1].bandwidth (77:20): bad rational '٣'"),
+])
+def test_non_ascii_digits_are_type_errors(capsys, tmp_path, abs_text, path, value, expected):
+    doc = json.loads(abs_text)
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps(doc, indent=2, ensure_ascii=False), encoding="utf-8")
+    assert invoke(capsys, "validate", str(desc)) == (1, expected + "\n", "")
+
+
+def test_non_ascii_digit_in_a_number_is_a_syntax_error(capsys, tmp_path, abs_text):
+    path = tmp_path / "desc.json"
+    path.write_text(abs_text.replace('"sockets": 1,', '"sockets": 1١,'), encoding="utf-8")
+    assert invoke(capsys, "validate", str(path)) == (
+        1, "E-SYNTAX 19:19: expected ',' or '}' in object\n", "")
+
+
+# Values and keys that int(), bytes.fromhex() or \d would take but a description must not.
+NOT_ASCII_DIGITS = ["²", "١", "٣٠", "0x١٠", "0x1_0", "0x10 ", "١٠ns", "1/٣GHz", "٣", "de  ad"]
+
+
+@given(seed=st.integers(0, 2**32), edits=st.lists(st.tuples(
+    st.sampled_from(["value", "key", "socket_key"]), st.integers(0, 10**6),
+    st.sampled_from(NOT_ASCII_DIGITS)), max_size=3))
+def test_validate_never_raises(seed, edits):
+    """``validate`` ends in exit 0 or 1 on any mutated description, never in a traceback.
+
+    Only ``validate``: ``run`` and ``export`` allocate storage and sockets by the
+    described size, which has no bound yet (ROADMAP item 2).  For the same reason
+    the mutations hold no large positive integer: a template's ``length`` of up
+    to 2**32 - 1 bytes is allocated while the description is parsed.
+    """
+    (_, text), = descmut.cases(seed, 1)
+    doc = json.loads(text)
+    objects = [v for _, v in descmut.walk(doc) if isinstance(v, dict)]
+    socket_keyed = [v for p, v in descmut.walk(doc)
+                    if p and p[-1] in ("connections", "address_map") and isinstance(v, dict) and v]
+    for how, pick, odd in edits:
+        targets = socket_keyed if how == "socket_key" and socket_keyed else objects
+        target = targets[pick % len(targets)]
+        if how == "value" and target:
+            target[list(target)[pick % len(target)]] = odd
+        elif target:
+            target[odd] = target.pop(list(target)[pick % len(target)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "desc.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run_command(["validate", str(path)]) in (0, 1)

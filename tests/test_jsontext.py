@@ -98,3 +98,15 @@ def test_unicode_escape_needs_four_hex_digits(digits):
         parse_json('\n  "\\u%s"' % digits)
     assert (info.value.reason, info.value.line, info.value.column) == (
         f"bad \\u escape {digits!r}", 2, 6)
+
+
+@pytest.mark.parametrize("text,reason,column", [
+    ("[1١]", "expected ',' or ']' in array", 3),
+    ("[0.٣]", "expected ',' or ']' in array", 3),
+    ("[1e١]", "expected ',' or ']' in array", 3),
+    ("[١]", "bad number", 2),
+])
+def test_numbers_take_ascii_digits_only(text, reason, column):
+    with pytest.raises(JsonSyntaxError) as info:
+        parse_json(text)
+    assert (info.value.reason, info.value.line, info.value.column) == (reason, 1, column)

@@ -93,3 +93,13 @@ def test_time_round_trip(ps):
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000)))
 def test_frequency_round_trip(f):
     assert parse_frequency_ghz(format_frequency_ghz(f)) == f
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_time, "١٠ns"), (parse_time, "1.٥ns"), (parse_time, "²ps"),
+    (parse_frequency_ghz, "١GHz"), (parse_frequency_ghz, "1/٣GHz"), (parse_frequency_ghz, "٣/1GHz"),
+    (parse_rational, "٣"), (parse_rational, "1/٣"), (parse_rational, "0.٥"),
+])
+def test_numbers_take_ascii_digits_only(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)

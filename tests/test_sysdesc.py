@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import descmut
+from conftest import GOLDEN
 from topogen import random_topology
 
 from tlmforge.components import (
@@ -112,6 +114,20 @@ def test_template_length_expands_to_zero_data():
     assert desc.modules[0].workload[0].data == b"\x00\x00\x00"
 
 
+@pytest.mark.parametrize("length", [2**63, 2**64])
+def test_template_length_is_a_tlm_data_length(length):
+    text = """{
+      "cpus": [{"name": "C0", "frequency": "1GHz"}],
+      "modules": [{"kind": "initiator", "name": "I", "delay": "1ns", "sockets": 1,
+                   "workload": [{"command": "WRITE", "address": "0x8", "length": %d}]}]
+    }""" % length
+    desc, diags = parse_description(text)
+    assert desc is None
+    assert [str(d) for d in diags] == [
+        f"E-TYPE modules[0].workload[0].length (4:82): expected an integer <= 4294967295, "
+        f"got {length}"]
+
+
 def test_string_escapes_in_description_text():
     text = ('{"cpus": [{"name": "C0", "frequency": "1GHz"}],'
             ' "options": {"trace": "out\\u0041\\t.csv"}}')
@@ -126,6 +142,14 @@ def test_diagnostics_are_sorted_and_repeatable():
     _, second = parse_description(text)
     assert first == second
     assert [d.code for d in first] == sorted(d.code for d in first)
+
+
+def test_parse_output_matches_the_golden_corpus():
+    expected = (GOLDEN / "parse_diagnostics.txt").read_text(encoding="utf-8").split("\n== ")
+    actual = descmut.golden_text().split("\n== ")
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want
 
 
 # -- validation ----------------------------------------------------------------
