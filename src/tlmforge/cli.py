@@ -1,7 +1,7 @@
 """Command-line front end: validate, run, render, check, export.
 
 Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
-error, 3 runtime error (event limit, elaboration failure, overflow).
+error, 3 runtime error (event limit, 64-bit time overflow).
 Set TLMFORGE_COLOR=0 to force plain output.
 """
 
@@ -16,13 +16,7 @@ from . import __version__
 from .codegen import CodegenError, export_tlm
 from .kernel import SimulationError
 from .simtime import TimeOverflowError, format_ns, parse_time
-from .sysdesc import (
-    ElaborationError,
-    InvalidDescriptionError,
-    elaborate,
-    parse_description,
-    require_valid,
-)
+from .sysdesc import InvalidDescriptionError, elaborate, parse_description, require_valid
 from .trace import (
     TraceSyntaxError,
     check_constraints,
@@ -207,7 +201,7 @@ def run_command(argv: list[str]) -> int:
         for d in exc.diagnostics:
             print(str(d))
         return EXIT_FAIL
-    except (SimulationError, ElaborationError, CodegenError, TimeOverflowError) as exc:
+    except (SimulationError, CodegenError, TimeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -324,13 +324,12 @@ def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
             "        t += m_delay;",
         ]
         lines += _bw_add(spec)
-        connected = spec.connections.get(i)
-        if connected is None:
+        if i not in spec.connections:
             lines.append("        // in-socket has no connection entry")
             lines.append("        trans.set_response_status(tlm::TLM_ADDRESS_ERROR_RESPONSE);")
         elif spec.address_map is not None:
             lines.append("        const sc_dt::uint64 addr = trans.get_address();")
-            for out in sorted(set(connected)):
+            for out in spec.outs(i):
                 rng = spec.address_map.get(out)
                 if rng is None:
                     continue
@@ -342,7 +341,7 @@ def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
                 ]
             lines.append("        trans.set_response_status(tlm::TLM_ADDRESS_ERROR_RESPONSE);")
         else:
-            targets = sorted(set(connected))
+            targets = spec.outs(i)
             if len(targets) == 1:
                 lines.append(f"        out{targets[0]}->b_transport(trans, t);")
             else:

@@ -91,6 +91,11 @@ class RouterSpec:
     address_map: dict[int, tuple[int, int]] | None = None  # out -> [base, limit)
     bandwidth: Fraction | None = None
 
+    def outs(self, in_socket: int) -> list[int]:
+        """Each out connected to ``in_socket`` once (a repeated out is one
+        destination), ascending."""
+        return sorted(frozenset(self.connections.get(in_socket, ())))
+
 
 ModuleSpec = InitiatorSpec | TargetSpec | RouterSpec
 
@@ -219,35 +224,6 @@ def apply_read(storage: Storage, p: GenericPayload) -> ResponseStatus:
 
 
 # --------------------------------------------------------------------------
-# Routing
-
-class NoRouteError(Exception):
-    """No out-socket's address range matched; surfaces as ADDRESS_ERROR."""
-
-    code = "E-NO-ROUTE"
-
-
-def route(spec: RouterSpec, in_socket: int, p: GenericPayload) -> list[int]:
-    """Resolve the out-sockets a payload leaves through.
-
-    With an address map the unique out whose range holds the address wins;
-    without one, every connected out (broadcast, ascending socket order).
-    """
-    outs = spec.connections.get(in_socket)
-    if outs is None:
-        raise NoRouteError(f"in-socket {in_socket} of '{spec.name}' has no connection entry")
-    ordered = sorted(set(outs))  # a repeated out-socket is still one destination
-    if spec.address_map is None:
-        return ordered
-    for out in ordered:
-        rng = spec.address_map.get(out)
-        if rng is not None and rng[0] <= p.address < rng[1]:
-            return [out]
-    raise NoRouteError(
-        f"address 0x{p.address:x} matches no range on in-socket {in_socket} of '{spec.name}'")
-
-
-# --------------------------------------------------------------------------
 # Executable models
 
 @dataclass
@@ -287,8 +263,8 @@ def deliver(destinations: list[Destination], p: GenericPayload, t: int) -> int:
 
     A single destination gets the original payload; with several, each arm
     gets a storage-disjoint deep copy and the merged status is written back
-    into ``p``.  Elaboration guarantees at least one destination, and
-    description validation (E004) exactly one for a READ.
+    into ``p``.  Description validation guarantees at least one destination
+    (E010), and exactly one for a READ (E004).
     """
     if len(destinations) == 1:
         model, in_socket = destinations[0]
@@ -381,18 +357,29 @@ class RouterModel(_Responder):
     def __init__(self, name: str, spec: RouterSpec, frequency_ghz: Fraction, ctx: ModelContext):
         super().__init__(name, spec, ctx)
         self.delay_ps = effective_delay(spec.delay_ps, frequency_ghz)
-        # out-socket index -> ordered destination list, filled in at elaboration
-        self.out_bindings: dict[int, list[Destination]] = {}
+        # bound in-socket -> ((base, limit, destinations), ...), built by connect()
+        self.routes: dict[int, tuple[tuple[int, int, list[Destination]], ...]] = {}
+
+    def connect(self, in_socket: int, bound: dict[int, list[Destination]]) -> None:
+        """Build ``in_socket``'s route table, in ascending out order, from each bound
+        out's destinations: one route per mapped out with an address map, else one
+        route over the whole address space to every out's destinations (broadcast)."""
+        outs, amap = self.spec.outs(in_socket), self.spec.address_map
+        if amap is None:
+            table = [(0, U64_MAX + 1, [dest for out in outs for dest in bound[out]])]
+        else:
+            table = [(*amap[out], bound[out]) for out in outs if out in amap]
+        self.routes[in_socket] = tuple(table)
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
         activation, arrival, t = self._arrive(self.delay_ps, p, t)
-        try:
-            outs = route(self.spec, in_socket, p)
-        except NoRouteError:
+        t_done = t
+        for base, limit, destinations in self.routes[in_socket]:
+            if base <= p.address < limit:
+                t_done = deliver(destinations, p, t)
+                break
+        else:
             p.response_status = ResponseStatus.ADDRESS_ERROR
-            self._record(activation, arrival, t, p)
-            return t
-        t_done = deliver([dest for out in outs for dest in self.out_bindings[out]], p, t)
         self._record(activation, arrival, t, p)
         return t_done
 

@@ -6,8 +6,9 @@ import re
 from dataclasses import dataclass
 
 # Lexical rule for every user-visible name (CPUs, buses, modules, instances).
-# Keeps the trace CSV unambiguous and generated identifiers sane.
-IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+# Keeps the trace CSV unambiguous and generated identifiers sane.  Match it with
+# ``fullmatch``: a ``$`` anchor would also accept a name ending in a newline.
+IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 @dataclass(frozen=True)

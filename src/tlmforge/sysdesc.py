@@ -20,6 +20,8 @@ Validation rules on a parsed description:
     E007  constraint references an unknown instance
     E008  in-socket bound more than once
     E009  binding cycle: a transaction could return to an in-socket it passed
+    E010  a used socket is unbound, or a bound router in-socket has no connections
+    E011  a path from an initiator passes more than MAX_ROUTERS routers
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .components import (
     Binding,
     BusSpec,
     CpuSpec,
+    Destination,
     ExecutableModel,
     InitiatorModel,
     InitiatorSpec,
@@ -175,7 +178,7 @@ class _Build:
 
     def ident(self, node: Node, where: str) -> str | None:
         s = self.str_(node, where)
-        if s is None or IDENTIFIER_RE.match(s):
+        if s is None or IDENTIFIER_RE.fullmatch(s):
             return s
         return self.err(node, "E-TYPE",
                         f"bad identifier {s!r}: use letters, digits, '_', '.', '-'", where)
@@ -438,12 +441,17 @@ def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnos
 # --------------------------------------------------------------------------
 # Validation
 
+# Delivery recurses twice per router on a path; this keeps the deepest path far
+# below the interpreter's default limit of 1000 frames.
+MAX_ROUTERS = 256
+
+
 def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
 def validate_description(d: SystemDescription) -> list[Diagnostic]:
-    """Apply the E001..E009 rule set; an empty result means the model is sound."""
+    """Apply the E001..E011 rule set; an empty result means the model is sound."""
     diags: list[Diagnostic] = []
     add = lambda code, message, where: diags.append(Diagnostic(code, message, where=where))
 
@@ -544,8 +552,8 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                         f"({spec.out_socket_count} out-sockets)", mwhere)
                 if rng[0] >= rng[1]:
                     add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
-            for in_socket, outs in spec.connections.items():
-                mapped = [(out, spec.address_map[out]) for out in sorted(set(outs))
+            for in_socket in spec.connections:
+                mapped = [(out, spec.address_map[out]) for out in spec.outs(in_socket)
                           if out in spec.address_map]
                 for a in range(len(mapped)):
                     for bx in range(a + 1, len(mapped)):
@@ -557,12 +565,26 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
 
     # E008: an in-socket accepts at most one binding
     bound_in: set[tuple[str, int]] = set()
+    bound_out: set[tuple[str, int]] = set()
     for i, binding in enumerate(d.bindings):
         key = (binding.to_instance, binding.to_socket)
         if key in bound_in:
             add("E008", f"in-socket {binding.to_socket} of '{binding.to_instance}' "
                 "is bound more than once", f"bindings[{i}].to")
         bound_in.add(key)
+        bound_out.add((binding.from_instance, binding.from_socket))
+
+    # E010: a bound router in-socket has connections, and each out it lists is bound.
+    for name, socket in bound_in:
+        spec = spec_of(name)
+        if isinstance(spec, RouterSpec) and 0 <= socket < spec.in_socket_count:
+            where, outs = f"{name}.connections[{socket}]", spec.outs(socket)
+            if not outs:
+                add("E010", f"router '{name}' in-socket {socket} is bound "
+                    "but has no connection entry", where)
+            for out in outs:
+                if 0 <= out < spec.out_socket_count and (name, out) not in bound_out:
+                    add("E010", f"router '{name}' out-socket {out} is unbound", where)
 
     # One socket graph for E004 and E009.  Nodes are sockets (instance, index, is_out); a
     # router joins each in-socket to its connected outs, a binding an out to an in.  A fan
@@ -593,18 +615,11 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
             if prev not in reaches_fan:
                 reaches_fan.add(prev)
                 stack.append(prev)
-    for inst in d.instances:
-        if isinstance(inst_spec := spec_of(inst.name), InitiatorSpec):
-            for idx, template in enumerate(inst_spec.workload):
-                if (template.command is Command.READ
-                        and (inst.name, template.socket, True) in reaches_fan):
-                    add("E004",
-                        f"READ issued by '{inst.name}' can reach more than one destination "
-                        "with no disjoint address decode",
-                        f"{inst.name}.workload[{idx}]")
 
     # E009: no binding cycle.  The search is iterative so no description can exhaust the stack.
+    # In post-order it counts the routers on the deepest path from each socket, for E011.
     position: dict[tuple[str, int, bool], int] = {}  # index on the path; -1 once finished
+    routers: dict[tuple[str, int, bool], int] = {}
     for root in successors:
         if root in position:
             continue
@@ -613,7 +628,11 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
         while path:
             node = next(path[-1][1], None)
             if node is None:
-                position[path.pop()[0]] = -1
+                done = path.pop()[0]
+                position[done] = -1
+                nexts = successors.get(done, ())  # only router in-sockets have successors
+                routers[done] = (not done[2] and bool(nexts)) + max(
+                    (routers.get(n, 0) for n in nexts), default=0)
             elif node not in position:
                 position[node] = len(path)
                 path.append((node, iter(successors.get(node, ()))))
@@ -621,6 +640,27 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 loop = [f"{name}[{socket}]" for (name, socket, is_out), _ in path[position[node]:]
                         if not is_out]
                 add("E009", "binding cycle " + " -> ".join(loop + loop[:1]), "bindings")
+
+    # Per initiator: E004 for each READ that reaches a fan; E010 and E011 once for each
+    # socket its workload uses, which must be bound and pass at most MAX_ROUTERS routers.
+    for inst in d.instances:
+        if not isinstance(inst_spec := spec_of(inst.name), InitiatorSpec):
+            continue
+        first: dict[int, int] = {}  # socket -> index of the first template using it
+        for idx, template in enumerate(inst_spec.workload):
+            if (template.command is Command.READ
+                    and (inst.name, template.socket, True) in reaches_fan):
+                add("E004", f"READ issued by '{inst.name}' can reach more than one destination "
+                    "with no disjoint address decode", f"{inst.name}.workload[{idx}]")
+            if 0 <= template.socket < inst_spec.socket_count:
+                first.setdefault(template.socket, idx)
+        for socket, idx in first.items():
+            where = f"{inst.name}.workload[{idx}]"
+            if (inst.name, socket) not in bound_out:
+                add("E010", f"initiator '{inst.name}' socket {socket} is unbound", where)
+            elif (count := routers[(inst.name, socket, True)]) > MAX_ROUTERS:
+                add("E011", f"a path from '{inst.name}' socket {socket} passes {count} routers; "
+                    f"at most {MAX_ROUTERS} are allowed", where)
 
     # E007: constraints must point at real instances
     for i, constraint in enumerate(d.constraints):
@@ -694,14 +734,14 @@ def elaborate(
     quantum_ps: int | None = None,
     event_limit: int | None = None,
 ) -> ExecutableModel:
-    """Build the executable model: component models, storage and bindings.
+    """Build the executable model: component models, storage, bindings, route tables.
 
-    Raises InvalidDescriptionError for an invalid description.  The initiators
-    start when ``run()`` is called.  Elaboration order follows description order,
-    so two elaborations of equal descriptions produce identical runs.
-    ``quantum_ps`` and ``event_limit`` override the description's options when
-    given.  Delays are scaled here, once; one outside the 64-bit range raises
-    ``TimeOverflowError`` before anything runs.
+    Raises InvalidDescriptionError for an invalid description; a valid one is
+    never refused.  The initiators start when ``run()`` is called.  Elaboration
+    order follows description order, so two elaborations of equal descriptions
+    produce identical runs.  ``quantum_ps`` and ``event_limit`` override the
+    description's options when given.  Delays are scaled here, once; one outside
+    the 64-bit range raises ``TimeOverflowError`` before anything runs.
     """
     require_valid(d)
     ctx = ModelContext(
@@ -721,39 +761,16 @@ def elaborate(
         else:
             models[inst.name] = RouterModel(inst.name, spec, f, ctx)
 
-    # Resolve bindings: destinations ordered by in-socket index, then
-    # declaration order, which fixes the fan-out status-merge order.
-    by_from: dict[tuple[str, int], list[tuple[int, str, int]]] = {}
-    for idx, binding in enumerate(d.bindings):
-        by_from.setdefault((binding.from_instance, binding.from_socket), []).append(
-            (idx, binding.to_instance, binding.to_socket))
-    for (from_name, from_socket), entries in by_from.items():
-        entries.sort(key=lambda e: (e[2], e[0]))
-        model = models[from_name]
-        model.out_bindings[from_socket] = [(models[to], to_socket)
-                                           for _, to, to_socket in entries]
-
-    # Fail fast on wiring a transaction could fall off of.
-    bound_in: dict[str, set[int]] = {}
-    for binding in d.bindings:
-        bound_in.setdefault(binding.to_instance, set()).add(binding.to_socket)
-    for inst in d.instances:
-        spec = specs[inst.module]
-        if isinstance(spec, InitiatorSpec):
-            for template in spec.workload:
-                if template.socket not in models[inst.name].out_bindings:
-                    raise ElaborationError(
-                        f"initiator '{inst.name}' socket {template.socket} is unbound")
-        elif isinstance(spec, RouterSpec):
-            for in_socket in sorted(bound_in.get(inst.name, ())):
-                outs = spec.connections.get(in_socket)
-                if not outs:
-                    raise ElaborationError(
-                        f"router '{inst.name}' in-socket {in_socket} is bound "
-                        "but has no connection entry")
-                for out in outs:
-                    if out not in models[inst.name].out_bindings:
-                        raise ElaborationError(
-                            f"router '{inst.name}' out-socket {out} is unbound")
-
+    # Each out-socket's destinations, ordered by in-socket index, then declaration
+    # order (the sort is stable), which fixes the fan-out status-merge order.
+    wiring: dict[str, dict[int, list[Destination]]] = {name: {} for name in models}
+    for b in sorted(d.bindings, key=lambda b: b.to_socket):
+        wiring[b.from_instance].setdefault(b.from_socket, []).append(
+            (models[b.to_instance], b.to_socket))
+    for name, model in models.items():
+        if isinstance(model, InitiatorModel):
+            model.out_bindings = wiring[name]
+    for b in d.bindings:
+        if isinstance(router := models[b.to_instance], RouterModel):
+            router.connect(b.to_socket, wiring[b.to_instance])
     return ExecutableModel(ctx, models)

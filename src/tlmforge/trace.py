@@ -64,7 +64,7 @@ def _sort_key(r: TraceRecord) -> tuple[int, str, int]:
 
 
 def _check_record(r: TraceRecord) -> None:
-    if not IDENTIFIER_RE.match(r.instance):
+    if not IDENTIFIER_RE.fullmatch(r.instance):
         raise ValueError(f"instance name {r.instance!r} is not a valid identifier")
     if r.activation < 0:
         raise ValueError(f"activation must be non-negative, got {r.activation}")
@@ -107,7 +107,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
         if len(fields) != 6:
             raise TraceSyntaxError(f"expected 6 comma-separated fields, got {len(fields)}", lineno)
         instance, activation_s, start_s, end_s, txn_s, status_s = fields
-        if not IDENTIFIER_RE.match(instance):
+        if not IDENTIFIER_RE.fullmatch(instance):
             raise TraceSyntaxError(f"bad instance name {instance!r}", lineno)
         try:
             activation, start, end, txn = int(activation_s), int(start_s), int(end_s), int(txn_s)

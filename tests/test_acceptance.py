@@ -203,15 +203,22 @@ def test_criterion_07_validation_coverage(abs_description):
             d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
             d.instances.append(Instance("r0", "R", "C0"))
             d.bindings.append(Binding("r0", 0, "r0", 0))
+        elif code == "E010":
+            d.bindings = []
+        elif code == "E011":
+            d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
+            d.instances += [Instance(f"r{k}", "R", "C0") for k in range(257)]
+            d.bindings = [Binding("i0", 0, "r0", 0), Binding("r256", 0, "t0", 0)]
+            d.bindings += [Binding(f"r{k}", 0, f"r{k + 1}", 0) for k in range(256)]
         return d
 
     wrong = []
-    for code in [f"E00{i}" for i in range(1, 10)]:
+    for code in [f"E{i:03d}" for i in range(1, 12)]:
         found = [diag.code for diag in validate_description(mutate(code))]
         if found != [code]:
             wrong.append((code, found))
     clean = validate_description(abs_description) == []
-    report(7, "each E001..E009 has a minimal trigger, abs.json has none",
+    report(7, "each E001..E011 has a minimal trigger, abs.json has none",
            not wrong and clean, f"wrong={wrong}" if wrong else "")
 
 

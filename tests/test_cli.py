@@ -83,6 +83,39 @@ UNBOUND_OVERFLOW = {
 }
 
 
+def router_chain(n: int) -> dict:
+    """i0 -> r0 -> ... -> r(n-1) -> t0, one router per hop."""
+    return {
+        "cpus": CPU,
+        "modules": [WRITER,
+                    {"kind": "router", "name": "R", "delay": "1ns", "in_sockets": 1,
+                     "out_sockets": 1, "connections": {"0": [0]}},
+                    {"kind": "target", "name": "T", "socket_delays": ["1ns"],
+                     "storage": {"size": 16}}],
+        "instances": [{"name": "i0", "module": "I", "cpu": "Cpu0"},
+                      {"name": "t0", "module": "T", "cpu": "Cpu0"}]
+                     + [{"name": f"r{k}", "module": "R", "cpu": "Cpu0"} for k in range(n)],
+        "bindings": [{"from": ["i0", 0], "to": ["r0", 0]},
+                     {"from": [f"r{n - 1}", 0], "to": ["t0", 0]}]
+                    + [{"from": [f"r{k}", 0], "to": [f"r{k + 1}", 0]} for k in range(n - 1)],
+    }
+
+
+# Three ways to miswire abs.json so that a transaction would fall off the wiring.
+MISWIRED_ABS = {
+    "unbound initiator socket": (
+        lambda doc: doc["bindings"].pop(0),
+        "E010 Brake.workload[0]: initiator 'Brake' socket 0 is unbound\n"),
+    "bound router in-socket without connections": (
+        lambda doc: doc["modules"][1].update(connections={}),
+        "E010 Router.connections[0]: router 'Router' in-socket 0 is bound "
+        "but has no connection entry\n"),
+    "unbound router out-socket": (
+        lambda doc: doc["bindings"].pop(4),
+        "E010 Router.connections[0]: router 'Router' out-socket 3 is unbound\n"),
+}
+
+
 def write_description(tmp_path, doc) -> str:
     path = tmp_path / "desc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -277,6 +310,32 @@ def test_out_of_range_delay_refuses_run_and_export(capsys, tmp_path):
         code, _, err = invoke(capsys, *argv)
         assert code == 3
         assert err == "error: scaled delay 1000000000000000000000 ps exceeds the 64-bit range\n"
+
+
+@pytest.mark.parametrize("variant", sorted(MISWIRED_ABS))
+def test_miswired_abs_is_refused_by_every_command(capsys, tmp_path, abs_path, variant):
+    miswire, expected = MISWIRED_ABS[variant]
+    doc = json.loads(abs_path.read_text(encoding="utf-8"))
+    miswire(doc)
+    path = write_description(tmp_path, doc)
+    for argv in (("validate", path), ("run", path), ("export", path, "--out", str(tmp_path))):
+        assert invoke(capsys, *argv) == (1, expected, "")
+
+
+def test_a_path_through_256_routers_runs(capsys, tmp_path):
+    path = write_description(tmp_path, router_chain(256))
+    code, out, err = invoke(capsys, "run", path)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2 + 1 + 256 + 1  # header lines, then i0, each router and t0
+
+
+@pytest.mark.parametrize("n", [257, 600])
+def test_a_path_through_more_routers_is_refused(capsys, tmp_path, n):
+    path = write_description(tmp_path, router_chain(n))
+    expected = (f"E011 i0.workload[0]: a path from 'i0' socket 0 passes {n} routers; "
+                "at most 256 are allowed\n")
+    for argv in (("validate", path), ("run", path), ("export", path, "--out", str(tmp_path))):
+        assert invoke(capsys, *argv) == (1, expected, "")
 
 
 def test_module_entry_point_runs_the_command(broken_path):

@@ -13,7 +13,6 @@ from tlmforge.components import (
     InitiatorSpec,
     Instance,
     ModelContext,
-    NoRouteError,
     RouterSpec,
     Storage,
     TargetModel,
@@ -23,7 +22,6 @@ from tlmforge.components import (
     apply_write,
     deliver,
     effective_delay,
-    route,
     transfer_time,
 )
 from tlmforge.kernel import Scheduler
@@ -205,36 +203,41 @@ def test_storage_semantics_agree_with_scalar_oracle(case):
 # -- routing -------------------------------------------------------------------
 
 
-def test_route_broadcast_all_connected_outs():
-    spec = RouterSpec("R", 5000, 1, 4, {0: (0, 1, 2, 3)})
-    p = GenericPayload(command=Command.WRITE, data=bytearray(1))
-    assert route(spec, 0, p) == [0, 1, 2, 3]
+def routed(connections, address_map=None, address=0):
+    """(instance, status) rows of one WRITE from i0 through router r0, whose
+    out-socket k is bound to target tk, in the order the rows were recorded."""
+    outs = 1 + max(max(v) for v in connections.values())
+    desc = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[InitiatorSpec("I", 1_000, 1,
+                               (TransactionTemplate(Command.WRITE, address, b"\x00"),)),
+                 RouterSpec("R", 1_000, 1, outs, connections, address_map),
+                 TargetSpec("T", (1_000,), 0, 0x1000)],
+        instances=[Instance("i0", "I", "C0"), Instance("r0", "R", "C0")]
+                  + [Instance(f"t{k}", "T", "C0") for k in range(outs)],
+        bindings=[Binding("i0", 0, "r0", 0)] + [Binding("r0", k, f"t{k}", 0) for k in range(outs)])
+    model = elaborate(desc)
+    model.run()
+    return [(r.instance, r.status.value) for r in model.records]
 
 
-def test_route_decodes_address():
-    spec = RouterSpec("R", 5000, 1, 2, {0: (0, 1)},
-                      address_map={0: (0x0, 0x100), 1: (0x100, 0x200)})
-    p = GenericPayload(command=Command.READ, address=0x120, data=bytearray(1))
-    assert route(spec, 0, p) == [1]
+def test_router_broadcasts_to_every_connected_out_in_ascending_order():
+    assert routed({0: (3, 0, 2, 1)}) == [
+        ("t0", "OK"), ("t1", "OK"), ("t2", "OK"), ("t3", "OK"), ("r0", "OK"), ("i0", "OK")]
 
 
-def test_route_no_match_raises():
-    spec = RouterSpec("R", 5000, 1, 1, {0: (0,)}, address_map={0: (0x0, 0x10)})
-    p = GenericPayload(command=Command.WRITE, address=0x50, data=bytearray(1))
-    with pytest.raises(NoRouteError):
-        route(spec, 0, p)
+def test_router_address_map_picks_one_out():
+    rows = routed({0: (0, 1)}, {0: (0x0, 0x100), 1: (0x100, 0x200)}, address=0x120)
+    assert rows == [("t1", "OK"), ("r0", "OK"), ("i0", "OK")]
 
 
-def test_route_missing_connection_entry_raises():
-    spec = RouterSpec("R", 5000, 2, 1, {0: (0,)})
-    with pytest.raises(NoRouteError):
-        route(spec, 1, GenericPayload(command=Command.WRITE, data=bytearray(1)))
+def test_router_unmatched_address_is_an_address_error_row():
+    rows = routed({0: (0,)}, {0: (0x0, 0x10)}, address=0x50)
+    assert rows == [("r0", "ADDRESS_ERROR"), ("i0", "ADDRESS_ERROR")]
 
 
-def test_route_deduplicates_repeated_outs():
-    spec = RouterSpec("R", 5000, 1, 2, {0: (1, 1, 0)})
-    p = GenericPayload(command=Command.WRITE, data=bytearray(1))
-    assert route(spec, 0, p) == [0, 1]
+def test_router_repeated_out_delivers_once():
+    assert routed({0: (1, 1, 0)}) == [("t0", "OK"), ("t1", "OK"), ("r0", "OK"), ("i0", "OK")]
 
 
 # -- delivery and fan-out ------------------------------------------------------

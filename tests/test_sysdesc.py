@@ -103,6 +103,13 @@ def test_data_and_length_are_exclusive():
     assert any("not both" in d.message for d in diags)
 
 
+def test_identifier_ends_at_the_end_of_the_string():
+    desc, diags = parse_description('{"cpus": [{"name": "Brake\\n", "frequency": "1GHz"}]}')
+    assert desc is None
+    assert [str(d) for d in diags] == ["E-TYPE cpus[0].name (1:20): bad identifier "
+                                       "'Brake\\n': use letters, digits, '_', '.', '-'"]
+
+
 def test_template_length_expands_to_zero_data():
     text = """{
       "cpus": [{"name": "C0", "frequency": "1GHz"}],
@@ -195,7 +202,7 @@ def test_e001_unknown_module_reference():
 def test_e001_unknown_binding_instance():
     d = base_description()
     d.bindings[0] = Binding("ghost", 0, "t0", 0)
-    assert the_codes(d) == ["E001"]
+    assert the_codes(d) == ["E001", "E010"]  # i0's socket 0 is left unbound
 
 
 def test_e002_socket_out_of_range():
@@ -326,7 +333,9 @@ def test_e009_walks_a_long_acyclic_chain_without_recursion():
     d.bindings[0] = Binding("i0", 0, "r0", 0)
     d.bindings += [Binding(f"r{k}", 0, f"r{k + 1}", 0) for k in range(n - 1)]
     d.bindings.append(Binding(f"r{n - 1}", 0, "t0", 0))
-    assert validate_description(d) == []
+    assert [str(x) for x in validate_description(d)] == [
+        f"E011 i0.workload[0]: a path from 'i0' socket 0 passes {n} routers; "
+        "at most 256 are allowed"]
 
 
 def test_validate_is_pure_and_ordered():
@@ -389,7 +398,8 @@ def test_elaborate_refuses_unbound_initiator_socket():
     d.bindings = []
     with pytest.raises(ElaborationError) as info:
         elaborate(d)
-    assert "unbound" in str(info.value)
+    assert [str(x) for x in info.value.diagnostics] == [
+        "E010 i0.workload[0]: initiator 'i0' socket 0 is unbound"]
 
 
 def test_elaborate_refuses_bound_router_without_connection():
@@ -400,7 +410,9 @@ def test_elaborate_refuses_bound_router_without_connection():
         d.bindings = [Binding("i0", 0, "r0", 0)]
         with pytest.raises(ElaborationError) as info:
             elaborate(d)
-        assert "no connection entry" in str(info.value)
+        assert [str(x) for x in info.value.diagnostics] == [
+            "E010 r0.connections[0]: router 'r0' in-socket 0 is bound "
+            "but has no connection entry"]
 
 
 def test_elaborate_refuses_unbound_router_out():
@@ -410,7 +422,8 @@ def test_elaborate_refuses_unbound_router_out():
     d.bindings = [Binding("i0", 0, "r0", 0)]
     with pytest.raises(ElaborationError) as info:
         elaborate(d)
-    assert "out-socket 0 is unbound" in str(info.value)
+    assert [str(x) for x in info.value.diagnostics] == [
+        "E010 r0.connections[0]: router 'r0' out-socket 0 is unbound"]
 
 
 def test_zero_initiators_run_to_empty_trace():

@@ -105,6 +105,8 @@ def test_write_rejects_invalid_records():
         write_trace([TraceRecord("A", 0, 0, 5, 0, ResponseStatus.INCOMPLETE)])
     with pytest.raises(ValueError):
         write_trace([TraceRecord("A,B", 0, 0, 5, 0, ResponseStatus.OK)])
+    with pytest.raises(ValueError):
+        write_trace([TraceRecord("Brake\n", 0, 0, 5, 0, ResponseStatus.OK)])
 
 
 # -- latency -------------------------------------------------------------------
