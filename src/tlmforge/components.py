@@ -190,37 +190,58 @@ class Storage:
         return self.base <= address < self.end
 
 
+def _first_chunk(storage: Storage, p: GenericPayload) -> tuple[int, int, int, ResponseStatus]:
+    """``(offset, beats, width, status)`` to move after the one range check:
+    a first chunk that runs off the storage shrinks to its in-range prefix."""
+    n, w, off, size = p.data_length, p.streaming_width, p.address - storage.base, len(storage.data)
+    if n == 0 or 0 <= off <= size - w:
+        return off, n, w, ResponseStatus.OK
+    inside = 0 if off < 0 else max(0, size - off)
+    return off, inside, inside, ResponseStatus.ADDRESS_ERROR
+
+
+def _enabled_beats(storage: Storage, p: GenericPayload, off: int, beats: int, width: int,
+                   write: bool) -> None:
+    """Move beats 0..beats-1 one at a time, skipping those whose enable is 0x00."""
+    enables, enable_length, data = p.byte_enables, p.byte_enable_length, storage.data
+    for i in range(beats):
+        if enables[i % enable_length] == 0xFF:
+            if write:
+                data[off + i % width] = p.data[i]
+            else:
+                p.data[i] = data[off + i % width]
+
+
 def apply_write(storage: Storage, p: GenericPayload) -> ResponseStatus:
     """Write beats into storage per streaming width and byte enables.
 
-    Beat i lands at ``address + (i mod streaming_width)``; later beats
-    overwrite earlier ones at the same wrapped address.  Every beat's
-    address is range-checked in order; the first miss stops the loop with
-    ADDRESS_ERROR, leaving earlier beats applied.
+    Beat i lands at ``address + (i mod streaming_width)``, so every chunk of
+    ``streaming_width`` beats covers the same addresses, and one range check
+    on the first chunk covers them all.  If that chunk runs off the storage,
+    its beats before the first address outside stay applied and the result
+    is ADDRESS_ERROR.  Later beats overwrite earlier ones, so without byte
+    enables only the last chunk is written, as one slice.  A zero-length
+    payload is OK and touches nothing.  ``p`` must pass
+    :func:`validate_payload`, as :meth:`TargetModel.b_transport` ensures.
     """
-    enables = p.byte_enables
-    for i in range(p.data_length):
-        addr = p.address + (i % p.streaming_width)
-        if not storage.contains(addr):
-            return ResponseStatus.ADDRESS_ERROR
-        if enables is None or enables[i % p.byte_enable_length] == 0xFF:
-            storage.data[addr - storage.base] = p.data[i]
-    return ResponseStatus.OK
+    off, n, w, status = _first_chunk(storage, p)
+    if p.byte_enables is not None:
+        _enabled_beats(storage, p, off, n, w, write=True)
+    elif n:
+        storage.data[off:off + w] = p.data[n - w:n]
+    return status
 
 
 def apply_read(storage: Storage, p: GenericPayload) -> ResponseStatus:
-    """Mirror of :func:`apply_write` with bytes flowing storage -> payload.
-
-    Disabled bytes in the payload are left unchanged.
-    """
-    enables = p.byte_enables
-    for i in range(p.data_length):
-        addr = p.address + (i % p.streaming_width)
-        if not storage.contains(addr):
-            return ResponseStatus.ADDRESS_ERROR
-        if enables is None or enables[i % p.byte_enable_length] == 0xFF:
-            p.data[i] = storage.data[addr - storage.base]
-    return ResponseStatus.OK
+    """Mirror of :func:`apply_write` with bytes flowing storage -> payload:
+    without byte enables, one storage slice repeated once per chunk.
+    Disabled bytes in the payload are left unchanged."""
+    off, n, w, status = _first_chunk(storage, p)
+    if p.byte_enables is not None:
+        _enabled_beats(storage, p, off, n, w, write=False)
+    elif n:
+        p.data[:n] = storage.data[off:off + w] * (n // w)
+    return status
 
 
 # --------------------------------------------------------------------------

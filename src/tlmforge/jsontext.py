@@ -9,7 +9,8 @@ column, through the offsets where lines start, when it builds a node or
 raises an error.
 
 Stricter than the RFC in one way: duplicate object keys are an error
-rather than a silent last-one-wins.
+rather than a silent last-one-wins.  Nesting deeper than ``MAX_DEPTH`` is an
+error at the opening bracket (RFC 8259 section 9 allows such a bound).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _WS_RE = re.compile(r"[ \t\r\n]*")
 _PLAIN_RE = re.compile(r'[^"\\\n\r]*')  # string characters that stand for themselves
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
+MAX_DEPTH = 256
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
 
@@ -63,6 +65,7 @@ class _Reader:
         self.text = text
         self.n = len(text)
         self.pos = 0
+        self.depth = 0  # containers open at the current position
         self.starts = [0] + [m.end() for m in re.finditer("\n", text)]  # offset of each line
 
     def _where(self, pos: int) -> tuple[int, int]:
@@ -90,10 +93,13 @@ class _Reader:
 
     def _value(self) -> Node:
         ch = self._peek()
-        if ch == "{":
-            return self._object()
-        if ch == "[":
-            return self._array()
+        if ch == "{" or ch == "[":
+            if self.depth == MAX_DEPTH:
+                self._error(f"nesting deeper than {MAX_DEPTH}")
+            self.depth += 1
+            node = self._object() if ch == "{" else self._array()
+            self.depth -= 1
+            return node
         if ch == '"':
             where = self._where(self.pos)
             return Node(self._string(), *where)

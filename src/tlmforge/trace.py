@@ -14,6 +14,7 @@ at its end.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import IDENTIFIER_RE
@@ -22,6 +23,10 @@ from .simtime import U64_MAX, format_ns
 
 TRACE_HEADER = "# tlm-forge-trace v1"
 TRACE_COLUMNS = "instance,activation,start_ps,end_ps,txn_id,status"
+_STATUSES = {s.value: s for s in ResponseStatus}
+# A row as write_trace writes it: numbers of 1-20 ASCII digits, no sign or leading zero.
+_ROW_RE = re.compile(f"({IDENTIFIER_RE.pattern})" + ",(0|[1-9][0-9]{0,19})" * 4
+                     + f",({'|'.join(v for v, s in _STATUSES.items() if s.is_terminal)})")
 
 
 class TraceSyntaxError(ValueError):
@@ -63,26 +68,30 @@ def _sort_key(r: TraceRecord) -> tuple[int, str, int]:
     return (r.start, r.instance, r.activation)
 
 
-def _check_record(r: TraceRecord) -> None:
+def _record_problem(r: TraceRecord) -> str | None:
+    """Why ``r`` cannot be a trace row, or None when it can."""
     if not IDENTIFIER_RE.fullmatch(r.instance):
-        raise ValueError(f"instance name {r.instance!r} is not a valid identifier")
+        return f"instance name {r.instance!r} is not a valid identifier"
     if r.activation < 0:
-        raise ValueError(f"activation must be non-negative, got {r.activation}")
+        return f"activation must be non-negative, got {r.activation}"
     if not (0 <= r.start <= U64_MAX and 0 <= r.end <= U64_MAX):
-        raise ValueError(f"times out of 64-bit range in {r}")
+        return f"times out of 64-bit range in {r}"
     if r.start > r.end:
-        raise ValueError(f"start {r.start} exceeds end {r.end} for '{r.instance}'")
+        return f"start {r.start} exceeds end {r.end} for '{r.instance}'"
     if not (0 <= r.txn_id <= U64_MAX):
-        raise ValueError(f"txn_id out of 64-bit range in {r}")
+        return f"txn_id out of 64-bit range in {r}"
     if not isinstance(r.status, ResponseStatus) or not r.status.is_terminal:
-        raise ValueError(f"trace status must be terminal, got {r.status!r}")
+        return f"trace status must be terminal, got {r.status!r}"
+    return None
 
 
 def write_trace(records: list[TraceRecord]) -> str:
     """Serialize records to the canonical log text (sorted, LF line endings)."""
     seen: set[tuple[str, int]] = set()
     for r in records:
-        _check_record(r)
+        problem = _record_problem(r)
+        if problem:
+            raise ValueError(problem)
         key = (r.instance, r.activation)
         if key in seen:
             raise ValueError(f"duplicate record for {key}")
@@ -103,31 +112,35 @@ def parse_trace(text: str) -> list[TraceRecord]:
     records: list[TraceRecord] = []
     seen: set[tuple[str, int]] = set()
     for lineno, line in enumerate(lines[2:], start=3):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise TraceSyntaxError(f"expected 6 comma-separated fields, got {len(fields)}", lineno)
-        instance, activation_s, start_s, end_s, txn_s, status_s = fields
-        if not IDENTIFIER_RE.fullmatch(instance):
-            raise TraceSyntaxError(f"bad instance name {instance!r}", lineno)
-        try:
-            activation, start, end, txn = int(activation_s), int(start_s), int(end_s), int(txn_s)
-        except ValueError:
-            raise TraceSyntaxError("activation, times and txn_id must be integers", lineno) from None
-        try:
-            status = ResponseStatus(status_s)
-        except ValueError:
-            raise TraceSyntaxError(f"unknown status {status_s!r}", lineno) from None
-        record = TraceRecord(instance, activation, start, end, txn, status)
-        try:
-            _check_record(record)
-        except ValueError as exc:
-            raise TraceSyntaxError(str(exc), lineno) from None
-        key = (instance, activation)
+        m = _ROW_RE.fullmatch(line)
+        r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]), _STATUSES[m[6]])
+        # _ROW_RE proves every rule of _record_problem but these two
+        if r is None or r.start > r.end or max(r.end, r.txn_id) > U64_MAX:
+            raise TraceSyntaxError(_row_problem(line), lineno)
+        key = (r.instance, r.activation)
         if key in seen:
             raise TraceSyntaxError(f"duplicate record for {key}", lineno)
         seen.add(key)
-        records.append(record)
+        records.append(r)
     return records
+
+
+def _row_problem(line: str) -> str:
+    """Why a row is refused: the first problem an ``int()``-based reading
+    finds, else a number spelled unlike write_trace's (``+0``, ``16_000``)."""
+    fields = line.split(",")
+    if len(fields) != 6:
+        return f"expected 6 comma-separated fields, got {len(fields)}"
+    instance, *numbers, status = fields
+    if not IDENTIFIER_RE.fullmatch(instance):
+        return f"bad instance name {instance!r}"
+    try:
+        record = TraceRecord(instance, *map(int, numbers), _STATUSES[status])
+    except ValueError:
+        return "activation, times and txn_id must be integers"
+    except KeyError:
+        return f"unknown status {status!r}"
+    return _record_problem(record) or "activation, times and txn_id must be integers"
 
 
 def end_to_end_latency(records: list[TraceRecord], instance: str) -> int:

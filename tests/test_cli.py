@@ -358,6 +358,21 @@ def test_bad_unicode_escape_is_a_syntax_error(capsys, tmp_path, abs_path, escape
         assert (code, out, err) == (1, f"E-SYNTAX 1:13: bad \\u escape '{escape[2:]}'\n", "")
 
 
+@pytest.mark.parametrize("depth", [495, 100_000])
+def test_deep_nesting_is_a_syntax_error(capsys, tmp_path, abs_path, depth):
+    """Nesting past 256 levels is refused at the opening bracket of level 257
+    (the root object is level 1), never by a RecursionError."""
+    path = tmp_path / "desc.json"
+    path.write_text('{"cpus": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    for argv in (("validate", path), ("run", path), ("check", path, trace),
+                 ("export", path, "--out", tmp_path / "gen")):
+        code, out, err = invoke(capsys, *map(str, argv))
+        assert (code, out, err) == (1, "E-SYNTAX 1:265: nesting deeper than 256\n", "")
+    assert not (tmp_path / "gen").exists()
+
+
 def test_run_and_export_validate_once(capsys, monkeypatch, abs_path, tmp_path):
     from tlmforge import cli, codegen, sysdesc
 

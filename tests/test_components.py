@@ -25,7 +25,7 @@ from tlmforge.components import (
     transfer_time,
 )
 from tlmforge.kernel import Scheduler
-from tlmforge.payload import Command, GenericPayload, ResponseStatus
+from tlmforge.payload import Command, GenericPayload, ResponseStatus, validate_payload
 from tlmforge.sysdesc import SystemDescription, elaborate
 from tlmforge.trace import end_to_end_latency
 
@@ -164,26 +164,28 @@ def test_partial_write_keeps_applied_beats():
 
 @st.composite
 def payload_and_storage(draw):
-    width = draw(st.sampled_from([1, 2, 4]))
-    beats = draw(st.integers(0, 4))
+    """A payload of up to 8 beats of a streaming width up to 8, placed
+    before the storage base, inside, across its end, or at or past it."""
+    width = draw(st.integers(1, 8))
+    beats = draw(st.integers(0, 8))
     length = width * beats
     data = bytearray(draw(st.binary(min_size=length, max_size=length)))
     enables = draw(st.one_of(
         st.none(),
-        st.lists(st.sampled_from([0x00, 0xFF]), min_size=1, max_size=4).map(bytes)))
+        st.lists(st.sampled_from([0x00, 0xFF]), min_size=1, max_size=8).map(bytes)))
+    enable_length = None if enables is None else draw(st.integers(1, len(enables)))
     command = draw(st.sampled_from([Command.READ, Command.WRITE]))
-    p = GenericPayload(command=command, address=draw(st.integers(0, 24)), data=data,
-                       streaming_width=width, byte_enables=enables)
-    base = draw(st.integers(0, 8))
+    base = draw(st.integers(9, 16))
     size = draw(st.integers(1, 16))
-    fill = draw(st.integers(0, 255))
-    return p, base, size, fill
+    address = base + draw(st.one_of(st.integers(-9, -1), st.integers(0, size - 1),
+                                    st.integers(size - width, size + 1)))
+    p = GenericPayload(command=command, address=address, data=data, streaming_width=width,
+                       byte_enables=enables, byte_enable_length=enable_length)
+    return p, base, size, draw(st.integers(0, 255))
 
 
-@given(payload_and_storage())
-def test_storage_semantics_agree_with_scalar_oracle(case):
-    p, base, size, fill = case
-    storage = Storage(base, size, fill)
+def assert_agrees_with_oracle(p, storage):
+    base, size = storage.base, storage.size
     mem_before = storage_as_dict(storage)
     if p.command is Command.WRITE:
         status = apply_write(storage, p)
@@ -191,13 +193,33 @@ def test_storage_semantics_agree_with_scalar_oracle(case):
         assert status.value == expected_status
         assert storage_as_dict(storage) == expected_mem
     else:
-        data_before = list(p.data)
         status = apply_read(storage, p)
         expected_data, expected_status = oracle_read(mem_before, base, size, p)
         assert status.value == expected_status
         assert list(p.data) == expected_data
         assert storage_as_dict(storage) == mem_before
-        del data_before
+
+
+@given(payload_and_storage())
+def test_storage_semantics_agree_with_scalar_oracle(case):
+    p, base, size, fill = case
+    assert validate_payload(p) == []
+    assert_agrees_with_oracle(p, Storage(base, size, fill))
+
+
+@pytest.mark.parametrize("command", [Command.WRITE, Command.READ])
+@pytest.mark.parametrize("width, enables, address", [
+    (4096, None, 0x1000), (64, None, 0x1040), (1, None, 0x1FFF),
+    (64, b"\xff\x00\x00\xff\xff", 0x1080),
+    (4096, None, 0x1800),   # the first chunk runs 2 KiB past the end
+])
+def test_4_kib_transfers_agree_with_scalar_oracle(command, width, enables, address):
+    rng = random.Random(width)
+    storage = Storage(0x1000, 0x1000)
+    storage.data[:] = rng.randbytes(0x1000)
+    p = GenericPayload(command=command, address=address, data=bytearray(rng.randbytes(4096)),
+                       streaming_width=width, byte_enables=enables)
+    assert_agrees_with_oracle(p, storage)
 
 
 # -- routing -------------------------------------------------------------------

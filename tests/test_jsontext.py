@@ -92,6 +92,17 @@ def test_syntax_errors_keep_their_positions(text, reason, line, column):
     assert (info.value.reason, info.value.line, info.value.column) == (reason, line, column)
 
 
+@pytest.mark.parametrize("opener", ["[", '{"k": '])
+def test_nesting_is_bounded_at_256_levels(opener):
+    closer = "]" if opener == "[" else "}"
+    assert parse_json("[" * 256 + "]" * 256).value
+    text = "\n " + opener * 257 + "1" + closer * 257
+    with pytest.raises(JsonSyntaxError) as info:
+        parse_json(text)
+    assert (info.value.reason, info.value.line, info.value.column) == (
+        "nesting deeper than 256", 2, 2 + 256 * len(opener))
+
+
 @pytest.mark.parametrize("digits", ["-123", " 12 ", "+fff", "1_2a", "١٢٣٤"])
 def test_unicode_escape_needs_four_hex_digits(digits):
     with pytest.raises(JsonSyntaxError) as info:

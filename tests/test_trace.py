@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tlmforge.diagnostics import IDENTIFIER_RE
 from tlmforge.payload import ResponseStatus
 from tlmforge.sysdesc import TimingConstraint, elaborate
 from tlmforge.trace import (
@@ -187,6 +188,108 @@ def record_lists(draw):
 def test_round_trip_any_valid_records(records):
     canonical = sorted(records, key=lambda r: (r.start, r.instance, r.activation))
     assert parse_trace(write_trace(records)) == canonical
+
+
+# -- strict row syntax -----------------------------------------------------------
+
+ROWS_AT = f"{TRACE_HEADER}\n{TRACE_COLUMNS}\n"
+NOT_INTEGERS = "activation, times and txn_id must be integers"
+# Spellings int() takes but write_trace never writes.
+LOOSE_NUMBERS = ["16_000", " 0", "0 ", "+0", "00", "\u0660", "-0", "007", "1_0"]
+BAD_FIELDS = {0: ["", "A B", "\u00e9", "Brake "],
+              5: ["ok", " OK", "OK ", "MAYBE", "INCOMPLETE", ""]}
+
+
+def reference_row(line):
+    """The int()-based row reading parse_trace used before: (record, None)
+    when it took the row, else (None, its message)."""
+    fields = line.split(",")
+    if len(fields) != 6:
+        return None, f"expected 6 comma-separated fields, got {len(fields)}"
+    instance, activation, start, end, txn, status = fields
+    if not IDENTIFIER_RE.fullmatch(instance):
+        return None, f"bad instance name {instance!r}"
+    try:
+        numbers = [int(activation), int(start), int(end), int(txn)]
+    except ValueError:
+        return None, NOT_INTEGERS
+    try:
+        status = ResponseStatus(status)
+    except ValueError:
+        return None, f"unknown status {status!r}"
+    record = TraceRecord(instance, *numbers, status)
+    try:
+        write_trace([record])
+    except ValueError as exc:
+        return None, str(exc)
+    return record, None
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4])
+@pytest.mark.parametrize("spelling", LOOSE_NUMBERS)
+def test_numbers_must_be_spelled_as_write_trace_spells_them(column, spelling):
+    fields = ["A", "0", "0", "20000", "0", "OK"]
+    fields[column] = spelling
+    assert reference_row(",".join(fields))[1] is None  # the int()-based reading took it
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(ROWS_AT + ",".join(fields) + "\n")
+    assert str(info.value) == f"E-TRACE-SYNTAX line 3: {NOT_INTEGERS}"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("A,-1,0,5,0,OK", "activation must be non-negative, got -1"),
+    ("A,0,0,5,0,INCOMPLETE", "trace status must be terminal, got <ResponseStatus.INCOMPLETE: "
+                             "'INCOMPLETE'>"),
+    ("A,0,0,1" + "0" * 20 + ",0,OK", "times out of 64-bit range in TraceRecord(instance='A', "
+     "activation=0, start=0, end=1" + "0" * 20 + ", txn_id=0, status=<ResponseStatus.OK: 'OK'>)"),
+    ("A,0,0,5," + "9" * 5000 + ",OK", NOT_INTEGERS),
+    ("A,+0,0,5,0,MAYBE", "unknown status 'MAYBE'"),
+    ("A,00,5,1,0,OK", "start 5 exceeds end 1 for 'A'"),
+])
+def test_rows_refused_before_keep_their_message(row, message):
+    assert reference_row(row) == (None, message)
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(ROWS_AT + "B,0,0,0,0,OK\n" + row + "\n")
+    assert str(info.value) == f"E-TRACE-SYNTAX line 4: {message}"
+
+
+def test_times_reach_the_64_bit_limit():
+    top = 2**64 - 1
+    text = ROWS_AT + f"A,{top},{top},{top},{top},BURST_ERROR\n"
+    assert write_trace(parse_trace(text)) == text
+
+
+@st.composite
+def spelled_traces(draw):
+    """write_trace text of valid records with some fields respelled, and
+    whether any was; a respelled field is one write_trace never writes."""
+    lines = write_trace(draw(record_lists())).splitlines()
+    respelled = False
+    for k in range(2, len(lines)):
+        fields = lines[k].split(",")
+        for column in draw(st.lists(st.integers(0, 5), max_size=2)):
+            fields[column] = draw(st.sampled_from(BAD_FIELDS.get(column, LOOSE_NUMBERS)))
+            respelled = True
+        lines[k] = ",".join(fields)
+    return "\n".join(lines) + "\n", respelled
+
+
+@given(spelled_traces())
+def test_accepted_text_is_written_back_byte_for_byte(case):
+    """parse_trace takes exactly the texts write_trace writes (of those in
+    its row order), and a row it refuses gets the message the int()-based
+    reading gave, or NOT_INTEGERS where that reading took the row."""
+    text, respelled = case
+    try:
+        records = parse_trace(text)
+    except TraceSyntaxError as exc:
+        assert respelled
+        line = text.splitlines()[exc.line - 1]
+        record, message = reference_row(line)
+        assert str(exc) == f"E-TRACE-SYNTAX line {exc.line}: {message or NOT_INTEGERS}"
+        return
+    assert not respelled
+    assert write_trace(records) == text
 
 
 @given(record_lists())
