@@ -90,60 +90,72 @@ def _sc_time(ps: int) -> str:
     return f"sc_core::sc_time({ps}, sc_core::SC_PS)"
 
 
-def _bw_add(spec) -> list[str]:
-    """Runtime serialization-latency lines for a module with bandwidth set."""
-    if spec.bandwidth is None:
-        return []
-    num, den = spec.bandwidth.numerator, spec.bandwidth.denominator
-    expr = f"trans.get_data_length() * {1000 * den}ull"
-    return [f"        t += sc_core::sc_time(({expr} + {num - 1}ull) / {num}ull, "
-            "sc_core::SC_PS);  // bandwidth serialization"]
+def _handler(spec: TargetSpec | RouterSpec, name: str, delay: str, lines: list[str]) -> list[str]:
+    """A b_transport method that adds ``delay`` and, for a module with bandwidth
+    set, the serialization latency, then runs ``lines``."""
+    serialize = []
+    if spec.bandwidth is not None:
+        num, den = spec.bandwidth.numerator, spec.bandwidth.denominator
+        expr = f"trans.get_data_length() * {1000 * den}ull"
+        serialize = [f"        t += sc_core::sc_time(({expr} + {num - 1}ull) / {num}ull, "
+                     "sc_core::SC_PS);  // bandwidth serialization"]
+    return [f"    void {name}(int, tlm::tlm_generic_payload& trans, sc_core::sc_time& t) {{",
+            f"        t += {delay};", *serialize, *lines, "    }", ""]
 
 
-def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
-    sockets = [f"socket{i}" for i in range(spec.socket_count)]
+def _header(cls: str, guard: str, std: str, comment: str, sockets: dict[str, list[str]],
+            thread: str | None, delays: list[str], ctor: list[str], body: list[str]) -> str:
+    """One module header: banner, include guard and includes, then ``SC_MODULE``
+    with its sockets (``"initiator"`` or ``"target"`` -> names, declared in that
+    order) and a constructor that takes each of ``delays`` as an ``sc_time``,
+    builds each socket, keeps each delay in ``m_<delay>``, registers ``thread``
+    if any and runs ``ctor``; ``body`` closes the class."""
     lines = [
         "// Generated by tlmforge 0.1.0. Blocking-transport coding style.",
         f"#ifndef {guard}",
         f"#define {guard}",
         "",
-        "#include <cstring>",
+        f"#include <{std}>",
         "#include <systemc>",
         "#include <tlm>",
-        "#include <tlm_utils/multi_passthrough_initiator_socket.h>",
+        *(f"#include <tlm_utils/multi_passthrough_{kind}_socket.h>" for kind in sorted(sockets)),
         "",
-        f"// Initiator '{spec.name}': {spec.socket_count} out-socket(s), "
-        f"nominal delay {spec.delay_ps} ps at 1 GHz.",
+        f"// {comment}",
         f"SC_MODULE({cls}) {{",
-    ]
-    for s in sockets:
-        lines.append(f"    tlm_utils::multi_passthrough_initiator_socket<{cls}> {s};")
-    lines += [
+        *(f"    tlm_utils::multi_passthrough_{kind}_socket<{cls}> {s};"
+          for kind, names in sockets.items() for s in names),
         "",
-        f"    SC_HAS_PROCESS({cls});",
-        "",
-        f"    {cls}(sc_core::sc_module_name name, sc_core::sc_time delay)",
+        *([f"    SC_HAS_PROCESS({cls});", ""] if thread else []),
+        f"    {cls}(sc_core::sc_module_name name, "
+        f"{', '.join(f'sc_core::sc_time {d}' for d in delays)})",
         "        : sc_core::sc_module(name)",
-    ]
-    for s in sockets:
-        lines.append(f'        , {s}("{s}")')
-    lines += [
-        "        , m_delay(delay)",
+        *(f'        , {s}("{s}")' for names in sockets.values() for s in names),
+        *(f"        , m_{d}({d})" for d in delays),
         "    {",
-        "        SC_THREAD(run);",
+        *([f"        SC_THREAD({thread});"] if thread else []),
+        *(f"        {line}" for line in ctor),
         "    }",
         "",
-        "    void run() {",
+        *body,
+        "};",
+        "",
+        f"#endif  // {guard}",
+        "",
     ]
+    return "\n".join(lines)
+
+
+def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
+    body = ["    void run() {"]
     if not spec.workload:
-        lines.append("        // no workload declared")
+        body.append("        // no workload declared")
     for k, t in enumerate(spec.workload):
         size = len(t.data)
         byte_list = ", ".join(f"0x{b:02x}" for b in t.data)
         wait_ps = transfer_time(size, spec.bandwidth)
         wait_expr = ("m_delay" if wait_ps == 0
                      else f"m_delay + {_sc_time(wait_ps)}")
-        lines += [
+        body += [
             f"        // workload[{k}]: {t.command.value} {size} byte(s) at 0x{t.address:x} "
             f"via socket {t.socket}, repeat {t.repeat}",
             "        {",
@@ -167,69 +179,26 @@ def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
             "            }",
             "        }",
         ]
-    lines += [
+    body += [
         "    }",
         "",
         "private:",
         "    sc_core::sc_time m_delay;",
-        "};",
-        "",
-        f"#endif  // {guard}",
-        "",
     ]
-    return "\n".join(lines)
+    return _header(
+        cls, guard, "cstring",
+        f"Initiator '{spec.name}': {spec.socket_count} out-socket(s), "
+        f"nominal delay {spec.delay_ps} ps at 1 GHz.",
+        {"initiator": [f"socket{i}" for i in range(spec.socket_count)]}, "run",
+        ["delay"], [], body)
 
 
 def _emit_target(spec: TargetSpec, cls: str, guard: str) -> str:
     n = len(spec.socket_delays_ps)
-    sockets = [f"socket{i}" for i in range(n)]
-    delay_params = ", ".join(f"sc_core::sc_time delay{i}" for i in range(n))
-    lines = [
-        "// Generated by tlmforge 0.1.0. Blocking-transport coding style.",
-        f"#ifndef {guard}",
-        f"#define {guard}",
-        "",
-        "#include <cstring>",
-        "#include <systemc>",
-        "#include <tlm>",
-        "#include <tlm_utils/multi_passthrough_target_socket.h>",
-        "",
-        f"// Target '{spec.name}': {n} in-socket(s), {spec.storage_size}-byte "
-        f"storage at 0x{spec.storage_base:x}.",
-        f"SC_MODULE({cls}) {{",
-    ]
-    for s in sockets:
-        lines.append(f"    tlm_utils::multi_passthrough_target_socket<{cls}> {s};")
-    lines += [
-        "",
-        f"    {cls}(sc_core::sc_module_name name, {delay_params})",
-        "        : sc_core::sc_module(name)",
-    ]
-    for s in sockets:
-        lines.append(f'        , {s}("{s}")')
+    body = []
     for i in range(n):
-        lines.append(f"        , m_delay{i}(delay{i})")
-    lines.append("    {")
-    for i, s in enumerate(sockets):
-        lines.append(f"        {s}.register_b_transport(this, &{cls}::b_transport{i});")
-    lines += [
-        f"        std::memset(m_storage, 0x{spec.storage_fill:02x}, kSize);",
-        "    }",
-        "",
-    ]
-    for i in range(n):
-        lines += [
-            f"    void b_transport{i}(int, tlm::tlm_generic_payload& trans, "
-            "sc_core::sc_time& t) {",
-            f"        t += m_delay{i};",
-        ]
-        lines += _bw_add(spec)
-        lines += [
-            "        execute(trans);",
-            "    }",
-            "",
-        ]
-    lines += [
+        body += _handler(spec, f"b_transport{i}", f"m_delay{i}", ["        execute(trans);"])
+    body += [
         "private:",
         f"    static const sc_dt::uint64 kBase = 0x{spec.storage_base:x};",
         f"    static const unsigned kSize = {spec.storage_size};",
@@ -265,104 +234,55 @@ def _emit_target(spec: TargetSpec, cls: str, guard: str) -> str:
         "        trans.set_response_status(tlm::TLM_OK_RESPONSE);",
         "    }",
         "",
-    ]
-    for i in range(n):
-        lines.append(f"    sc_core::sc_time m_delay{i};")
-    lines += [
+        *(f"    sc_core::sc_time m_delay{i};" for i in range(n)),
         f"    unsigned char m_storage[{spec.storage_size}];",
-        "};",
-        "",
-        f"#endif  // {guard}",
-        "",
     ]
-    return "\n".join(lines)
+    sockets = [f"socket{i}" for i in range(n)]
+    return _header(
+        cls, guard, "cstring",
+        f"Target '{spec.name}': {n} in-socket(s), {spec.storage_size}-byte "
+        f"storage at 0x{spec.storage_base:x}.",
+        {"target": sockets}, None, [f"delay{i}" for i in range(n)],
+        [f"{s}.register_b_transport(this, &{cls}::b_transport{i});"
+         for i, s in enumerate(sockets)]
+        + [f"std::memset(m_storage, 0x{spec.storage_fill:02x}, kSize);"], body)
 
 
 def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
     ins = [f"in{i}" for i in range(spec.in_socket_count)]
-    outs = [f"out{i}" for i in range(spec.out_socket_count)]
-    lines = [
-        "// Generated by tlmforge 0.1.0. Blocking-transport coding style.",
-        f"#ifndef {guard}",
-        f"#define {guard}",
-        "",
-        "#include <vector>",
-        "#include <systemc>",
-        "#include <tlm>",
-        "#include <tlm_utils/multi_passthrough_initiator_socket.h>",
-        "#include <tlm_utils/multi_passthrough_target_socket.h>",
-        "",
-        f"// Router '{spec.name}': {spec.in_socket_count} in-socket(s), "
-        f"{spec.out_socket_count} out-socket(s).",
-        f"SC_MODULE({cls}) {{",
-    ]
-    for s in ins:
-        lines.append(f"    tlm_utils::multi_passthrough_target_socket<{cls}> {s};")
-    for s in outs:
-        lines.append(f"    tlm_utils::multi_passthrough_initiator_socket<{cls}> {s};")
-    lines += [
-        "",
-        f"    {cls}(sc_core::sc_module_name name, sc_core::sc_time delay)",
-        "        : sc_core::sc_module(name)",
-    ]
-    for s in ins + outs:
-        lines.append(f'        , {s}("{s}")')
-    lines += [
-        "        , m_delay(delay)",
-        "    {",
-    ]
-    for i, s in enumerate(ins):
-        lines.append(f"        {s}.register_b_transport(this, &{cls}::b_transport_in{i});")
-    lines += [
-        "    }",
-        "",
-    ]
+    body = []
     for i in range(spec.in_socket_count):
-        lines += [
-            f"    void b_transport_in{i}(int, tlm::tlm_generic_payload& trans, "
-            "sc_core::sc_time& t) {",
-            "        t += m_delay;",
-        ]
-        lines += _bw_add(spec)
+        lines = []
         if i not in spec.connections:
             lines.append("        // in-socket has no connection entry")
             lines.append("        trans.set_response_status(tlm::TLM_ADDRESS_ERROR_RESPONSE);")
         elif spec.address_map is not None:
             lines.append("        const sc_dt::uint64 addr = trans.get_address();")
-            for out in spec.outs(i):
-                rng = spec.address_map.get(out)
-                if rng is None:
-                    continue
+            for base, limit, (out,) in spec.routes(i):
                 lines += [
-                    f"        if (addr >= 0x{rng[0]:x} && addr < 0x{rng[1]:x}) {{",
+                    f"        if (addr >= 0x{base:x} && addr < 0x{limit:x}) {{",
                     f"            out{out}->b_transport(trans, t);",
                     "            return;",
                     "        }",
                 ]
             lines.append("        trans.set_response_status(tlm::TLM_ADDRESS_ERROR_RESPONSE);")
         else:
-            targets = spec.outs(i)
-            if len(targets) == 1:
-                lines.append(f"        out{targets[0]}->b_transport(trans, t);")
+            ((_, _, outs),) = spec.routes(i)
+            if len(outs) == 1:
+                lines.append(f"        out{outs[0]}->b_transport(trans, t);")
             else:
-                arm_list = ", ".join(f"out{o}" for o in targets)
+                arm_list = ", ".join(f"out{o}" for o in outs)
                 lines += [
                     f"        // connection: in{i} -> {arm_list} "
                     "(broadcast; join at the slowest arm)",
                     "        sc_core::sc_time done = t;",
                     "        tlm::tlm_response_status merged = tlm::TLM_OK_RESPONSE;",
-                ]
-                for out in targets:
-                    lines.append(f"        forward(out{out}, trans, t, done, merged);")
-                lines += [
+                    *(f"        forward(out{out}, trans, t, done, merged);" for out in outs),
                     "        trans.set_response_status(merged);",
                     "        t = done;",
                 ]
-        lines += [
-            "    }",
-            "",
-        ]
-    lines += [
+        body += _handler(spec, f"b_transport_in{i}", "m_delay", lines)
+    body += [
         "private:",
         f"    void forward(tlm_utils::multi_passthrough_initiator_socket<{cls}>& out,",
         "                 tlm::tlm_generic_payload& trans,",
@@ -389,12 +309,14 @@ def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
         "    }",
         "",
         "    sc_core::sc_time m_delay;",
-        "};",
-        "",
-        f"#endif  // {guard}",
-        "",
     ]
-    return "\n".join(lines)
+    return _header(
+        cls, guard, "vector",
+        f"Router '{spec.name}': {spec.in_socket_count} in-socket(s), "
+        f"{spec.out_socket_count} out-socket(s).",
+        {"target": ins, "initiator": [f"out{i}" for i in range(spec.out_socket_count)]}, None,
+        ["delay"], [f"{s}.register_b_transport(this, &{cls}::b_transport_in{i});"
+         for i, s in enumerate(ins)], body)
 
 
 def export_tlm(description) -> SourceBundle:
@@ -412,8 +334,8 @@ def export_tlm(description) -> SourceBundle:
     for spec in description.modules:
         cls = class_namer.unique(spec.name)
         classes[spec.name] = cls
-        file_name = file_namer.unique(spec.name).lower() + ".h"
-        guard = f"TLMFORGE_{cls.upper()}_H"
+        stem = file_namer.unique(spec.name).lower()
+        file_name, guard = f"{stem}.h", f"TLMFORGE_{stem.upper()}_H"
         if isinstance(spec, InitiatorSpec):
             text = _emit_initiator(spec, cls, guard)
         elif isinstance(spec, TargetSpec):

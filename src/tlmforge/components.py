@@ -96,6 +96,16 @@ class RouterSpec:
         destination), ascending."""
         return sorted(frozenset(self.connections.get(in_socket, ())))
 
+    def routes(self, in_socket: int) -> list[tuple[int, int, list[int]]]:
+        """Where ``in_socket`` sends a transaction, as ``(base, limit, outs)``
+        covering ``[base, limit)``: one route per mapped out, in ascending out
+        order, or without an address map one route over the whole 64-bit
+        address space to every out (a broadcast)."""
+        outs = self.outs(in_socket)
+        if self.address_map is None:
+            return [(0, U64_MAX + 1, outs)]
+        return [(*self.address_map[out], [out]) for out in outs if out in self.address_map]
+
 
 ModuleSpec = InitiatorSpec | TargetSpec | RouterSpec
 
@@ -382,15 +392,11 @@ class RouterModel(_Responder):
         self.routes: dict[int, tuple[tuple[int, int, list[Destination]], ...]] = {}
 
     def connect(self, in_socket: int, bound: dict[int, list[Destination]]) -> None:
-        """Build ``in_socket``'s route table, in ascending out order, from each bound
-        out's destinations: one route per mapped out with an address map, else one
-        route over the whole address space to every out's destinations (broadcast)."""
-        outs, amap = self.spec.outs(in_socket), self.spec.address_map
-        if amap is None:
-            table = [(0, U64_MAX + 1, [dest for out in outs for dest in bound[out]])]
-        else:
-            table = [(*amap[out], bound[out]) for out in outs if out in amap]
-        self.routes[in_socket] = tuple(table)
+        """Build ``in_socket``'s route table from :meth:`RouterSpec.routes`, each
+        out replaced by its bound destinations."""
+        self.routes[in_socket] = tuple(
+            (base, limit, [dest for out in outs for dest in bound[out]])
+            for base, limit, outs in self.spec.routes(in_socket))
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
         activation, arrival, t = self._arrive(self.delay_ps, p, t)

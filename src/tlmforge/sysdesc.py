@@ -446,10 +446,6 @@ def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnos
 MAX_ROUTERS = 256
 
 
-def _ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
 def validate_description(d: SystemDescription) -> list[Diagnostic]:
     """Apply the E001..E011 rule set; an empty result means the model is sound."""
     diags: list[Diagnostic] = []
@@ -552,16 +548,14 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                         f"({spec.out_socket_count} out-sockets)", mwhere)
                 if rng[0] >= rng[1]:
                     add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
-            for in_socket in spec.connections:
-                mapped = [(out, spec.address_map[out]) for out in spec.outs(in_socket)
-                          if out in spec.address_map]
-                for a in range(len(mapped)):
-                    for bx in range(a + 1, len(mapped)):
-                        if _ranges_overlap(mapped[a][1], mapped[bx][1]):
-                            add("E006",
-                                f"address ranges of out-sockets {mapped[a][0]} and "
-                                f"{mapped[bx][0]} reachable from in-socket {in_socket} overlap",
-                                f"modules[{m}].address_map")
+        for in_socket in spec.connections:
+            routes = spec.routes(in_socket)
+            for a, (base, limit, outs) in enumerate(routes):
+                for other_base, other_limit, other_outs in routes[a + 1:]:
+                    if base < other_limit and other_base < limit:
+                        add("E006", f"address ranges of out-sockets {outs[0]} and "
+                            f"{other_outs[0]} reachable from in-socket {in_socket} overlap",
+                            f"modules[{m}].address_map")
 
     # E008: an in-socket accepts at most one binding
     bound_in: set[tuple[str, int]] = set()
@@ -589,14 +583,14 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
     # One socket graph for E004 and E009.  Nodes are sockets (instance, index, is_out); a
     # router joins each in-socket to its connected outs, a binding an out to an in.  A fan
     # is a socket where a transaction can split: an out with several bindings, or a router
-    # in-socket with several outs and no address decode.
+    # in-socket with a route to several outs.
     successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
     fans: list[tuple[str, int, bool]] = []
     for inst in d.instances:
         if isinstance(inst_spec := spec_of(inst.name), RouterSpec):
             for in_socket, outs in inst_spec.connections.items():
                 successors[(inst.name, in_socket, False)] = [(inst.name, o, True) for o in outs]
-                if len(set(outs)) > 1 and inst_spec.address_map is None:
+                if any(len(to) > 1 for _, _, to in inst_spec.routes(in_socket)):
                     fans.append((inst.name, in_socket, False))
     for binding in d.bindings:
         successors.setdefault((binding.from_instance, binding.from_socket, True), []).append(

@@ -6,10 +6,11 @@ Log format (bit-exact):
     instance,activation,start_ps,end_ps,txn_id,status
     Brake,0,0,16000,0,OK
 
-Rows are sorted by (start, instance, activation); times are stored in
-picoseconds and displayed in nanoseconds.  The SVG diagram draws one lane
-per instance with a green marker at each activation's start and a red one
-at its end.
+Rows ascend by (start, instance, activation), and every line, the last
+included, ends with "\n"; a text is read only as write_trace writes it.
+Times are stored in picoseconds and displayed in nanoseconds.  The SVG
+diagram draws one lane per instance with a green marker at each
+activation's start and a red one at its end.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ _STATUSES = {s.value: s for s in ResponseStatus}
 # A row as write_trace writes it: numbers of 1-20 ASCII digits, no sign or leading zero.
 _ROW_RE = re.compile(f"({IDENTIFIER_RE.pattern})" + ",(0|[1-9][0-9]{0,19})" * 4
                      + f",({'|'.join(v for v, s in _STATUSES.items() if s.is_terminal)})")
+# Where str.splitlines would also end a line.
+_FOREIGN_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TraceSyntaxError(ValueError):
@@ -103,15 +106,21 @@ def write_trace(records: list[TraceRecord]) -> str:
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
-    """Parse log text back into records; raises TraceSyntaxError on bad input."""
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
+    """Parse log text back into records; raises TraceSyntaxError on bad input,
+    which is any text write_trace would not write."""
+    if found := [text.index(c) for c in _FOREIGN_BREAKS if c in text]:
+        at = min(found)
+        raise TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
+                               text.count("\n", 0, at) + 1)
+    lines = text.split("\n")
+    if lines[0] != TRACE_HEADER:
         raise TraceSyntaxError(f"expected header {TRACE_HEADER!r}", 1)
     if len(lines) < 2 or lines[1] != TRACE_COLUMNS:
         raise TraceSyntaxError(f"expected column line {TRACE_COLUMNS!r}", 2)
     records: list[TraceRecord] = []
     seen: set[tuple[str, int]] = set()
-    for lineno, line in enumerate(lines[2:], start=3):
+    last = (-1, "", -1)
+    for lineno, line in enumerate(lines[2:-1], start=3):
         m = _ROW_RE.fullmatch(line)
         r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]), _STATUSES[m[6]])
         # _ROW_RE proves every rule of _record_problem but these two
@@ -121,7 +130,13 @@ def parse_trace(text: str) -> list[TraceRecord]:
         if key in seen:
             raise TraceSyntaxError(f"duplicate record for {key}", lineno)
         seen.add(key)
+        if (order := (r.start, r.instance, r.activation)) <= last:
+            raise TraceSyntaxError("row sorts before the row above it; rows ascend by "
+                                   "(start, instance, activation)", lineno)
+        last = order
         records.append(r)
+    if len(lines) == 2 or lines[-1]:
+        raise TraceSyntaxError("the text does not end with a newline", len(lines))
     return records
 
 

@@ -261,35 +261,103 @@ def test_times_reach_the_64_bit_limit():
 
 @st.composite
 def spelled_traces(draw):
-    """write_trace text of valid records with some fields respelled, and
-    whether any was; a respelled field is one write_trace never writes."""
-    lines = write_trace(draw(record_lists())).splitlines()
+    """write_trace text of valid records with its rows maybe permuted and some
+    fields respelled, then whether any row moved and whether any field was
+    respelled; a respelled field is one write_trace never writes."""
+    lines = write_trace(draw(record_lists())).split("\n")
+    rows = draw(st.permutations(lines[2:-1]))
+    moved = rows != lines[2:-1]
     respelled = False
-    for k in range(2, len(lines)):
-        fields = lines[k].split(",")
+    for k, row in enumerate(rows):
+        fields = row.split(",")
         for column in draw(st.lists(st.integers(0, 5), max_size=2)):
             fields[column] = draw(st.sampled_from(BAD_FIELDS.get(column, LOOSE_NUMBERS)))
             respelled = True
-        lines[k] = ",".join(fields)
-    return "\n".join(lines) + "\n", respelled
+        rows[k] = ",".join(fields)
+    return "\n".join(lines[:2] + rows + [""]), moved, respelled
 
 
 @given(spelled_traces())
 def test_accepted_text_is_written_back_byte_for_byte(case):
-    """parse_trace takes exactly the texts write_trace writes (of those in
-    its row order), and a row it refuses gets the message the int()-based
-    reading gave, or NOT_INTEGERS where that reading took the row."""
-    text, respelled = case
+    """parse_trace takes exactly the texts write_trace writes.  A row it
+    refuses gets the message the int()-based reading gave, or NOT_INTEGERS
+    where that reading took a respelled row, or OUT_OF_ORDER for a row
+    spelled as write_trace spells it."""
+    text, moved, respelled = case
     try:
         records = parse_trace(text)
     except TraceSyntaxError as exc:
-        assert respelled
-        line = text.splitlines()[exc.line - 1]
+        assert moved or respelled
+        line = text.split("\n")[exc.line - 1]
         record, message = reference_row(line)
+        if record is not None and write_trace([record]).endswith(f"\n{line}\n"):
+            message = OUT_OF_ORDER
         assert str(exc) == f"E-TRACE-SYNTAX line {exc.line}: {message or NOT_INTEGERS}"
         return
-    assert not respelled
+    assert not (moved or respelled)
     assert write_trace(records) == text
+
+
+# -- canonical text ------------------------------------------------------------
+
+OUT_OF_ORDER = "row sorts before the row above it; rows ascend by (start, instance, activation)"
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("A,0,0,5,0,OK\nA,1,0,5,0,OK\nB,0,0,5,0,OK\n", None),  # equal starts: instance, activation
+    ("A,1,0,5,0,OK\nA,0,0,5,0,OK\n", 4),
+    ("B,0,0,5,0,OK\nA,0,0,5,0,OK\n", 4),
+    ("A,0,1,5,0,OK\nB,0,0,5,0,OK\n", 4),
+    ("A,0,0,5,0,OK\nB,0,1,5,0,OK\nC,0,1,5,0,OK\nA,1,0,5,0,OK\n", 6),
+])
+def test_row_order_is_start_then_instance_then_activation(rows, line):
+    if line is None:
+        assert write_trace(parse_trace(ROWS_AT + rows)) == ROWS_AT + rows
+        return
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(ROWS_AT + rows)
+    assert str(info.value) == f"E-TRACE-SYNTAX line {line}: {OUT_OF_ORDER}"
+
+
+def test_a_repeated_row_is_still_a_duplicate():
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(ROWS_AT + "A,0,0,5,0,OK\nA,0,0,5,0,OK\n")
+    assert str(info.value) == "E-TRACE-SYNTAX line 4: duplicate record for ('A', 0)"
+
+
+NO_FINAL_NEWLINE = "the text does not end with a newline"
+
+
+@pytest.mark.parametrize("text, line", [
+    (TRACE_HEADER + "\n" + TRACE_COLUMNS, 2),
+    (ROWS_AT + "A,0,0,5,0,OK", 3),
+    (ROWS_AT + "A,0,0,5,0,OK\nB,0,0,5,0,OK", 4),
+])
+def test_the_last_line_must_end_with_a_newline(text, line):
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(text)
+    assert str(info.value) == f"E-TRACE-SYNTAX line {line}: {NO_FINAL_NEWLINE}"
+
+
+FOREIGN_BREAKS = list("\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def test_foreign_breaks_are_every_break_but_newline_that_splitlines_knows():
+    assert FOREIGN_BREAKS == [chr(c) for c in range(0x110000)
+                              if c != 10 and len(f"a{chr(c)}b".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("brk, where", [(brk, 2) for brk in FOREIGN_BREAKS]
+                         + [("\r\n", where) for where in range(4)])
+def test_only_newline_ends_a_line(brk, where):
+    """A line ending or a character that str.splitlines would break at is
+    refused at its line, in the header, the column line or a row."""
+    lines = [TRACE_HEADER, TRACE_COLUMNS, "A,0,0,5,0,OK", "B,0,0,5,0,OK"]
+    lines[where] += brk
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace("\n".join(lines) + "\n")
+    assert str(info.value) == (f"E-TRACE-SYNTAX line {where + 1}: line break {brk[0]!r} "
+                               "where only '\\n' may end a line")
 
 
 @given(record_lists())
