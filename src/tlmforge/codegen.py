@@ -26,6 +26,16 @@ from .components import (
 from .sysdesc import require_valid
 
 _IDENT_CHARS = set(string.ascii_letters + string.digits + "_")
+# C++20 keywords and alternative tokens; a name equal to one gets a "_" suffix.
+_CPP_KEYWORDS = frozenset("""
+    alignas alignof and and_eq asm auto bitand bitor bool break case catch char char8_t char16_t
+    char32_t class compl concept const consteval constexpr constinit const_cast continue
+    co_await co_return co_yield decltype default delete do double dynamic_cast else enum
+    explicit export extern false float for friend goto if inline int long mutable namespace new
+    noexcept not not_eq nullptr operator or or_eq private protected public register
+    reinterpret_cast requires return short signed sizeof static static_assert static_cast struct
+    switch template this thread_local throw true try typedef typeid typename union unsigned
+    using virtual void volatile wchar_t while xor xor_eq""".split())
 
 _COMMAND_NAMES = {
     "READ": "tlm::TLM_READ_COMMAND",
@@ -59,13 +69,13 @@ class SourceBundle:
 
 
 def sanitize_identifier(name: str) -> str:
-    """Map a name into the C++ identifier grammar (invalid chars become '_')."""
+    """Map a name into the C++ identifier grammar (bad chars become '_', a keyword gets '_')."""
     out = "".join(ch if ch in _IDENT_CHARS else "_" for ch in name)
     if not out:
         raise CodegenError("E-NAME-UNSANITIZABLE", f"name {name!r} sanitizes to nothing")
     if out[0] in string.digits:
         out = "_" + out
-    return out
+    return out + "_" if out in _CPP_KEYWORDS else out
 
 
 class _Namer:
@@ -347,8 +357,8 @@ def export_tlm(description) -> SourceBundle:
     freqs = {c.name: c.frequency_ghz for c in description.cpus}
     specs = {m.name: m for m in description.modules}
     spec_of = {inst.name: specs[inst.module] for inst in description.instances}
-    var_namer = _Namer()
-    variables = {inst.name: var_namer.unique(inst.name) for inst in description.instances}
+    # Classes and sc_main's variables share one scope, so a variable never shadows a class.
+    variables = {inst.name: class_namer.unique(inst.name) for inst in description.instances}
 
     top = [
         "// Generated by tlmforge 0.1.0. Instantiates and binds the described system.",

@@ -328,9 +328,8 @@ class _Responder:
 
     def _record(self, activation: int, arrival: int, t: int, p: GenericPayload) -> None:
         self.ctx.records.append(TraceRecord(
-            instance=self.name, activation=activation,
-            start=arrival, end=time_add(self.ctx.scheduler.now, t),
-            txn_id=_txn_id(p), status=p.response_status))
+            self.name, activation, arrival, time_add(self.ctx.scheduler.now, t),
+            _txn_id(p), p.response_status))
 
 
 class TargetModel(_Responder):
@@ -457,9 +456,8 @@ class InitiatorModel:
             yield from qk.sync()
         end = time_add(sched.now, qk.local_offset)
 
-        record = TraceRecord(
-            instance=self.name, activation=next(self._activations),
-            start=start, end=end, txn_id=txn, status=p.response_status)
+        record = TraceRecord(self.name, next(self._activations), start, end, txn,
+                             p.response_status)
         self.ctx.records.append(record)
         return record
 

@@ -82,6 +82,11 @@ class Scheduler:
     def now(self) -> int:
         return self._now
 
+    @property
+    def dispatched(self) -> int:
+        """Events dispatched so far; a larger quantum dispatches fewer for the same run."""
+        return self._dispatched
+
     def schedule(self, activity: Activity, delay: int = 0, name: str | None = None) -> Task:
         """Queue a fresh activity to start after ``delay``; returns its task handle."""
         task = Task(activity, name)

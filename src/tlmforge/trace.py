@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, le, lt, sub
+from typing import NamedTuple
 
 from .diagnostics import IDENTIFIER_RE
 from .payload import ResponseStatus
@@ -28,6 +31,9 @@ _STATUSES = {s.value: s for s in ResponseStatus}
 # A row as write_trace writes it: numbers of 1-20 ASCII digits, no sign or leading zero.
 _ROW_RE = re.compile(f"({IDENTIFIER_RE.pattern})" + ",(0|[1-9][0-9]{0,19})" * 4
                      + f",({'|'.join(v for v, s in _STATUSES.items() if s.is_terminal)})")
+# Every row of a body; no line break can match it, so one match is one whole line.
+_BODY_RE = re.compile(f"^{_ROW_RE.pattern}$", re.M)
+_HEAD = f"{TRACE_HEADER}\n{TRACE_COLUMNS}\n"
 # Where str.splitlines would also end a line.
 _FOREIGN_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -55,8 +61,7 @@ class UnknownInstanceError(KeyError):
         return f"E-NO-INSTANCE: no trace records for instance '{self.instance}'"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One activation of one instance: when it started and when it ended."""
 
     instance: str
@@ -67,16 +72,19 @@ class TraceRecord:
     status: ResponseStatus
 
 
-def _sort_key(r: TraceRecord) -> tuple[int, str, int]:
-    return (r.start, r.instance, r.activation)
+_sort_key = itemgetter(2, 0, 1)  # (start, instance, activation)
 
 
 def _record_problem(r: TraceRecord) -> str | None:
     """Why ``r`` cannot be a trace row, or None when it can."""
     if not IDENTIFIER_RE.fullmatch(r.instance):
         return f"instance name {r.instance!r} is not a valid identifier"
+    if {type(r.activation), type(r.start), type(r.end), type(r.txn_id)} != {int}:
+        return f"activation, times and txn_id must be ints, got {r}"
     if r.activation < 0:
         return f"activation must be non-negative, got {r.activation}"
+    if r.activation > U64_MAX:
+        return f"activation out of 64-bit range in {r}"
     if not (0 <= r.start <= U64_MAX and 0 <= r.end <= U64_MAX):
         return f"times out of 64-bit range in {r}"
     if r.start > r.end:
@@ -88,36 +96,63 @@ def _record_problem(r: TraceRecord) -> str | None:
     return None
 
 
+def _writable(records: list[TraceRecord]) -> bool:
+    """Whether all records pass _record_problem and none repeats, checked by column."""
+    names, acts, starts, ends, txns, statuses = list(zip(*records)) or [()] * 6
+    return (set(map(type, names)) <= {str} and set(map(type, acts + starts + ends + txns)) <= {int}
+            and set(map(type, statuses)) <= {ResponseStatus}
+            and ResponseStatus.INCOMPLETE not in statuses
+            and all(map(IDENTIFIER_RE.fullmatch, set(names)))
+            and min(acts + starts + txns, default=0) >= 0
+            and max(acts + ends + txns, default=0) <= U64_MAX and all(map(le, starts, ends))
+            and len(set(zip(names, acts))) == len(records))
+
+
 def write_trace(records: list[TraceRecord]) -> str:
     """Serialize records to the canonical log text (sorted, LF line endings)."""
-    seen: set[tuple[str, int]] = set()
-    for r in records:
-        problem = _record_problem(r)
-        if problem:
-            raise ValueError(problem)
-        key = (r.instance, r.activation)
-        if key in seen:
-            raise ValueError(f"duplicate record for {key}")
-        seen.add(key)
-    lines = [TRACE_HEADER, TRACE_COLUMNS]
-    for r in sorted(records, key=_sort_key):
-        lines.append(f"{r.instance},{r.activation},{r.start},{r.end},{r.txn_id},{r.status.value}")
-    return "\n".join(lines) + "\n"
+    if not _writable(records):
+        seen: set[tuple[str, int]] = set()
+        for r in records:
+            problem = _record_problem(r)
+            if problem:
+                raise ValueError(problem)
+            key = (r.instance, r.activation)
+            if key in seen:
+                raise ValueError(f"duplicate record for {key}")
+            seen.add(key)
+    return _HEAD + "".join([f"{name},{act},{start},{end},{txn},{status._value_}\n" for
+                            name, act, start, end, txn, status in sorted(records, key=_sort_key)])
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
     """Parse log text back into records; raises TraceSyntaxError on bad input,
     which is any text write_trace would not write."""
+    if text.startswith(_HEAD) and text.endswith("\n"):
+        rows = _BODY_RE.findall(text, len(_HEAD))
+        if len(rows) == text.count("\n", len(_HEAD)):
+            # The row tuples go as soon as they are transposed, which lowers the peak.
+            names, acts, starts, ends, txns, statuses = list(zip(*rows)) or [()] * 6
+            del rows
+            acts, starts, ends, txns = (list(map(int, c)) for c in (acts, starts, ends, txns))
+            if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
+                    and all(map(le, starts, ends)) and max(ends + txns, default=0) <= U64_MAX
+                    and len(set(zip(names, acts))) == len(names)):
+                return list(map(tuple.__new__, repeat(TraceRecord), zip(
+                    names, acts, starts, ends, txns, map(_STATUSES.__getitem__, statuses))))
+    raise _refusal(text)
+
+
+def _refusal(text: str) -> TraceSyntaxError:
+    """The first problem of a text parse_trace refused, read line by line."""
     if found := [text.index(c) for c in _FOREIGN_BREAKS if c in text]:
         at = min(found)
-        raise TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
-                               text.count("\n", 0, at) + 1)
+        return TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
+                                text.count("\n", 0, at) + 1)
     lines = text.split("\n")
     if lines[0] != TRACE_HEADER:
-        raise TraceSyntaxError(f"expected header {TRACE_HEADER!r}", 1)
+        return TraceSyntaxError(f"expected header {TRACE_HEADER!r}", 1)
     if len(lines) < 2 or lines[1] != TRACE_COLUMNS:
-        raise TraceSyntaxError(f"expected column line {TRACE_COLUMNS!r}", 2)
-    records: list[TraceRecord] = []
+        return TraceSyntaxError(f"expected column line {TRACE_COLUMNS!r}", 2)
     seen: set[tuple[str, int]] = set()
     last = (-1, "", -1)
     for lineno, line in enumerate(lines[2:-1], start=3):
@@ -125,19 +160,17 @@ def parse_trace(text: str) -> list[TraceRecord]:
         r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]), _STATUSES[m[6]])
         # _ROW_RE proves every rule of _record_problem but these two
         if r is None or r.start > r.end or max(r.end, r.txn_id) > U64_MAX:
-            raise TraceSyntaxError(_row_problem(line), lineno)
+            return TraceSyntaxError(_row_problem(line), lineno)
         key = (r.instance, r.activation)
         if key in seen:
-            raise TraceSyntaxError(f"duplicate record for {key}", lineno)
+            return TraceSyntaxError(f"duplicate record for {key}", lineno)
         seen.add(key)
         if (order := (r.start, r.instance, r.activation)) <= last:
-            raise TraceSyntaxError("row sorts before the row above it; rows ascend by "
-                                   "(start, instance, activation)", lineno)
+            return TraceSyntaxError("row sorts before the row above it; rows ascend by "
+                                    "(start, instance, activation)", lineno)
         last = order
-        records.append(r)
-    if len(lines) == 2 or lines[-1]:
-        raise TraceSyntaxError("the text does not end with a newline", len(lines))
-    return records
+    # Every row above passed, so the whole-text check failed on the last line.
+    return TraceSyntaxError("the text does not end with a newline", len(lines))
 
 
 def _row_problem(line: str) -> str:
@@ -232,15 +265,6 @@ def _tick_step(span_ps: int) -> int:
         scale *= 10
 
 
-def _lanes(records: list[TraceRecord]) -> list[str]:
-    """Lane order: first start time, then name (same order as sorted rows)."""
-    first: dict[str, int] = {}
-    for r in records:
-        if r.instance not in first or r.start < first[r.instance]:
-            first[r.instance] = r.start
-    return sorted(first, key=lambda name: (first[name], name))
-
-
 def render_svg(records: list[TraceRecord]) -> str:
     """Deterministic SVG 1.1 timing diagram.
 
@@ -248,14 +272,14 @@ def render_svg(records: list[TraceRecord]) -> str:
     a red end marker.  The axis is labeled in nanoseconds.  Identical
     traces produce byte-identical output.
     """
-    rows = sorted(records, key=_sort_key)
-    lanes = _lanes(rows)
-    lane_index = {name: i for i, name in enumerate(lanes)}
-    t_max = max((r.end for r in rows), default=0)
-    span = max(t_max, 1)
+    names, _, starts, ends, _, _ = list(zip(*sorted(records, key=_sort_key))) or [()] * 6
+    # Lanes go by first start, then name: the order in which sorted rows first name them.
+    mids = {name: _MARGIN + i * _LANE_H + _LANE_H // 2
+            for i, name in enumerate(dict.fromkeys(names))}
+    span = max(max(ends, default=0), 1)
 
     width = _LABEL_W + _PLOT_W + _MARGIN
-    height = _MARGIN + max(len(lanes), 1) * _LANE_H + _AXIS_H
+    height = _MARGIN + max(len(mids), 1) * _LANE_H + _AXIS_H
 
     def x(t: int) -> str:
         return f"{_LABEL_W + t * _PLOT_W / span:.2f}"
@@ -266,19 +290,21 @@ def render_svg(records: list[TraceRecord]) -> str:
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for name in lanes:
-        mid = _MARGIN + lane_index[name] * _LANE_H + _LANE_H // 2
+    for name, mid in mids.items():
         out.append(f'<text x="8" y="{mid + 4}" font-family="monospace" font-size="12" '
                    f'fill="black">{name}</text>')
-    for r in rows:
-        mid = _MARGIN + lane_index[r.instance] * _LANE_H + _LANE_H // 2
-        bar_w = (r.end - r.start) * _PLOT_W / span
-        out.append(f'<rect x="{x(r.start)}" y="{mid - _BAR_H // 2}" width="{bar_w:.2f}" '
-                   f'height="{_BAR_H}" fill="#7a9cc6"/>')
-        out.append(f'<circle cx="{x(r.start)}" cy="{mid}" r="3.5" fill="green"/>')
-        out.append(f'<circle cx="{x(r.end)}" cy="{mid}" r="3.5" fill="red"/>')
+    # Fan-out arms and back-to-back activations share times: format each one once.
+    xs = {t: x(t) for t in {*starts, *ends}}
+    widths = {d: f"{d * _PLOT_W / span:.2f}" for d in set(map(sub, ends, starts))}
+    bar_ys = {name: str(mid - _BAR_H // 2) for name, mid in mids.items()}
+    mid_ys = {name: str(mid) for name, mid in mids.items()}
+    out += [f'<rect x="{xs[start]}" y="{bar_ys[name]}" width="{widths[end - start]}" '
+            f'height="{_BAR_H}" fill="#7a9cc6"/>\n'
+            f'<circle cx="{xs[start]}" cy="{mid_ys[name]}" r="3.5" fill="green"/>\n'
+            f'<circle cx="{xs[end]}" cy="{mid_ys[name]}" r="3.5" fill="red"/>'
+            for name, start, end in zip(names, starts, ends)]
 
-    axis_y = _MARGIN + max(len(lanes), 1) * _LANE_H + 12
+    axis_y = _MARGIN + max(len(mids), 1) * _LANE_H + 12
     out.append(f'<line x1="{_LABEL_W}" y1="{axis_y}" x2="{_LABEL_W + _PLOT_W}" y2="{axis_y}" '
                f'stroke="black" stroke-width="1"/>')
     step = _tick_step(span)
@@ -295,14 +321,15 @@ def render_svg(records: list[TraceRecord]) -> str:
 
 def render_text(records: list[TraceRecord], width: int = 60) -> str:
     """Plain-text chart: one line per record, integer-only column math."""
-    rows = sorted(records, key=_sort_key)
-    t_max = max((r.end for r in rows), default=0)
+    names, acts, starts, ends, _, _ = list(zip(*sorted(records, key=_sort_key))) or [()] * 6
+    t_max = max(ends, default=0)
     span = max(t_max, 1)
-    name_w = max([len(f"{r.instance} #{r.activation}") for r in rows], default=8)
+    name_w = max([len(f"{name} #{act}") for name, act in zip(names, acts)], default=8)
+    ns = {t: format_ns(t) for t in {*starts, *ends}}
     lines = [f"# timing 0 .. {format_ns(t_max)} ns"]
-    for r in rows:
-        s_col = r.start * (width - 1) // span
-        e_col = r.end * (width - 1) // span
+    for name, act, start, end in zip(names, acts, starts, ends):
+        s_col = start * (width - 1) // span
+        e_col = end * (width - 1) // span
         bar = [" "] * width
         for col in range(s_col + 1, e_col):
             bar[col] = "="
@@ -311,7 +338,7 @@ def render_text(records: list[TraceRecord], width: int = 60) -> str:
         else:
             bar[s_col] = "o"
             bar[e_col] = "x"
-        label = f"{r.instance} #{r.activation}"
+        label = f"{name} #{act}"
         lines.append(f"{label:<{name_w}} |{''.join(bar)}| "
-                     f"{format_ns(r.start)} .. {format_ns(r.end)} ns")
+                     f"{ns[start]} .. {ns[end]} ns")
     return "\n".join(lines) + "\n"

@@ -105,6 +105,30 @@ def test_colliding_names_get_suffixes():
     assert "mem_a_2 x_1_2(" in top
 
 
+def test_an_instance_named_like_a_class_does_not_shadow_it():
+    d = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[TargetSpec("Mem", (1_000,), 0, 16, 0, False)],
+        instances=[Instance("Mem", "Mem", "C0"), Instance("m2", "Mem", "C0")],
+    )
+    top = export_tlm(d).text_of("top.cpp")
+    assert '    Mem Mem_2("Mem", ' in top
+    assert '    Mem m2("m2", ' in top
+
+
+@pytest.mark.parametrize("keyword", ["int", "class", "and", "namespace", "this"])
+def test_cpp_keywords_get_an_underscore(keyword):
+    assert sanitize_identifier(keyword) == keyword + "_"
+    d = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[TargetSpec(keyword, (1_000,), 0, 16, 0, False)],
+        instances=[Instance(keyword.upper(), keyword, "C0")],
+    )
+    bundle = export_tlm(d)
+    assert f"SC_MODULE({keyword}_) {{" in bundle.text_of(f"{keyword}_.h")
+    assert f'    {keyword}_ {keyword.upper()}("{keyword.upper()}", ' in bundle.text_of("top.cpp")
+
+
 def test_names_equal_but_for_case_get_distinct_include_guards():
     d = SystemDescription(
         cpus=[CpuSpec("C0", Fraction(1))],

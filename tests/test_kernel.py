@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,8 @@ from tlmforge.kernel import (
     Wait,
 )
 from tlmforge.simtime import TimeOverflowError, U64_MAX
+from tlmforge.sysdesc import elaborate, parse_description
+from tlmforge.trace import write_trace
 
 
 def note(log, label):
@@ -275,3 +279,27 @@ def test_offset_stays_within_quantum_plus_one_annotation():
     s.schedule(activity(), 0)
     s.run()
     assert worst <= quantum + max_annotation
+
+
+# -- dispatched-event count -------------------------------------------------------
+
+
+def test_dispatched_counts_events_and_only_the_quantum_moves_it(abs_text):
+    """An ABS stream of 50 Brake WRITEs: a 1 us quantum batches the
+    initiator's syncs, so it dispatches fewer events for the same trace."""
+    doc = json.loads(abs_text)
+    doc["modules"][0]["workload"][0]["repeat"] = 50
+    desc, diags = parse_description(json.dumps(doc))
+    assert diags == []
+    traces, counts = [], []
+    for quantum_ps in (0, 1_000_000):
+        model = elaborate(desc, quantum_ps=quantum_ps)
+        assert model.scheduler.dispatched == 0
+        model.run()
+        traces.append(write_trace(model.records))
+        counts.append(model.scheduler.dispatched)
+    assert traces[0] == traces[1]
+    assert counts[0] == 2 * 50 + 1  # a start, then two syncs per activation
+    assert counts[1] < counts[0]
+    with pytest.raises(AttributeError):
+        model.scheduler.dispatched = 0

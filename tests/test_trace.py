@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tlmforge.diagnostics import IDENTIFIER_RE
+from tlmforge import trace
 from tlmforge.payload import ResponseStatus
+from tlmforge.simtime import U64_MAX
 from tlmforge.sysdesc import TimingConstraint, elaborate
 from tlmforge.trace import (
     TRACE_COLUMNS,
@@ -10,6 +12,7 @@ from tlmforge.trace import (
     TraceRecord,
     TraceSyntaxError,
     UnknownInstanceError,
+    _sort_key,
     check_constraints,
     end_to_end_latency,
     parse_trace,
@@ -108,6 +111,74 @@ def test_write_rejects_invalid_records():
         write_trace([TraceRecord("A,B", 0, 0, 5, 0, ResponseStatus.OK)])
     with pytest.raises(ValueError):
         write_trace([TraceRecord("Brake\n", 0, 0, 5, 0, ResponseStatus.OK)])
+    with pytest.raises(ValueError, match=r"^duplicate record for \('A', 0\)$"):
+        write_trace([TraceRecord("A", 0, 0, 5, 0, ResponseStatus.OK),
+                     TraceRecord("A", 0, 6, 9, 1, ResponseStatus.OK)])
+
+
+@pytest.mark.parametrize("record", [
+    TraceRecord("A", True, 0, 5, 0, ResponseStatus.OK),
+    TraceRecord("B", 0, 0, 5.0, 0, ResponseStatus.OK),
+    TraceRecord("C", 0, False, 5, 0, ResponseStatus.OK),
+    TraceRecord("D", 0, 0, 5, 0.0, ResponseStatus.OK),
+    TraceRecord("E", 1.0, 0, 5, 0, ResponseStatus.OK),
+])
+def test_write_refuses_fields_that_are_not_ints(record):
+    """write_trace wrote True and 5.0 as ``True`` and ``5.0``, which
+    parse_trace refuses; every number field must be an int."""
+    with pytest.raises(ValueError) as info:
+        write_trace([ABS_ROWS[0], record])
+    assert str(info.value) == f"activation, times and txn_id must be ints, got {record}"
+
+
+@pytest.mark.parametrize("activation", [2**64, 10**20])
+def test_write_refuses_an_activation_past_64_bits(activation):
+    """write_trace wrote activation 10**20, whose 21 digits parse_trace refuses."""
+    record = TraceRecord("A", activation, 0, 5, 0, ResponseStatus.OK)
+    with pytest.raises(ValueError) as info:
+        write_trace([record])
+    assert str(info.value) == f"activation out of 64-bit range in {record}"
+
+
+number_st = st.one_of(st.integers(-2, 2**64), st.booleans(), st.floats(0, 20_000),
+                      st.sampled_from([0, 5, 16_000, 2**64 - 1, 2**64, 10**20]))
+
+
+records_st = st.lists(st.builds(
+    TraceRecord, st.sampled_from(["A", "B", "A,B", "", "C\n"]), number_st, number_st,
+    number_st, number_st, st.sampled_from([*ResponseStatus, "OK"])), max_size=6)
+
+
+@given(records_st)
+def test_what_write_trace_writes_parse_trace_reads(records):
+    try:
+        text = write_trace(records)
+    except ValueError:
+        return
+    assert parse_trace(text) == sorted(records, key=_sort_key)
+
+
+good_record_st = st.builds(
+    lambda name, act, start, width, txn, status: TraceRecord(name, act, start, start + width,
+                                                             txn, status),
+    st.sampled_from(["A", "B"]), st.integers(0, 3), st.integers(0, 9), st.integers(0, 9),
+    st.sampled_from([0, 7, U64_MAX]), st.sampled_from([s for s in ResponseStatus if s.is_terminal]))
+bad_values = {"instance": ["A,B", "", "C\n"], "status": [ResponseStatus.INCOMPLETE, "OK"]}
+
+
+@pytest.mark.parametrize("field", [None, *TraceRecord._fields])
+@given(records=st.lists(good_record_st, max_size=6), data=st.data())
+def test_column_check_agrees_with_the_record_check(field, records, data):
+    """_writable is write_trace's fast path past the _record_problem loop, so both
+    must pass exactly the lists that have no bad and no repeated record. The
+    lists are valid but for repeats and one ``field`` of one record."""
+    if field and records:
+        value = data.draw(st.sampled_from(bad_values.get(field, [-1, 20, 2**64, 10**20, True, 5.0])))
+        i = data.draw(st.integers(0, len(records) - 1))
+        records[i] = records[i]._replace(**{field: value})
+    keys = [(r.instance, r.activation) for r in records]
+    expected = not any(map(trace._record_problem, records)) and len(set(keys)) == len(keys)
+    assert trace._writable(records) == expected
 
 
 # -- latency -------------------------------------------------------------------
@@ -358,6 +429,100 @@ def test_only_newline_ends_a_line(brk, where):
         parse_trace("\n".join(lines) + "\n")
     assert str(info.value) == (f"E-TRACE-SYNTAX line {where + 1}: line break {brk[0]!r} "
                                "where only '\\n' may end a line")
+
+
+def reference_parse(text):
+    """The per-line reader parse_trace was before it checked the whole text at
+    once: the records it returned, or the TraceSyntaxError it raised."""
+    if found := [text.index(c) for c in FOREIGN_BREAKS if c in text]:
+        at = min(found)
+        raise TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
+                               text.count("\n", 0, at) + 1)
+    lines = text.split("\n")
+    if lines[0] != TRACE_HEADER:
+        raise TraceSyntaxError(f"expected header {TRACE_HEADER!r}", 1)
+    if len(lines) < 2 or lines[1] != TRACE_COLUMNS:
+        raise TraceSyntaxError(f"expected column line {TRACE_COLUMNS!r}", 2)
+    records = []
+    seen = set()
+    last = (-1, "", -1)
+    for lineno, line in enumerate(lines[2:-1], start=3):
+        m = trace._ROW_RE.fullmatch(line)
+        r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]),
+                              ResponseStatus(m[6]))
+        if r is None or r.start > r.end or max(r.end, r.txn_id) > U64_MAX:
+            raise TraceSyntaxError(trace._row_problem(line), lineno)
+        key = (r.instance, r.activation)
+        if key in seen:
+            raise TraceSyntaxError(f"duplicate record for {key}", lineno)
+        seen.add(key)
+        if (order := (r.start, r.instance, r.activation)) <= last:
+            raise TraceSyntaxError(OUT_OF_ORDER, lineno)
+        last = order
+        records.append(r)
+    if len(lines) == 2 or lines[-1]:
+        raise TraceSyntaxError(NO_FINAL_NEWLINE, len(lines))
+    return records
+
+
+MUTATIONS = ("swap", "duplicate", "rekey", "respell", "2**64", "start > end", "break", "drop")
+
+
+@st.composite
+def mutated_traces(draw):
+    """write_trace text of valid records with a few rows swapped, duplicated,
+    given another row's (instance, activation), respelled, pushed past 64
+    bits, turned end before start, broken by a foreign line break or dropped,
+    and maybe without its final newline."""
+    lines = write_trace(draw(record_lists())).split("\n")
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        if len(lines) < 3:
+            break
+        k = draw(st.integers(2, len(lines) - 1))  # a row, or the empty last line
+        fields = lines[k].split(",")
+        if mutation == "swap":
+            j = draw(st.integers(2, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif mutation == "duplicate":
+            lines.insert(draw(st.integers(2, len(lines) - 1)), lines[k])
+        elif mutation == "break":
+            k = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + draw(st.sampled_from(FOREIGN_BREAKS)) + lines[k][at:]
+        elif mutation == "drop":
+            del lines[draw(st.integers(0, len(lines) - 2))]
+        elif len(fields) == 6:
+            if mutation == "start > end":
+                fields[2], fields[3] = fields[3], fields[2]
+            elif mutation == "rekey":
+                fields[:2] = lines[draw(st.integers(2, len(lines) - 1))].split(",")[:2]
+            else:
+                column = draw(st.integers(1, 4))
+                fields[column] = draw(st.sampled_from(
+                    ["+0", "00", "٠", "16_000", "0" + fields[column]] if mutation == "respell"
+                    else [str(2**64), str(2**64 - 1), "9" * 20]))
+            lines[k] = ",".join(fields)
+    text = "\n".join(lines)
+    return text[:-1] if draw(st.booleans()) and text.endswith("\n") else text
+
+
+@given(mutated_traces())
+@example(ROWS_AT)
+@example(TRACE_HEADER + "\n" + TRACE_COLUMNS)
+@example(ROWS_AT + "A,0,0,5,0,OK\n\nB,0,0,5,0,OK")
+@example(ROWS_AT + "A,0,0,5,0,OK\nB,0,1,5,0,OK\nA,0,2,5,0,OK\n")
+@example(ROWS_AT + f"A,0,0,5,{2**64},OK\n")
+def test_the_whole_text_check_agrees_with_the_per_line_reader(text):
+    try:
+        expected = reference_parse(text)
+    except TraceSyntaxError as exc:
+        with pytest.raises(TraceSyntaxError) as info:
+            parse_trace(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    records = parse_trace(text)
+    assert records == expected
+    assert all(type(r) is TraceRecord for r in records)
 
 
 @given(record_lists())
