@@ -1,20 +1,19 @@
-"""Minimal JSON reader that remembers where every value sits in the text.
+"""JSON readers: the stdlib scanner, and one that remembers where values sit.
 
-The standard library parser throws positions away once a document is
-loaded; description diagnostics need them, so this reader returns a tree
-of :class:`Node` objects, each carrying the 1-based line and column where
-its value starts.  Object members map plain string keys to child nodes.
-The reader tracks only a character offset; it turns one into a line and
-column, through the offsets where lines start, when it builds a node or
-raises an error.
-
-Stricter than the RFC in one way: duplicate object keys are an error
-rather than a silent last-one-wins.  Nesting deeper than ``MAX_DEPTH`` is an
-error at the opening bracket (RFC 8259 section 9 allows such a bound).
+``parse_json`` defines the accepted language and every syntax message.  It
+returns a tree of :class:`Node` objects, each carrying the 1-based line and
+column where its value starts; object members map plain string keys to child
+nodes.  It tracks only a character offset, and turns one into a line and
+column through the offsets where lines start.  Stricter than the RFC: a
+duplicate object key, nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9
+allows such a bound) and an integer of more digits than ``int()`` takes are
+errors.  ``load_json`` reads with ``json.loads`` into the same tree without
+positions, or returns None where ``json.loads`` or these rules refuse the text.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -28,11 +27,11 @@ _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     value: object  # dict[str, Node] | list[Node] | str | int | float | bool | None
-    line: int
-    column: int
+    line: int | None  # None in a tree from load_json
+    column: int | None
 
     @property
     def kind(self) -> str:
@@ -222,9 +221,41 @@ class _Reader:
         self.pos = m.end()
         if "." in literal or "e" in literal or "E" in literal:
             return Node(float(literal), *where)
-        return Node(int(literal), *where)
+        try:
+            return Node(int(literal), *where)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise JsonSyntaxError("integer literal too long", *where) from None
 
 
 def parse_json(text: str) -> Node:
     """Parse a JSON document into a position-annotated node tree."""
     return _Reader(text).parse()
+
+
+def _members(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    if len(members := dict(pairs)) < len(pairs):
+        raise ValueError("duplicate key")
+    return members
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _wrap(value: object, depth: int) -> Node:
+    kind = type(value)
+    if kind is dict or kind is list:
+        if depth == MAX_DEPTH:
+            raise ValueError(f"nesting deeper than {MAX_DEPTH}")
+        value = ({k: _wrap(v, depth + 1) for k, v in value.items()} if kind is dict
+                 else [_wrap(v, depth + 1) for v in value])
+    return Node(value, None, None)
+
+
+def load_json(text: str) -> Node | None:
+    """parse_json's tree without positions, read by json.loads; None where
+    json.loads or this module's rules refuse the text."""
+    try:
+        return _wrap(json.loads(text, object_pairs_hook=_members, parse_constant=_no_constant), 0)
+    except (ValueError, RecursionError):
+        return None

@@ -51,7 +51,7 @@ from .components import (
     out_socket_count,
 )
 from .diagnostics import IDENTIFIER_RE, Diagnostic, sort_diagnostics
-from .jsontext import JsonSyntaxError, Node, parse_json
+from .jsontext import JsonSyntaxError, Node, load_json, parse_json
 from .kernel import DEFAULT_EVENT_LIMIT, Scheduler
 from .payload import Command
 from .simtime import (
@@ -422,11 +422,18 @@ class _Build:
 
 def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnostic]]:
     """Parse description text; returns (description, []) or (None, diagnostics)."""
-    try:
-        root = parse_json(text)
-    except JsonSyntaxError as exc:
-        return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
+    root = load_json(text)
+    desc, diags = (None, []) if root is None else _build(root)
+    if desc is None:  # read again, with the positions every diagnostic carries
+        try:
+            root = parse_json(text)
+        except JsonSyntaxError as exc:
+            return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
+        desc, diags = _build(root)
+    return desc, diags
 
+
+def _build(root: Node) -> tuple[SystemDescription | None, list[Diagnostic]]:
     b = _Build()
     section = lambda record: lambda n, w: b.items(n, w, record, every=True)
     top = b.fields(root, "$", {"cpus": section(b.cpu)}, {

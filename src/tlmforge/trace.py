@@ -135,7 +135,7 @@ def parse_trace(text: str) -> list[TraceRecord]:
             del rows
             acts, starts, ends, txns = (list(map(int, c)) for c in (acts, starts, ends, txns))
             if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
-                    and all(map(le, starts, ends)) and max(ends + txns, default=0) <= U64_MAX
+                    and all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
                     and len(set(zip(names, acts))) == len(names)):
                 return list(map(tuple.__new__, repeat(TraceRecord), zip(
                     names, acts, starts, ends, txns, map(_STATUSES.__getitem__, statuses))))
@@ -158,8 +158,8 @@ def _refusal(text: str) -> TraceSyntaxError:
     for lineno, line in enumerate(lines[2:-1], start=3):
         m = _ROW_RE.fullmatch(line)
         r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]), _STATUSES[m[6]])
-        # _ROW_RE proves every rule of _record_problem but these two
-        if r is None or r.start > r.end or max(r.end, r.txn_id) > U64_MAX:
+        # _ROW_RE proves every rule of _record_problem but start <= end and the 64-bit bounds
+        if r is None or r.start > r.end or max(r.activation, r.end, r.txn_id) > U64_MAX:
             return TraceSyntaxError(_row_problem(line), lineno)
         key = (r.instance, r.activation)
         if key in seen:

@@ -451,6 +451,24 @@ def test_non_ascii_digits_are_type_errors(capsys, tmp_path, abs_text, path, valu
     assert invoke(capsys, "validate", str(desc)) == (1, expected + "\n", "")
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="int() takes a 5000-digit literal on this interpreter")
+@pytest.mark.parametrize("command", ["validate", "run", "check", "export"])
+def test_an_integer_past_the_digit_limit_is_a_syntax_error(capsys, tmp_path, abs_path, abs_text,
+                                                           command):
+    """int() refuses more digits than sys.get_int_max_str_digits(); that
+    ValueError used to escape every command as a traceback."""
+    path = tmp_path / "desc.json"
+    path.write_text(abs_text.replace('"sockets": 1,', '"sockets": %s,' % ("9" * 5000)),
+                    encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    argv = {"validate": [path], "run": [path], "check": [path, trace],
+            "export": [path, "--out", tmp_path / "gen"]}[command]
+    code, out, err = invoke(capsys, command, *map(str, argv))
+    assert (code, out, err) == (1, "E-SYNTAX 19:18: integer literal too long\n", "")
+
+
 def test_non_ascii_digit_in_a_number_is_a_syntax_error(capsys, tmp_path, abs_text):
     path = tmp_path / "desc.json"
     path.write_text(abs_text.replace('"sockets": 1,', '"sockets": 1١,'), encoding="utf-8")

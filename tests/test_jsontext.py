@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tlmforge.jsontext import JsonSyntaxError, parse_json
+import descmut
+
+from tlmforge.jsontext import JsonSyntaxError, load_json, parse_json
 
 FIRST_CHAR = {"object": "{", "array": "[", "string": '"', "boolean": "tf", "null": "n",
               "integer": "-0123456789", "number": "-0123456789"}
@@ -121,3 +124,101 @@ def test_numbers_take_ascii_digits_only(text, reason, column):
     with pytest.raises(JsonSyntaxError) as info:
         parse_json(text)
     assert (info.value.reason, info.value.line, info.value.column) == (reason, 1, column)
+
+
+# int() refuses a literal of more digits than this; 0 means no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000,
+                    reason="int() takes a 5000-digit literal on this interpreter")
+def test_an_integer_past_the_digit_limit_is_a_syntax_error():
+    with pytest.raises(JsonSyntaxError) as info:
+        parse_json('{"a":\n  [0, %s]}' % ("9" * 5000))
+    assert (info.value.reason, info.value.line, info.value.column) == (
+        "integer literal too long", 2, 7)
+
+
+# -- the fast read: json.loads, or None where only parse_json can answer ---------
+
+
+def shape(node):
+    """A node tree as nested tuples without positions; types and key order kept."""
+    v = node.value
+    if node.kind == "object":
+        return "object", [(k, shape(c)) for k, c in v.items()]
+    if node.kind == "array":
+        return "array", [shape(c) for c in v]
+    return node.kind, repr(v)  # repr tells -0.0 from 0.0
+
+
+def assert_fast_read_agrees(text):
+    """load_json gives None or parse_json's tree; returns whether it gave the tree."""
+    fast = load_json(text)
+    try:
+        slow = parse_json(text)
+    except JsonSyntaxError:
+        assert fast is None
+        return False
+    if fast is None:
+        return False
+    assert shape(fast) == shape(slow)
+    assert {(n.line, n.column) for n in walk(fast)} == {(None, None)}
+    return True
+
+
+# Characters that make, break or respell JSON tokens, or that only one reader takes.
+JSON_NOISE = list('{}[],:"\\/-+.eE019 \t\r\nbfnrtuNIl') + [
+    "\ufeff", "\x00", "\x1f", "\u0663", "\ud800", "\\u", "\\ud800", "\\udc00",
+    "NaN", "Infinity", "true", "1e400", "9" * 5000]
+
+
+@st.composite
+def edited_texts(draw):
+    """A json.dumps text of json_values or a descmut mutation of abs.json,
+    with up to three characters or tokens inserted, replaced or deleted."""
+    if draw(st.booleans()):
+        text = json.dumps(draw(json_values), indent=draw(st.sampled_from([None, 0, 1, "\t"])),
+                          ensure_ascii=draw(st.booleans()))
+        if draw(st.booleans()):
+            text = text.replace("\n", "\r\n")
+    else:
+        (_, text), = descmut.cases(draw(st.integers(0, 2**32)), 1)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(JSON_NOISE + [""])) + text[
+            at + draw(st.integers(0, 2)):]
+    return text
+
+
+@given(edited_texts())
+@example('{"a": 1, "b": {"a": 2}}')
+def test_the_fast_read_gives_none_or_the_same_tree(text):
+    assert_fast_read_agrees(text)
+
+
+@pytest.mark.parametrize("text, fast", [
+    pytest.param('{"a": 1, "a": 2}', False, id="duplicate key"),
+    pytest.param('{"a": {"b": [], "b": []}}', False, id="nested duplicate key"),
+    pytest.param("[NaN]", False, id="NaN"),
+    pytest.param("[Infinity]", False, id="Infinity"),
+    pytest.param("[-Infinity]", False, id="-Infinity"),
+    pytest.param("[" * 256 + "]" * 256, True, id="256 arrays"),
+    pytest.param('{"k": ' * 255 + "[]" + "}" * 255, True, id="255 objects and an array"),
+    pytest.param("[" * 257 + "]" * 257, False, id="257 arrays"),
+    pytest.param('{"k": ' * 256 + "[]" + "}" * 256, False, id="256 objects and an array"),
+    pytest.param("[" * 100_000 + "]" * 100_000, False, id="100000 arrays"),
+    pytest.param("\ufeff{}", False, id="BOM"),
+    # parse_json takes a raw tab or NUL in a string, json.loads does not
+    pytest.param('["a\tb"]', False, id="tab in a string"),
+    pytest.param('["a\x00b"]', False, id="NUL in a string"),
+    pytest.param('["a\nb"]', False, id="LF in a string"),
+    pytest.param('["a\rb"]', False, id="CR in a string"),
+    pytest.param('["\\ud800", "\\udc00", "\\ud83d\\ude00", "\\ud800\\u0041", "\\ud800\\ud800"]',
+                 True, id="lone and paired surrogate escapes"),
+    pytest.param('["\\ud800\\u12"]', False, id="truncated low surrogate"),
+    pytest.param("[-0, -0.0, 1E400, -1e400, 0.5e-400]", True, id="zeros and out-of-range floats"),
+    pytest.param("[%s]" % ("9" * 5000), not 0 < DIGIT_LIMIT < 5000, id="5000-digit integer"),
+])
+def test_the_fast_read_on_edge_cases(text, fast):
+    assert assert_fast_read_agrees(text) is fast

@@ -1,12 +1,13 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
 import descmut
-from conftest import GOLDEN
+from conftest import GOLDEN, REPO
 from topogen import random_topology
 
 from tlmforge.components import (
@@ -19,6 +20,7 @@ from tlmforge.components import (
     TargetSpec,
     TransactionTemplate,
 )
+from tlmforge import sysdesc
 from tlmforge.payload import Command
 from tlmforge.sysdesc import (
     ElaborationError,
@@ -157,6 +159,25 @@ def test_parse_output_matches_the_golden_corpus():
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
+
+
+def _workload_texts():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [workloads.generate(name, 1, REPO).text for name in workloads.WORKLOADS]
+
+
+def test_accepted_descriptions_are_read_once_by_json_loads(monkeypatch, abs_text):
+    """abs.json and the benchmark's descriptions never reach the positioned reader."""
+    def no_positions(text):
+        raise AssertionError("parse_json called on an accepted description")
+    monkeypatch.setattr(sysdesc, "parse_json", no_positions)
+    for text in [abs_text] + _workload_texts():
+        desc, diags = parse_description(text)
+        assert desc is not None and diags == []
 
 
 # -- validation ----------------------------------------------------------------

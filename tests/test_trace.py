@@ -314,6 +314,8 @@ def test_numbers_must_be_spelled_as_write_trace_spells_them(column, spelling):
     ("A,0,0,1" + "0" * 20 + ",0,OK", "times out of 64-bit range in TraceRecord(instance='A', "
      "activation=0, start=0, end=1" + "0" * 20 + ", txn_id=0, status=<ResponseStatus.OK: 'OK'>)"),
     ("A,0,0,5," + "9" * 5000 + ",OK", NOT_INTEGERS),
+    (f"A,{2**64},0,5,0,OK", f"activation out of 64-bit range in TraceRecord(instance='A', "
+     f"activation={2**64}, start=0, end=5, txn_id=0, status=<ResponseStatus.OK: 'OK'>)"),
     ("A,+0,0,5,0,MAYBE", "unknown status 'MAYBE'"),
     ("A,00,5,1,0,OK", "start 5 exceeds end 1 for 'A'"),
 ])
@@ -433,7 +435,8 @@ def test_only_newline_ends_a_line(brk, where):
 
 def reference_parse(text):
     """The per-line reader parse_trace was before it checked the whole text at
-    once: the records it returned, or the TraceSyntaxError it raised."""
+    once, with the activation bounded at 2**64 - 1 as write_trace bounds it:
+    the records it returned, or the TraceSyntaxError it raised."""
     if found := [text.index(c) for c in FOREIGN_BREAKS if c in text]:
         at = min(found)
         raise TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
@@ -450,7 +453,7 @@ def reference_parse(text):
         m = trace._ROW_RE.fullmatch(line)
         r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]),
                               ResponseStatus(m[6]))
-        if r is None or r.start > r.end or max(r.end, r.txn_id) > U64_MAX:
+        if r is None or r.start > r.end or max(r.activation, r.end, r.txn_id) > U64_MAX:
             raise TraceSyntaxError(trace._row_problem(line), lineno)
         key = (r.instance, r.activation)
         if key in seen:
@@ -512,6 +515,7 @@ def mutated_traces(draw):
 @example(ROWS_AT + "A,0,0,5,0,OK\n\nB,0,0,5,0,OK")
 @example(ROWS_AT + "A,0,0,5,0,OK\nB,0,1,5,0,OK\nA,0,2,5,0,OK\n")
 @example(ROWS_AT + f"A,0,0,5,{2**64},OK\n")
+@example(ROWS_AT + f"A,{2**64},0,5,0,OK\n")
 def test_the_whole_text_check_agrees_with_the_per_line_reader(text):
     try:
         expected = reference_parse(text)
