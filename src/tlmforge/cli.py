@@ -1,7 +1,9 @@
 """Command-line front end: validate, run, render, check, export.
 
 Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
-error, 3 runtime error (event limit, 64-bit time overflow).
+error (including a file that cannot be read as UTF-8 or written), 3 runtime
+error (event limit, 64-bit time overflow).  Commands raise their refusals;
+``run_command`` alone prints them and picks the exit code.
 Set TLMFORGE_COLOR=0 to force plain output.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -45,38 +48,38 @@ def _verdict(word: str) -> str:
     return f"\x1b[{code}m{word}\x1b[0m"
 
 
+class _UsageError(Exception):
+    """A bad option value or a file that cannot be read or written: exit 2."""
+
+
+@contextmanager
+def _file_access(what: str):
+    # ValueError: text that is not UTF-8, or a path with a NUL or a lone surrogate
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot {what}: {exc}") from None
+
+
+def _read(path: str, what: str) -> str:
+    with _file_access(f"read {what}"):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: str | Path, text: str, what: str) -> None:
+    with _file_access(f"write {what}"), open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _load_description(path: str):
-    """Returns (parsed description, exit_code); prints diagnostics on failure."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read description: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    desc, diags = parse_description(text)
+    desc, diags = parse_description(_read(path, "description"))
     if desc is None:
-        for d in diags:
-            print(str(d))
-        return None, EXIT_FAIL
-    return desc, EXIT_OK
-
-
-def _load_trace(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    try:
-        return parse_trace(text), EXIT_OK
-    except TraceSyntaxError as exc:
-        print(str(exc))
-        return None, EXIT_FAIL
+        raise InvalidDescriptionError(diags)
+    return desc
 
 
 def _cmd_validate(args) -> int:
-    desc, code = _load_description(args.description)
-    if desc is None:
-        return code
+    desc = _load_description(args.description)
     require_valid(desc)
     print(f"OK: {len(desc.cpus)} cpus, {len(desc.buses)} buses, {len(desc.modules)} modules, "
           f"{len(desc.instances)} instances, {len(desc.bindings)} bindings")
@@ -84,16 +87,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    quantum = None
-    if args.quantum is not None:
-        try:
-            quantum = parse_time(args.quantum)
-        except (ValueError, OverflowError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    desc, code = _load_description(args.description)
-    if desc is None:
-        return code
+    try:
+        quantum = None if args.quantum is None else parse_time(args.quantum)
+    except (ValueError, OverflowError) as exc:
+        raise _UsageError(str(exc)) from None
+    desc = _load_description(args.description)
     model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
     model.run()
     text = write_trace(model.records)
@@ -101,7 +99,7 @@ def _cmd_run(args) -> int:
     if out_path is None:
         sys.stdout.write(text)
         return EXIT_OK
-    Path(out_path).write_text(text, encoding="utf-8")
+    _write(out_path, text, "trace")
     final = max((r.end for r in model.records), default=0)
     print(f"trace written: {out_path} ({len(model.records)} records)")
     print(f"final time: {format_ns(final)} ns")
@@ -109,11 +107,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    records, code = _load_trace(args.trace)
-    if records is None:
-        return code
+    records = parse_trace(_read(args.trace, "trace"))
     if args.svg is not None:
-        Path(args.svg).write_text(render_svg(records), encoding="utf-8")
+        _write(args.svg, render_svg(records), "svg")
         print(f"svg written: {args.svg}")
         return EXIT_OK
     sys.stdout.write(render_text(records))
@@ -121,31 +117,23 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    desc, code = _load_description(args.description)
-    if desc is None:
-        return code
+    desc = _load_description(args.description)
     require_valid(desc)
-    records, code = _load_trace(args.trace)
-    if records is None:
-        return code
-    report = check_constraints(records, desc.constraints)
+    report = check_constraints(parse_trace(_read(args.trace, "trace")), desc.constraints)
     for c in report.checks:
-        line = str(c)
-        word, rest = line.split(" ", 1)
+        word, rest = str(c).split(" ", 1)
         print(f"{_verdict(word)} {rest}")
     print(f"result: {_verdict('PASS' if report.passed else 'FAIL')}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_export(args) -> int:
-    desc, code = _load_description(args.description)
-    if desc is None:
-        return code
-    bundle = export_tlm(desc)
+    bundle = export_tlm(_load_description(args.description))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _file_access("write export"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in bundle.files:
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write(out_dir / name, text, "export")
         print(f"written: {out_dir / name}")
     return EXIT_OK
 
@@ -201,6 +189,12 @@ def run_command(argv: list[str]) -> int:
         for d in exc.diagnostics:
             print(str(d))
         return EXIT_FAIL
+    except TraceSyntaxError as exc:
+        print(str(exc))
+        return EXIT_FAIL
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (SimulationError, CodegenError, TimeOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")  # ASCII digits
 _WS_RE = re.compile(r"[ \t\r\n]*")
-_PLAIN_RE = re.compile(r'[^"\\\n\r]*')  # string characters that stand for themselves
+_PLAIN_RE = re.compile(r'[^"\\\x00-\x1f]*')  # string characters that stand for themselves
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 MAX_DEPTH = 256
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
             "n": "\n", "r": "\r", "t": "\t"}
+_KINDS = {dict: "object", list: "array", bool: "boolean", int: "integer", float: "number",
+          str: "string", type(None): "null"}  # the only types a JSON value takes
 
 
 @dataclass(slots=True)
@@ -35,20 +37,7 @@ class Node:
 
     @property
     def kind(self) -> str:
-        v = self.value
-        if isinstance(v, dict):
-            return "object"
-        if isinstance(v, list):
-            return "array"
-        if isinstance(v, bool):
-            return "boolean"
-        if isinstance(v, int):
-            return "integer"
-        if isinstance(v, float):
-            return "number"
-        if isinstance(v, str):
-            return "string"
-        return "null"
+        return _KINDS[type(self.value)]
 
 
 class JsonSyntaxError(ValueError):
@@ -190,8 +179,10 @@ class _Reader:
                     parts.append(self._unicode_escape())
                 else:
                     self._error(f"bad escape \\{esc}")
-            else:
+            elif ch in "\n\r":
                 self._error("newline inside string")
+            else:  # RFC 8259 section 7: control characters must be escaped
+                self._error(f"control character {ch!r} inside string")
 
     def _unicode_escape(self) -> str:
         def hex4() -> int:

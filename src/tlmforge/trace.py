@@ -251,6 +251,7 @@ def check_constraints(records: list[TraceRecord], constraints) -> ConstraintRepo
 _LABEL_W = 150
 _PLOT_W = 600
 _MARGIN = 20
+_CHART_W = 60  # columns of a text chart's bar
 _LANE_H = 26
 _BAR_H = 8
 _AXIS_H = 46
@@ -319,7 +320,7 @@ def render_svg(records: list[TraceRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_text(records: list[TraceRecord], width: int = 60) -> str:
+def render_text(records: list[TraceRecord]) -> str:
     """Plain-text chart: one line per record, integer-only column math."""
     names, acts, starts, ends, _, _ = list(zip(*sorted(records, key=_sort_key))) or [()] * 6
     t_max = max(ends, default=0)
@@ -328,9 +329,9 @@ def render_text(records: list[TraceRecord], width: int = 60) -> str:
     ns = {t: format_ns(t) for t in {*starts, *ends}}
     lines = [f"# timing 0 .. {format_ns(t_max)} ns"]
     for name, act, start, end in zip(names, acts, starts, ends):
-        s_col = start * (width - 1) // span
-        e_col = end * (width - 1) // span
-        bar = [" "] * width
+        s_col = start * (_CHART_W - 1) // span
+        e_col = end * (_CHART_W - 1) // span
+        bar = [" "] * _CHART_W
         for col in range(s_col + 1, e_col):
             bar[col] = "="
         if s_col == e_col:

@@ -242,6 +242,69 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     assert "cannot read" in err
 
 
+# Where each command reads a description or a trace: (argv with {bad} for the
+# file under test, what the refusal names).
+INPUT_ROLES = {
+    "validate description": (["validate", "{bad}"], "description"),
+    "run description": (["run", "{bad}"], "description"),
+    "check description": (["check", "{bad}", "{trace}"], "description"),
+    "export description": (["export", "{bad}", "--out", "{tmp}/gen"], "description"),
+    "render trace": (["render", "{bad}"], "trace"),
+    "check trace": (["check", "{abs}", "{bad}"], "trace"),
+}
+
+
+@pytest.mark.parametrize("role", sorted(INPUT_ROLES))
+def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, abs_path, role):
+    """Such a file used to escape every command as a UnicodeDecodeError traceback."""
+    argv, what = INPUT_ROLES[role]
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    fields = {"bad": bad, "trace": trace, "abs": abs_path, "tmp": tmp_path}
+    assert invoke(capsys, *(a.format(**fields) for a in argv)) == (
+        2, "", f"error: cannot read {what}: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+    assert not (tmp_path / "gen").exists()
+
+
+# An output path that cannot be written, for each command that writes one:
+# (argv with {abs}, {desc}, {trace} and {tmp} fields, options.trace of {desc},
+# what the refusal names).
+UNWRITABLE = {
+    "run --trace into a missing directory": (
+        ["run", "{abs}", "--trace", "{tmp}/missing/t.csv"], None, "trace"),
+    "run --trace onto a directory": (["run", "{abs}", "--trace", "{tmp}"], None, "trace"),
+    "options.trace with a NUL": (["run", "{desc}"], "a\u0000b.csv", "trace"),
+    "options.trace with a lone surrogate": (["run", "{desc}"], "\ud800.csv", "trace"),
+    "options.trace empty": (["run", "{desc}"], "", "trace"),
+    "render --svg into a missing directory": (
+        ["render", "{trace}", "--svg", "{tmp}/missing/d.svg"], None, "svg"),
+    "export --out below a regular file": (
+        ["export", "{abs}", "--out", "{trace}/gen"], None, "export"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, abs_path, abs_text, case):
+    """Each used to escape run_command as a traceback (FileNotFoundError,
+    IsADirectoryError, NotADirectoryError, ValueError or UnicodeEncodeError)."""
+    argv, option, what = UNWRITABLE[case]
+    doc = json.loads(abs_text)
+    doc["options"]["trace"] = option
+    desc = tmp_path / "desc.json"
+    desc.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    if option is not None:
+        assert invoke(capsys, "validate", str(desc))[0] == 0
+    fields = {"abs": abs_path, "desc": desc, "trace": trace, "tmp": tmp_path}
+    code, out, err = invoke(capsys, *(a.format(**fields) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {what}: ") and err.count("\n") == 1, err
+
+
 def test_unknown_flag_is_usage_error(capsys, abs_path):
     code, _, err = invoke(capsys, "run", str(abs_path), "--warp-speed")
     assert code == 2
@@ -440,15 +503,72 @@ def test_bad_quantum_is_reported_before_the_description(capsys, broken_path):
      "E-TYPE modules[1].bandwidth (77:20): bad rational '٣'"),
 ])
 def test_non_ascii_digits_are_type_errors(capsys, tmp_path, abs_text, path, value, expected):
+    desc = edited_abs(tmp_path, abs_text, path, value)
+    assert invoke(capsys, "validate", desc) == (1, expected + "\n", "")
+
+
+def edited_abs(tmp_path, abs_text, path, value) -> str:
+    """Writes abs.json, indented by 2, with the value at ``path`` replaced
+    (or removed, for None)."""
     doc = json.loads(abs_text)
     *parents, key = path
     target = doc
     for step in parents:
         target = target[step]
-    target[key] = value
+    if value is None:
+        target.pop(key, None)
+    else:
+        target[key] = value
     desc = tmp_path / "desc.json"
     desc.write_text(json.dumps(doc, indent=2, ensure_ascii=False), encoding="utf-8")
-    assert invoke(capsys, "validate", str(desc)) == (1, expected + "\n", "")
+    return str(desc)
+
+
+BRAKE = ("modules", 0)  # the ABS initiator
+BRAKE_WRITE = BRAKE + ("workload", 0)
+
+
+@pytest.mark.parametrize("path,value,expected", [
+    (BRAKE_WRITE + ("repeat",), -1,
+     "E-TYPE modules[0].workload[0].repeat (59:21): expected an integer >= 0, got -1"),
+    (BRAKE_WRITE + ("command",), "FLY",
+     "E-TYPE modules[0].workload[0].command (55:22): unknown command 'FLY'"),
+    (BRAKE + ("bandwidth",), [1],
+     "E-TYPE modules[0].bandwidth (62:20): expected bytes-per-ns, got array"),
+    (BRAKE + ("bandwidth",), 0,
+     "E-TYPE modules[0].bandwidth (62:20): bandwidth must be positive, got 0"),
+    (BRAKE_WRITE + ("data",), "abc",
+     "E-TYPE modules[0].workload[0].data (57:19): hex data needs an even number of digits"),
+    (BRAKE_WRITE + ("data",), "",
+     "E-TYPE modules[0].workload[0].data (57:19): data must hold at least one byte"),
+    (BRAKE_WRITE + ("data",), "zz",
+     "E-TYPE modules[0].workload[0].data (57:19): bad hex data 'zz'"),
+])
+def test_initiator_value_refusals(capsys, tmp_path, abs_text, path, value, expected):
+    desc = edited_abs(tmp_path, abs_text, path, value)
+    assert invoke(capsys, "validate", desc) == (1, expected + "\n", "")
+
+
+def test_a_float_bandwidth_simulates_like_its_fraction(capsys, tmp_path, abs_text):
+    traces = []
+    for value in (0.5, "1/2", None):
+        desc = edited_abs(tmp_path, abs_text, BRAKE + ("bandwidth",), value)
+        code, out, err = invoke(capsys, "run", desc)
+        assert (code, err) == (0, "")
+        traces.append(out)
+    assert traces[0] == traces[1] != traces[2]
+
+
+def test_an_initiator_transfer_past_64_bits_is_a_runtime_error(capsys, tmp_path, abs_text):
+    """bytes(2**32 - 1) is zero pages nobody touches: the transfer time overflows first."""
+    doc = json.loads(abs_text)
+    doc["modules"][0]["bandwidth"] = "1/1000000000000"
+    write = doc["modules"][0]["workload"][0]
+    del write["data"]
+    write["length"] = 2**32 - 1
+    path = write_description(tmp_path, doc)
+    assert invoke(capsys, "run", path) == (
+        3, "", "error: transfer time 4294967295000000000000000 ps exceeds the 64-bit range\n")
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
@@ -467,6 +587,15 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error(capsys, tmp_path, abs
             "export": [path, "--out", tmp_path / "gen"]}[command]
     code, out, err = invoke(capsys, command, *map(str, argv))
     assert (code, out, err) == (1, "E-SYNTAX 19:18: integer literal too long\n", "")
+
+
+@pytest.mark.parametrize("char", ["\t", "\x00", "\x1f"])
+def test_a_raw_control_character_in_a_string_is_a_syntax_error(capsys, tmp_path, abs_text, char):
+    """RFC 8259 section 7: a control character in a string must be escaped."""
+    path = tmp_path / "desc.json"
+    path.write_text(abs_text.replace('"Brake"', f'"Br{char}ake"', 1), encoding="utf-8")
+    assert invoke(capsys, "validate", str(path)) == (
+        1, f"E-SYNTAX 41:17: control character {char!r} inside string\n", "")
 
 
 def test_non_ascii_digit_in_a_number_is_a_syntax_error(capsys, tmp_path, abs_text):
