@@ -9,7 +9,7 @@ and exports standard TLM-2.0 source text.
 
 __version__ = "0.1.0"
 
-from .kernel import Join, QuantumKeeper, Scheduler, SimulationError, Wait
+from .kernel import QuantumKeeper, Scheduler, SimulationError, Wait
 from .payload import (
     Command,
     GenericPayload,
@@ -39,7 +39,6 @@ from .codegen import export_tlm
 __all__ = [
     "Command",
     "GenericPayload",
-    "Join",
     "Phase",
     "QuantumKeeper",
     "ResponseStatus",

@@ -1,8 +1,9 @@
 """Command-line front end: validate, run, render, check, export.
 
 Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
-error (including a file that cannot be read as UTF-8 or written), 3 runtime
-error (event limit, 64-bit time overflow).  Commands raise their refusals;
+error (including a file that cannot be read as UTF-8 or written, and an
+--event-limit below 1), 3 runtime error (event limit, 64-bit time
+overflow).  Commands raise their refusals;
 ``run_command`` alone prints them and picks the exit code.
 Set TLMFORGE_COLOR=0 to force plain output.
 """
@@ -91,11 +92,13 @@ def _cmd_run(args) -> int:
         quantum = None if args.quantum is None else parse_time(args.quantum)
     except (ValueError, OverflowError) as exc:
         raise _UsageError(str(exc)) from None
+    if args.event_limit is not None and args.event_limit < 1:
+        raise _UsageError(f"--event-limit must be at least 1, got {args.event_limit}")
     desc = _load_description(args.description)
     model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
     model.run()
     text = write_trace(model.records)
-    out_path = args.trace or desc.options.trace_path
+    out_path = desc.options.trace_path if args.trace is None else args.trace
     if out_path is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -131,7 +134,7 @@ def _cmd_export(args) -> int:
     bundle = export_tlm(_load_description(args.description))
     out_dir = Path(args.out)
     with _file_access("write export"):
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)  # unlike Path(""), refuses an empty path
     for name, text in bundle.files:
         _write(out_dir / name, text, "export")
         print(f"written: {out_dir / name}")
@@ -201,6 +204,8 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a diagnostic quotes the description's text, which the terminal may not encode
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -431,10 +431,7 @@ class InitiatorModel:
                 yield from self.issue(template)
 
     def issue(self, template: TransactionTemplate) -> Activity:
-        """One activation: wait own latency, transport, sync, record.
-
-        Returns the completed activation's trace record.
-        """
+        """One activation: wait own latency, transport, sync, append its record."""
         qk = self.quantum_keeper
         sched = self.ctx.scheduler
         start = time_add(sched.now, qk.local_offset)
@@ -456,10 +453,8 @@ class InitiatorModel:
             yield from qk.sync()
         end = time_add(sched.now, qk.local_offset)
 
-        record = TraceRecord(self.name, next(self._activations), start, end, txn,
-                             p.response_status)
-        self.ctx.records.append(record)
-        return record
+        self.ctx.records.append(TraceRecord(self.name, next(self._activations), start, end,
+                                            txn, p.response_status))
 
 
 ComponentModel = InitiatorModel | TargetModel | RouterModel
@@ -480,9 +475,6 @@ class ExecutableModel:
     @property
     def records(self) -> list[TraceRecord]:
         return self.ctx.records
-
-    def instance(self, name: str) -> ComponentModel:
-        return self.instances[name]
 
     def run(self) -> int:
         """Start the initiators, run to completion; returns the final time in ps."""

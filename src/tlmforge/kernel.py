@@ -1,10 +1,8 @@
 """Deterministic discrete-event kernel with cooperative activities.
 
-Activities are plain generators.  They suspend by yielding a request:
+Activities are plain generators.  They suspend by yielding one request:
 
     yield Wait(delay_ps)   resume after the given simulated delay
-    yield Join(task)       resume when another task finishes (receives its
-                           return value)
 
 Events fire in (time, insertion order); equal-time events are strictly
 FIFO, so a run's dispatch sequence is a pure function of the initial
@@ -44,36 +42,12 @@ class Wait:
     delay: int
 
 
-@dataclass(frozen=True)
-class Join:
-    """Suspend until ``task`` finishes; resumes with its return value."""
-
-    task: "Task"
-
-
-class Task:
-    """Handle for one scheduled activity."""
-
-    __slots__ = ("name", "_gen", "done", "value", "_joiners")
-
-    def __init__(self, gen: Activity, name: str | None):
-        self.name = name
-        self._gen = gen
-        self.done = False
-        self.value: Any = None
-        self._joiners: list[Task] = []
-
-    def __repr__(self) -> str:
-        state = "done" if self.done else "pending"
-        return f"<Task {self.name or hex(id(self))} {state}>"
-
-
 class Scheduler:
     """Single-threaded event queue ordered by (time, insertion sequence)."""
 
     def __init__(self, event_limit: int = DEFAULT_EVENT_LIMIT):
         self._now = 0
-        self._queue: list[tuple[int, int, Task, Any]] = []
+        self._queue: list[tuple[int, int, Activity, str | None]] = []
         self._seq = 0
         self._dispatched = 0
         self.event_limit = event_limit
@@ -87,20 +61,18 @@ class Scheduler:
         """Events dispatched so far; a larger quantum dispatches fewer for the same run."""
         return self._dispatched
 
-    def schedule(self, activity: Activity, delay: int = 0, name: str | None = None) -> Task:
-        """Queue a fresh activity to start after ``delay``; returns its task handle."""
-        task = Task(activity, name)
-        self._push(time_add(self._now, check_time(delay)), task, None)
-        return task
+    def schedule(self, activity: Activity, delay: int = 0, name: str | None = None) -> None:
+        """Queue a fresh activity to start after ``delay``."""
+        self._push(time_add(self._now, check_time(delay)), activity, name)
 
-    def _push(self, at: int, task: Task, send_value: Any) -> None:
-        heapq.heappush(self._queue, (at, self._seq, task, send_value))
+    def _push(self, at: int, activity: Activity, name: str | None) -> None:
+        heapq.heappush(self._queue, (at, self._seq, activity, name))
         self._seq += 1
 
     def run(self) -> int:
         """Dispatch until the queue drains; returns the final simulated time."""
         while self._queue:
-            at, _seq, task, send_value = heapq.heappop(self._queue)
+            at, _seq, activity, name = heapq.heappop(self._queue)
             self._dispatched += 1
             if self._dispatched > self.event_limit:
                 raise SimulationError(
@@ -110,27 +82,13 @@ class Scheduler:
                 )
             self._now = at
             try:
-                request = task._gen.send(send_value)
-            except StopIteration as stop:
-                self._finish(task, stop.value)
+                request = next(activity)
+            except StopIteration:
                 continue
-            if isinstance(request, Wait):
-                self._push(time_add(self._now, check_time(request.delay)), task, None)
-            elif isinstance(request, Join):
-                if request.task.done:
-                    self._push(self._now, task, request.task.value)
-                else:
-                    request.task._joiners.append(task)
-            else:
-                raise TypeError(f"activity {task!r} yielded {request!r}; expected Wait or Join")
+            if not isinstance(request, Wait):
+                raise TypeError(f"activity {name or activity!r} yielded {request!r}; expected Wait")
+            self._push(time_add(self._now, check_time(request.delay)), activity, name)
         return self._now
-
-    def _finish(self, task: Task, value: Any) -> None:
-        task.done = True
-        task.value = value
-        for joiner in task._joiners:
-            self._push(self._now, joiner, value)
-        task._joiners.clear()
 
 
 class QuantumKeeper:

@@ -1,23 +1,26 @@
-"""Core transport interfaces: blocking, non-blocking, DMI, and debug.
+"""Transport vocabulary: the non-blocking phase machine and the DMI grant.
 
-The blocking call carries a whole transaction in one step, annotated with
-the caller's local-time offset.  The non-blocking side is modeled as a
-pure phase state machine (``nb_step``) over per-connection state; shipped
-components use blocking transport, so the state machine is exercised by
-the legality checker and property tests rather than a live run.
+The blocking, DMI and debug calls are methods of the components:
+``TargetModel.b_transport(in_socket, p, t)`` carries a whole transaction in
+one step and returns the caller's grown local-time annotation,
+``TargetModel.get_dmi(address)`` returns a :class:`DmiDescriptor` that lets
+a caller touch target storage at a fixed per-beat latency, and
+``TargetModel.transport_dbg(p)`` reads or writes storage in zero simulated
+time.
 
-Direct memory (DMI) grants let a caller bypass transport and touch target
-storage at a fixed per-beat latency.  Debug transport reads or writes
-storage in zero simulated time.
+The non-blocking side is modeled as a pure phase state machine
+(``nb_step``) over per-connection state; shipped components use blocking
+transport, so the state machine is exercised by the legality checker and
+property tests rather than a live run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .payload import GenericPayload, Phase
+from .payload import Phase
 
 
 class Direction(Enum):
@@ -133,37 +136,3 @@ def protocol_legal(seq: Iterable[tuple[Direction, Phase]]) -> bool:
             return False
     return True
 
-
-def b_transport(callee, payload: GenericPayload, t: int, in_socket: int = 0) -> int:
-    """Blocking transport: deliver the payload, return the grown time annotation.
-
-    The callee executes the transaction, sets a terminal response status,
-    and adds its effective service latency to ``t``.  The caller's quantum
-    keeper should absorb the returned value.
-    """
-    return callee.b_transport(in_socket, payload, t)
-
-
-def get_dmi(callee, address: int) -> DmiDescriptor:
-    """Ask a component for a direct-memory grant covering ``address``.
-
-    Components without storage always refuse, with the denied range set to
-    the full address space.
-    """
-    fn = getattr(callee, "get_dmi", None)
-    if fn is None:
-        return DmiDescriptor(granted=False, start_address=0, end_address=2**64 - 1)
-    return fn(address)
-
-
-def transport_dbg(callee, payload: GenericPayload) -> int:
-    """Debug access: move bytes with zero simulated time; returns the count."""
-    fn = getattr(callee, "transport_dbg", None)
-    if fn is None:
-        return 0
-    return fn(payload)
-
-
-def invalidate_dmi(descriptor: DmiDescriptor) -> DmiDescriptor:
-    """Revoke a grant (hook for storage reconfiguration; unused by shipped parts)."""
-    return replace(descriptor, granted=False, storage=None)

@@ -38,7 +38,7 @@ from tlmforge.trace import (
     render_svg,
     write_trace,
 )
-from tlmforge.transport import protocol_legal, transport_dbg
+from tlmforge.transport import protocol_legal
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -251,7 +251,7 @@ def test_criterion_08_dmi_debug_consistency():
     )
     transport_model = elaborate(desc)
     transport_model.run()
-    via_transport = bytes(transport_model.instance("t0").storage.data)
+    via_transport = bytes(transport_model.instances["t0"].storage.data)
 
     # loosely-timed DMI path: quantum > 0, direct storage access
     ctx = ModelContext(scheduler=Scheduler())
@@ -280,7 +280,7 @@ def test_criterion_08_dmi_debug_consistency():
     qk.advance(77)
     before = (ctx2.scheduler.now, qk.local_offset)
     probe = GenericPayload(command=Command.WRITE, address=0, data=bytearray(b"\xf0\x0d"))
-    moved = transport_dbg(probe_target, probe)
+    moved = probe_target.transport_dbg(probe)
     debug_ok = (moved == 2 and (ctx2.scheduler.now, qk.local_offset) == before
                 and bytes(probe_target.storage.data[:2]) == b"\xf0\x0d")
 

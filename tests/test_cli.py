@@ -279,17 +279,22 @@ UNWRITABLE = {
     "options.trace with a NUL": (["run", "{desc}"], "a\u0000b.csv", "trace"),
     "options.trace with a lone surrogate": (["run", "{desc}"], "\ud800.csv", "trace"),
     "options.trace empty": (["run", "{desc}"], "", "trace"),
+    "run --trace empty": (["run", "{abs}", "--trace", ""], None, "trace"),
     "render --svg into a missing directory": (
         ["render", "{trace}", "--svg", "{tmp}/missing/d.svg"], None, "svg"),
     "export --out below a regular file": (
         ["export", "{abs}", "--out", "{trace}/gen"], None, "export"),
+    "export --out empty": (["export", "{abs}", "--out", ""], None, "export"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE))
-def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, abs_path, abs_text, case):
+def test_an_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, abs_path,
+                                               abs_text, case):
     """Each used to escape run_command as a traceback (FileNotFoundError,
-    IsADirectoryError, NotADirectoryError, ValueError or UnicodeEncodeError)."""
+    IsADirectoryError, NotADirectoryError, ValueError or UnicodeEncodeError),
+    or, for an empty path, to write to stdout or the current directory."""
+    monkeypatch.chdir(tmp_path)
     argv, option, what = UNWRITABLE[case]
     doc = json.loads(abs_text)
     doc["options"]["trace"] = option
@@ -315,6 +320,12 @@ def test_event_limit_maps_to_runtime_error(capsys, abs_path):
     code, _, err = invoke(capsys, "run", str(abs_path), "--event-limit", "1")
     assert code == 3
     assert "E-EVENT-LIMIT" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_an_event_limit_below_one_is_a_usage_error(capsys, abs_path, limit):
+    code, out, err = invoke(capsys, "run", str(abs_path), "--event-limit", limit)
+    assert (code, out, err) == (2, "", f"error: --event-limit must be at least 1, got {limit}\n")
 
 
 def test_quantum_flag_accepts_units(capsys, abs_path, tmp_path):
@@ -407,6 +418,17 @@ def test_module_entry_point_runs_the_command(broken_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 1
     assert "E003" in done.stdout
+
+
+def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):
+    desc = edited_abs(tmp_path, abs_text, ("modules", 1, "connections"), {"²": [0, 1, 2, 3]})
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1]),
+           "PYTHONIOENCODING": "ascii"}
+    done = subprocess.run([sys.executable, "-m", "tlmforge.cli", "validate", desc],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "E-TYPE modules[1].connections[\\xb2] (70:14): "
+           "connection key '\\xb2' must be a socket index\n", "")
 
 
 @pytest.mark.parametrize("escape", ["\\u-123", "\\u 12 ", "\\u+fff", "\\u1_2a"])

@@ -206,7 +206,7 @@ def test_exported_if_chain_matches_the_simulators_routes(d, router):
     header = export_tlm(d).text_of(f"{module.lower()}.h")
     bound = {b.from_socket: [(b.to_instance, b.to_socket)]
              for b in d.bindings if b.from_instance == router}
-    tables = elaborate(d).instance(router).routes
+    tables = elaborate(d).instances[router].routes
     assert tables
     for in_socket, table in tables.items():
         simulated = [(base, limit, [(model.name, socket) for model, socket in destinations])

@@ -331,16 +331,16 @@ def two_node_description(init_delay="0ps", target_delay=0, repeat=1, command=Com
     )
 
 
-def test_issue_returns_the_completion_record():
+def test_issue_appends_the_completion_record():
     ctx = ModelContext(scheduler=Scheduler())
     target = make_target_model(ctx, "t0", 3_000)
     spec = InitiatorSpec("I", 2_000, 1,
                          (TransactionTemplate(Command.WRITE, 0, b"\x01", 0, 1),))
     init = InitiatorModel("i0", spec, Fraction(1), ctx, quantum_ps=0)
     init.out_bindings[0] = [(target, 0)]
-    task = ctx.scheduler.schedule(init.issue(spec.workload[0]), 0)
+    ctx.scheduler.schedule(init.issue(spec.workload[0]), 0)
     ctx.scheduler.run()
-    record = task.value
+    [record] = [r for r in ctx.records if r.instance == "i0"]
     assert (record.instance, record.start, record.end) == ("i0", 0, 5_000)
     assert record.status is ResponseStatus.OK
     assert record in ctx.records

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tlmforge.kernel import (
-    Join,
     QuantumKeeper,
     Scheduler,
     SimulationError,
@@ -114,41 +113,15 @@ def test_schedule_overflow_is_hard_error():
         s.run()
 
 
-def test_join_receives_child_value():
+def test_a_request_other_than_wait_is_refused_by_name():
     s = Scheduler()
-    log = []
 
-    def child():
-        yield Wait(5)
-        return 42
+    def sleeper():
+        yield 5
 
-    def parent():
-        task = s.schedule(child(), 0)
-        value = yield Join(task)
-        log.append((s.now, value))
-
-    s.schedule(parent(), 0)
-    s.run()
-    assert log == [(5, 42)]
-
-
-def test_join_on_finished_task_resumes_immediately():
-    s = Scheduler()
-    log = []
-
-    def child():
-        return 7
-        yield  # pragma: no cover
-
-    def parent():
-        task = s.schedule(child(), 0)
-        yield Wait(3)
-        value = yield Join(task)
-        log.append((s.now, value))
-
-    s.schedule(parent(), 0)
-    s.run()
-    assert log == [(3, 7)]
+    s.schedule(sleeper(), 0, name="Sleeper")
+    with pytest.raises(TypeError, match="activity 'Sleeper' yielded 5; expected Wait"):
+        s.run()
 
 
 def test_dispatch_sequence_is_deterministic():

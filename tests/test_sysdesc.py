@@ -468,7 +468,7 @@ def test_unrun_model_is_freed_without_the_cycle_collector(abs_description):
     gc.disable()
     try:
         model = elaborate(abs_description)
-        initiator = weakref.ref(model.instance("Brake"))
+        initiator = weakref.ref(model.instances["Brake"])
         del model
         assert initiator() is None
     finally:

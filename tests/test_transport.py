@@ -11,12 +11,8 @@ from tlmforge.transport import (
     ProtocolError,
     ProtocolState,
     SyncStatus,
-    b_transport,
-    get_dmi,
-    invalidate_dmi,
     nb_step,
     protocol_legal,
-    transport_dbg,
 )
 
 FW, BW = Direction.FORWARD, Direction.BACKWARD
@@ -110,7 +106,7 @@ def test_accepted_set_is_exactly_the_decided_one():
 def test_b_transport_scales_delay_and_sets_ok():
     target = make_target(size=64, delay=20_000, freq=4)
     p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(4))
-    t = b_transport(target, p, 0)
+    t = target.b_transport(0, p, 0)
     assert t == 5_000
     assert p.response_status is ResponseStatus.OK
 
@@ -118,7 +114,7 @@ def test_b_transport_scales_delay_and_sets_ok():
 def test_b_transport_out_of_range_sets_address_error_and_charges_delay():
     target = make_target(size=8, delay=20_000, freq=4)
     p = GenericPayload(command=Command.READ, address=100, data=bytearray(4))
-    t = b_transport(target, p, 0)
+    t = target.b_transport(0, p, 0)
     assert t == 5_000
     assert p.response_status is ResponseStatus.ADDRESS_ERROR
 
@@ -126,7 +122,7 @@ def test_b_transport_out_of_range_sets_address_error_and_charges_delay():
 def test_b_transport_ignore_leaves_storage_untouched():
     target = make_target(size=8, fill=0x5A)
     p = GenericPayload(command=Command.IGNORE, address=0, data=bytearray(b"\x00\x00"))
-    t = b_transport(target, p, 0)
+    t = target.b_transport(0, p, 0)
     assert t == 5_000
     assert p.response_status is ResponseStatus.OK
     assert bytes(target.storage.data) == b"\x5a" * 8
@@ -135,11 +131,11 @@ def test_b_transport_ignore_leaves_storage_untouched():
 def test_b_transport_never_leaves_incomplete():
     target = make_target(size=8)
     bad = GenericPayload(command=Command.WRITE, data=bytearray(4), streaming_width=3)
-    b_transport(target, bad, 0)
+    target.b_transport(0, bad, 0)
     assert bad.response_status is ResponseStatus.BURST_ERROR
     bad_enable = GenericPayload(command=Command.WRITE, data=bytearray(2),
                                 byte_enables=b"\x10\xff")
-    b_transport(target, bad_enable, 0)
+    target.b_transport(0, bad_enable, 0)
     assert bad_enable.response_status is ResponseStatus.BYTE_ENABLE_ERROR
 
 
@@ -148,7 +144,7 @@ def test_b_transport_never_leaves_incomplete():
 
 def test_dmi_grant_covers_whole_storage():
     target = make_target(base=0x100, size=32, delay=20_000, freq=4, dmi=True)
-    desc = get_dmi(target, 0x110)
+    desc = target.get_dmi(0x110)
     assert desc.granted
     assert (desc.start_address, desc.end_address) == (0x100, 0x11F)
     assert desc.read_latency_ps == desc.write_latency_ps == 5_000
@@ -157,45 +153,29 @@ def test_dmi_grant_covers_whole_storage():
 
 def test_dmi_denied_out_of_range():
     target = make_target(base=0x100, size=32, dmi=True)
-    desc = get_dmi(target, 0x200)
+    desc = target.get_dmi(0x200)
     assert not desc.granted
     assert (desc.start_address, desc.end_address) == (0x100, 0x11F)
 
 
 def test_dmi_denied_when_disabled():
     target = make_target(base=0x100, size=32, dmi=False)
-    assert not get_dmi(target, 0x110).granted
-
-
-def test_dmi_denied_for_storageless_callee():
-    class Opaque:
-        pass
-
-    desc = get_dmi(Opaque(), 0)
-    assert not desc.granted
-    assert desc.end_address == 2**64 - 1
+    assert not target.get_dmi(0x110).granted
 
 
 def test_dmi_reads_match_transport_reads():
     target = make_target(size=16, dmi=True)
     seed = GenericPayload(command=Command.WRITE, address=0,
                           data=bytearray(range(16)))
-    b_transport(target, seed, 0)
+    target.b_transport(0, seed, 0)
 
     via_transport = GenericPayload(command=Command.READ, address=4, data=bytearray(8))
-    b_transport(target, via_transport, 0)
+    target.b_transport(0, via_transport, 0)
 
-    desc = get_dmi(target, 4)
+    desc = target.get_dmi(4)
     offset = 4 - desc.storage.base
     via_dmi = bytes(desc.storage.data[offset:offset + 8])
     assert via_dmi == bytes(via_transport.data)
-
-
-def test_invalidate_dmi_revokes():
-    target = make_target(size=16, dmi=True)
-    desc = get_dmi(target, 0)
-    revoked = invalidate_dmi(desc)
-    assert not revoked.granted and revoked.storage is None
 
 
 # -- debug transport ----------------------------------------------------------
@@ -204,27 +184,27 @@ def test_invalidate_dmi_revokes():
 def test_debug_read_in_range():
     target = make_target(size=8, fill=0xAB)
     p = GenericPayload(command=Command.READ, address=2, data=bytearray(4))
-    assert transport_dbg(target, p) == 4
+    assert target.transport_dbg(p) == 4
     assert bytes(p.data) == b"\xab" * 4
 
 
 def test_debug_read_truncates_at_end_of_storage():
     target = make_target(size=8)
     p = GenericPayload(command=Command.READ, address=6, data=bytearray(4))
-    assert transport_dbg(target, p) == 2
+    assert target.transport_dbg(p) == 2
 
 
 def test_debug_past_end_returns_zero():
     target = make_target(size=8)
     p = GenericPayload(command=Command.READ, address=8, data=bytearray(4))
-    assert transport_dbg(target, p) == 0
+    assert target.transport_dbg(p) == 0
 
 
 def test_debug_write_ignores_enables_and_streaming():
     target = make_target(size=8)
     p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(b"\x01\x02\x03\x04"),
                        streaming_width=2, byte_enables=b"\x00")
-    assert transport_dbg(target, p) == 4
+    assert target.transport_dbg(p) == 4
     assert bytes(target.storage.data[:4]) == b"\x01\x02\x03\x04"
 
 
@@ -235,5 +215,5 @@ def test_debug_consumes_zero_simulated_time():
     qk.advance(123)
     before = (sched.now, qk.local_offset)
     p = GenericPayload(command=Command.READ, address=0, data=bytearray(8))
-    transport_dbg(target, p)
+    target.transport_dbg(p)
     assert (sched.now, qk.local_offset) == before
