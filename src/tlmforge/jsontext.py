@@ -1,14 +1,17 @@
 """JSON readers: the stdlib scanner, and one that remembers where values sit.
 
-``parse_json`` defines the accepted language and every syntax message.  It
-returns a tree of :class:`Node` objects, each carrying the 1-based line and
-column where its value starts; object members map plain string keys to child
-nodes.  It tracks only a character offset, and turns one into a line and
-column through the offsets where lines start.  Stricter than the RFC: a
-duplicate object key, nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9
-allows such a bound) and an integer of more digits than ``int()`` takes are
-errors.  ``load_json`` reads with ``json.loads`` into the same tree without
-positions, or returns None where ``json.loads`` or these rules refuse the text.
+Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``float``,
+``bool`` and ``None``.  ``parse_json`` defines the accepted language and every
+syntax message.  Beside the value it returns a table from each value's path (the
+object keys and array indices from the root; ``()`` is the root) to the 1-based
+line and column where that value starts.  It tracks only a character offset, and
+turns one into a line and column through the offsets where lines start.
+Stricter than the RFC: a duplicate object key, nesting deeper than ``MAX_DEPTH``
+(RFC 8259 section 9 allows such a bound) and an integer of more digits than
+``int()`` takes are errors.  ``load_json`` is ``json.loads`` with the duplicate
+key and ``NaN`` rules; it has no depth bound of its own, so it accepts a text
+that only nests too deep, and a caller that needs the bound reads with
+``parse_json``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")  # ASCII digits
 _WS_RE = re.compile(r"[ \t\r\n]*")
@@ -29,15 +31,9 @@ _KINDS = {dict: "object", list: "array", bool: "boolean", int: "integer", float:
           str: "string", type(None): "null"}  # the only types a JSON value takes
 
 
-@dataclass(slots=True)
-class Node:
-    value: object  # dict[str, Node] | list[Node] | str | int | float | bool | None
-    line: int | None  # None in a tree from load_json
-    column: int | None
-
-    @property
-    def kind(self) -> str:
-        return _KINDS[type(self.value)]
+def kind(value: object) -> str:
+    """The JSON name of a plain value's type, as in "got null"."""
+    return _KINDS[type(value)]
 
 
 class JsonSyntaxError(ValueError):
@@ -53,7 +49,8 @@ class _Reader:
         self.text = text
         self.n = len(text)
         self.pos = 0
-        self.depth = 0  # containers open at the current position
+        self.path: list[str | int] = []  # keys and indices from the root to the current value
+        self.positions: dict[tuple, tuple[int, int]] = {}
         self.starts = [0] + [m.end() for m in re.finditer("\n", text)]  # offset of each line
 
     def _where(self, pos: int) -> tuple[int, int]:
@@ -69,47 +66,42 @@ class _Reader:
     def _peek(self) -> str:
         return self.text[self.pos] if self.pos < self.n else ""
 
-    def parse(self) -> Node:
+    def parse(self) -> object:
         self._skip_ws()
         if self.pos >= self.n:
             self._error("empty document")
-        node = self._value()
+        value = self._value()
         self._skip_ws()
         if self.pos < self.n:
             self._error("trailing data after the document")
-        return node
+        return value
 
-    def _value(self) -> Node:
+    def _value(self) -> object:
         ch = self._peek()
+        self.positions[tuple(self.path)] = self._where(self.pos)
         if ch == "{" or ch == "[":
-            if self.depth == MAX_DEPTH:
+            if len(self.path) == MAX_DEPTH:  # one path step per open container
                 self._error(f"nesting deeper than {MAX_DEPTH}")
-            self.depth += 1
-            node = self._object() if ch == "{" else self._array()
-            self.depth -= 1
-            return node
+            return self._object() if ch == "{" else self._array()
         if ch == '"':
-            where = self._where(self.pos)
-            return Node(self._string(), *where)
+            return self._string()
         if ch == "-" or ch.isdigit():
             return self._number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                node = Node(value, *self._where(self.pos))
                 self.pos += len(literal)
-                return node
+                return value
         if ch == "":
             self._error("unexpected end of input")
         self._error(f"unexpected character {ch!r}")
 
-    def _object(self) -> Node:
-        node = Node({}, *self._where(self.pos))
-        members: dict[str, Node] = node.value
+    def _object(self) -> dict:
+        members: dict[str, object] = {}
         self.pos += 1  # '{'
         self._skip_ws()
         if self._peek() == "}":
             self.pos += 1
-            return node
+            return members
         while True:
             self._skip_ws()
             if self._peek() != '"':
@@ -123,7 +115,9 @@ class _Reader:
                 self._error("expected ':' after key")
             self.pos += 1
             self._skip_ws()
+            self.path.append(key)
             members[key] = self._value()
+            self.path.pop()
             self._skip_ws()
             ch = self._peek()
             if ch == ",":
@@ -131,20 +125,21 @@ class _Reader:
                 continue
             if ch == "}":
                 self.pos += 1
-                return node
+                return members
             self._error("expected ',' or '}' in object")
 
-    def _array(self) -> Node:
-        node = Node([], *self._where(self.pos))
-        items: list[Node] = node.value
+    def _array(self) -> list:
+        items: list[object] = []
         self.pos += 1  # '['
         self._skip_ws()
         if self._peek() == "]":
             self.pos += 1
-            return node
+            return items
         while True:
             self._skip_ws()
+            self.path.append(len(items))
             items.append(self._value())
+            self.path.pop()
             self._skip_ws()
             ch = self._peek()
             if ch == ",":
@@ -152,7 +147,7 @@ class _Reader:
                 continue
             if ch == "]":
                 self.pos += 1
-                return node
+                return items
             self._error("expected ',' or ']' in array")
 
     def _string(self) -> str:
@@ -203,24 +198,25 @@ class _Reader:
             return chr(code) + chr(low)
         return chr(code)
 
-    def _number(self) -> Node:
+    def _number(self) -> int | float:
         m = _NUMBER_RE.match(self.text, self.pos)
         if m is None:
             self._error("bad number")
-        where = self._where(self.pos)
-        literal = m.group(0)
+        start, literal = self.pos, m.group(0)
         self.pos = m.end()
         if "." in literal or "e" in literal or "E" in literal:
-            return Node(float(literal), *where)
+            return float(literal)
         try:
-            return Node(int(literal), *where)
+            return int(literal)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise JsonSyntaxError("integer literal too long", *where) from None
+            self._error("integer literal too long", start)
 
 
-def parse_json(text: str) -> Node:
-    """Parse a JSON document into a position-annotated node tree."""
-    return _Reader(text).parse()
+def parse_json(text: str) -> tuple[object, dict[tuple, tuple[int, int]]]:
+    """Parse a JSON document into its plain value and the (line, column) where
+    the value at each path starts."""
+    reader = _Reader(text)
+    return reader.parse(), reader.positions
 
 
 def _members(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -233,20 +229,10 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-def _wrap(value: object, depth: int) -> Node:
-    kind = type(value)
-    if kind is dict or kind is list:
-        if depth == MAX_DEPTH:
-            raise ValueError(f"nesting deeper than {MAX_DEPTH}")
-        value = ({k: _wrap(v, depth + 1) for k, v in value.items()} if kind is dict
-                 else [_wrap(v, depth + 1) for v in value])
-    return Node(value, None, None)
-
-
-def load_json(text: str) -> Node | None:
-    """parse_json's tree without positions, read by json.loads; None where
-    json.loads or this module's rules refuse the text."""
+def load_json(text: str) -> object:
+    """json.loads with this module's duplicate-key and NaN rules; raises
+    ValueError where they refuse the text."""
     try:
-        return _wrap(json.loads(text, object_pairs_hook=_members, parse_constant=_no_constant), 0)
-    except (ValueError, RecursionError):
-        return None
+        return json.loads(text, object_pairs_hook=_members, parse_constant=_no_constant)
+    except RecursionError:
+        raise ValueError("nesting too deep for json.loads") from None

@@ -51,7 +51,7 @@ from .components import (
     out_socket_count,
 )
 from .diagnostics import IDENTIFIER_RE, Diagnostic, sort_diagnostics
-from .jsontext import JsonSyntaxError, Node, load_json, parse_json
+from .jsontext import JsonSyntaxError, kind, load_json, parse_json
 from .kernel import DEFAULT_EVENT_LIMIT, Scheduler
 from .payload import Command
 from .simtime import (
@@ -112,46 +112,62 @@ _SOCKET_KEY_RE = re.compile(r"[0-9]+")
 _MAX_LENGTH = 2**32 - 1  # a TLM-2.0 data length is an unsigned int
 
 
-def _typed(kind: type, what: str):
+class _SocketKey(str):
+    """A socket-index key: ``_spell`` writes it ``[key]``; it equals the raw string."""
+
+
+def _spell(path: tuple) -> str:
+    """A diagnostic's name for a path: the root is ``$`` and its members go by
+    their key; below them an index or socket key is ``[k]``, any other key ``.k``."""
+    if not path:
+        return "$"
+    return path[0] + "".join(f".{step}" if type(step) is str else f"[{step}]"
+                             for step in path[1:])
+
+
+def _typed(cls: type, what: str):
     """A converter that accepts values of one JSON type as they are."""
-    def convert(self: _Build, node: Node, where: str):
-        if isinstance(node.value, kind):
-            return node.value
-        return self.err(node, "E-TYPE", f"expected {what}, got {node.kind}", where)
+    def convert(self: _Build, value, path: tuple):
+        if isinstance(value, cls):
+            return value
+        return self.err(path, "E-TYPE", f"expected {what}, got {kind(value)}")
     return convert
 
 
 def _parsed(parse):
     """A converter that reads a string with ``parse`` and reports what it raises."""
-    def convert(self: _Build, node: Node, where: str):
-        s = self.str_(node, where)
+    def convert(self: _Build, value, path: tuple):
+        s = self.str_(value, path)
         if s is None:
             return None
         try:
             return parse(s)
         except (ValueError, OverflowError) as exc:
-            return self.err(node, "E-TYPE", str(exc), where)
+            return self.err(path, "E-TYPE", str(exc))
     return convert
 
 
 class _Build:
-    """Walks the annotated JSON tree, collecting typed values and diagnostics.
+    """Walks the plain JSON value, collecting typed values and diagnostics.
 
-    Every converter takes ``(node, where)``: a node of the tree and the path
-    that names it in diagnostics.  It returns the typed value, or records at
-    least one diagnostic and returns None; None is never a value.  A record is
-    a table of key -> converter read by ``fields``; arrays, fixed pairs and
-    objects keyed by socket index go through ``items``, ``pair`` and ``by_socket``.
+    Every converter takes ``(value, path)``: a JSON value and its path from the
+    root, a tuple of object keys and array indices.  It returns the typed value,
+    or records at least one diagnostic and returns None; None is never a value.
+    A diagnostic takes its line and column from ``positions`` (path -> (line,
+    column), empty when the text was read without positions) and spells its
+    ``where`` from the path only when it is made.  A record is a table of key ->
+    converter read by ``fields``; arrays, fixed pairs and objects keyed by socket
+    index go through ``items``, ``pair`` and ``by_socket``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, positions: dict[tuple, tuple[int, int]]) -> None:
+        self.positions = positions
         self.diags: list[Diagnostic] = []
 
-    def err(self, node: Node | None, code: str, message: str, where: str) -> None:
-        self.diags.append(Diagnostic(
-            code, message, where=where,
-            line=node.line if node else None,
-            column=node.column if node else None))
+    def err(self, at: tuple, code: str, message: str, where: str | None = None) -> None:
+        line, column = self.positions.get(at, (None, None))
+        self.diags.append(Diagnostic(code, message, where=_spell(at) if where is None else where,
+                                     line=line, column=column))
 
     # -- converters of single values
 
@@ -162,51 +178,47 @@ class _Build:
     time_ps = _parsed(parse_time)
     freq_ghz = _parsed(parse_frequency_ghz)
 
-    def int_(self, node: Node, where: str, minimum: int | None = None,
+    def int_(self, v, path: tuple, minimum: int | None = None,
              maximum: int | None = None) -> int | None:
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            return self.err(node, "E-TYPE", f"expected an integer, got {node.kind}", where)
-        v = node.value
+        if not isinstance(v, int) or isinstance(v, bool):
+            return self.err(path, "E-TYPE", f"expected an integer, got {kind(v)}")
         if minimum is not None and v < minimum:
-            return self.err(node, "E-TYPE", f"expected an integer >= {minimum}, got {v}", where)
+            return self.err(path, "E-TYPE", f"expected an integer >= {minimum}, got {v}")
         if maximum is not None and v > maximum:
-            return self.err(node, "E-TYPE", f"expected an integer <= {maximum}, got {v}", where)
+            return self.err(path, "E-TYPE", f"expected an integer <= {maximum}, got {v}")
         return v
 
-    def count(self, node: Node, where: str) -> int | None:
-        return self.int_(node, where, minimum=1)
+    def count(self, v, path: tuple) -> int | None:
+        return self.int_(v, path, minimum=1)
 
-    def ident(self, node: Node, where: str) -> str | None:
-        s = self.str_(node, where)
+    def ident(self, v, path: tuple) -> str | None:
+        s = self.str_(v, path)
         if s is None or IDENTIFIER_RE.fullmatch(s):
             return s
-        return self.err(node, "E-TYPE",
-                        f"bad identifier {s!r}: use letters, digits, '_', '.', '-'", where)
+        return self.err(path, "E-TYPE",
+                        f"bad identifier {s!r}: use letters, digits, '_', '.', '-'")
 
-    def command(self, node: Node, where: str) -> Command | None:
-        s = self.str_(node, where)
+    def command(self, v, path: tuple) -> Command | None:
+        s = self.str_(v, path)
         if s is None:
             return None
         try:
             return Command(s)
         except ValueError:
-            return self.err(node, "E-TYPE", f"unknown command {s!r}", where)
+            return self.err(path, "E-TYPE", f"unknown command {s!r}")
 
-    def address(self, node: Node, where: str) -> int | None:
-        v = node.value
+    def address(self, v, path: tuple) -> int | None:
         if isinstance(v, int) and not isinstance(v, bool):
             if 0 <= v <= U64_MAX:
                 return v
-            return self.err(node, "E-TYPE", f"address {v} outside the unsigned 64-bit range",
-                            where)
+            return self.err(path, "E-TYPE", f"address {v} outside the unsigned 64-bit range")
         if isinstance(v, str):
             if _ADDRESS_RE.fullmatch(v) and int(v, 16) <= U64_MAX:
                 return int(v, 16)
-            return self.err(node, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex", where)
-        return self.err(node, "E-TYPE", f"expected an address, got {node.kind}", where)
+            return self.err(path, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex")
+        return self.err(path, "E-TYPE", f"expected an address, got {kind(v)}")
 
-    def bandwidth(self, node: Node, where: str) -> Fraction | None:
-        v = node.value
+    def bandwidth(self, v, path: tuple) -> Fraction | None:
         try:
             if isinstance(v, bool):
                 raise ValueError("expected a number")
@@ -217,204 +229,200 @@ class _Build:
             elif isinstance(v, str):
                 result = parse_rational(v)
             else:
-                raise ValueError(f"expected bytes-per-ns, got {node.kind}")
+                raise ValueError(f"expected bytes-per-ns, got {kind(v)}")
             if result <= 0:
                 raise ValueError(f"bandwidth must be positive, got {v!r}")
         except ValueError as exc:
-            return self.err(node, "E-TYPE", str(exc), where)
+            return self.err(path, "E-TYPE", str(exc))
         return result
 
-    def hex_data(self, node: Node, where: str) -> bytes | None:
-        s = self.str_(node, where)
+    def hex_data(self, v, path: tuple) -> bytes | None:
+        s = self.str_(v, path)
         if s is None:
             return None
         if len(s) % 2 != 0:
-            return self.err(node, "E-TYPE", "hex data needs an even number of digits", where)
+            return self.err(path, "E-TYPE", "hex data needs an even number of digits")
         if not s:
-            return self.err(node, "E-TYPE", "data must hold at least one byte", where)
+            return self.err(path, "E-TYPE", "data must hold at least one byte")
         try:
             data = bytes.fromhex(s)
         except ValueError:
             data = b""
         if 2 * len(data) != len(s):  # fromhex also skips blanks; a description has none
-            return self.err(node, "E-TYPE", f"bad hex data {s!r}", where)
+            return self.err(path, "E-TYPE", f"bad hex data {s!r}")
         return data
 
     # -- records, arrays, pairs and socket-keyed objects
 
-    def absent(self, obj_node: Node, keys, where: str) -> bool:
+    def absent(self, members: dict, keys, path: tuple) -> bool:
         """Report each of ``keys`` missing from the object; True if any is."""
-        missing = [key for key in keys if key not in obj_node.value]
+        missing = [key for key in keys if key not in members]
         for key in missing:
             # The root names a missing section by its key, a record by the record's path.
-            self.err(obj_node, "E-MISSING", f"required key '{key}' is missing",
-                     key if where == "$" else where)
+            self.err(path, "E-MISSING", f"required key '{key}' is missing",
+                     None if path else key)
         return bool(missing)
 
-    def fields(self, node: Node, where: str, required: dict, optional: dict | None = None,
+    def fields(self, v, path: tuple, required: dict, optional: dict | None = None,
                other_keys: tuple[str, ...] = ()) -> dict | None:
         """An object whose members are converted by ``required`` and ``optional``.
 
         ``other_keys`` are allowed but left to the caller.  Returns the present
         members' values by key, or None if anything was reported.
         """
-        members = self.obj(node, where)
+        members = self.obj(v, path)
         if members is None:
             return None
         optional = optional or {}
         start = len(self.diags)
-        prefix = "" if where == "$" else f"{where}."  # the root's members go by their key
         values = {}
         for key, child in members.items():
             convert = required.get(key) or optional.get(key)
             if convert is not None:
-                values[key] = convert(child, prefix + key)
+                values[key] = convert(child, path + (key,))
             elif key not in other_keys:
-                self.err(child, "E-TYPE", f"unknown key '{key}'", f"{where}.{key}")
-        self.absent(node, required, where)
+                self.err(path + (key,), "E-TYPE", f"unknown key '{key}'",
+                         None if path else f"$.{key}")
+        self.absent(members, required, path)
         return values if len(self.diags) == start else None
 
-    def items(self, node: Node, where: str, convert, least: int = 0, too_few: str = "",
+    def items(self, v, path: tuple, convert, least: int = 0, too_few: str = "",
               every: bool = False) -> list | None:
         """An array of at least ``least`` elements; the walk stops at the first bad
         element unless ``every`` is set."""
-        nodes = self.arr(node, where)
-        if nodes is None:
+        elements = self.arr(v, path)
+        if elements is None:
             return None
-        if len(nodes) < least:
-            return self.err(node, "E-TYPE", too_few, where)
+        if len(elements) < least:
+            return self.err(path, "E-TYPE", too_few)
         start = len(self.diags)
         values = []
-        for i, item in enumerate(nodes):
-            value = convert(item, f"{where}[{i}]")
+        for i, item in enumerate(elements):
+            value = convert(item, path + (i,))
             if value is None and not every:
                 return None
             values.append(value)
         return values if len(self.diags) == start else None
 
-    def pair(self, node: Node, where: str, first, second, message: str) -> tuple | None:
+    def pair(self, v, path: tuple, first, second, message: str) -> tuple | None:
         """An array of exactly two elements; both are converted."""
-        nodes = self.arr(node, where)
-        if nodes is None:
+        elements = self.arr(v, path)
+        if elements is None:
             return None
-        if len(nodes) != 2:
-            return self.err(node, "E-TYPE", message, where)
-        a, b = first(nodes[0], f"{where}[0]"), second(nodes[1], f"{where}[1]")
+        if len(elements) != 2:
+            return self.err(path, "E-TYPE", message)
+        a, b = first(elements[0], path + (0,)), second(elements[1], path + (1,))
         return None if a is None or b is None else (a, b)
 
-    def by_socket(self, node: Node, where: str, convert, label: str) -> dict | None:
+    def by_socket(self, v, path: tuple, convert, label: str) -> dict | None:
         """An object keyed by socket index; every entry is converted."""
-        members = self.obj(node, where)
+        members = self.obj(v, path)
         if members is None:
             return None
         start = len(self.diags)
         values = {}
         for key, child in members.items():
-            kwhere = f"{where}[{key}]"
+            at = path + (_SocketKey(key),)
             if not _SOCKET_KEY_RE.fullmatch(key):
-                self.err(child, "E-TYPE", f"{label} key {key!r} must be a socket index", kwhere)
-            elif (value := convert(child, kwhere)) is not None:
+                self.err(at, "E-TYPE", f"{label} key {key!r} must be a socket index")
+            elif (value := convert(child, at)) is not None:
                 values[int(key)] = value
         return values if len(self.diags) == start else None
 
     # -- the records of a description
 
-    def cpu(self, node: Node, where: str) -> CpuSpec | None:
-        f = self.fields(node, where, {"name": self.ident, "frequency": self.freq_ghz})
+    def cpu(self, v, path: tuple) -> CpuSpec | None:
+        f = self.fields(v, path, {"name": self.ident, "frequency": self.freq_ghz})
         return None if f is None else CpuSpec(f["name"], f["frequency"])
 
-    def bus(self, node: Node, where: str) -> BusSpec | None:
-        f = self.fields(node, where, {
+    def bus(self, v, path: tuple) -> BusSpec | None:
+        f = self.fields(v, path, {
             "name": self.ident,
-            "cpus": lambda n, w: self.items(n, w, self.ident, 2, "a bus joins at least two CPUs")})
+            "cpus": lambda v, p: self.items(v, p, self.ident, 2, "a bus joins at least two CPUs")})
         return None if f is None else BusSpec(f["name"], tuple(f["cpus"]))
 
-    def template(self, node: Node, where: str) -> TransactionTemplate | None:
-        f = self.fields(node, where, {"command": self.command, "address": self.address},
-                        {"socket": self.int_, "repeat": lambda n, w: self.int_(n, w, minimum=0)},
+    def template(self, v, path: tuple) -> TransactionTemplate | None:
+        f = self.fields(v, path, {"command": self.command, "address": self.address},
+                        {"socket": self.int_, "repeat": lambda v, p: self.int_(v, p, minimum=0)},
                         ("data", "length"))
-        if not isinstance(node.value, dict):
+        if not isinstance(v, dict):
             return None
-        data_node, length_node = node.value.get("data"), node.value.get("length")
-        if data_node is not None and length_node is not None:
-            data = self.err(length_node, "E-TYPE", "give 'data' or 'length', not both",
-                            f"{where}.length")
-        elif data_node is not None:
-            data = self.hex_data(data_node, f"{where}.data")
-        elif length_node is not None:
-            length = self.int_(length_node, f"{where}.length", minimum=1, maximum=_MAX_LENGTH)
+        if "data" in v and "length" in v:
+            data = self.err(path + ("length",), "E-TYPE", "give 'data' or 'length', not both")
+        elif "data" in v:
+            data = self.hex_data(v["data"], path + ("data",))
+        elif "length" in v:
+            length = self.int_(v["length"], path + ("length",), minimum=1, maximum=_MAX_LENGTH)
             data = None if length is None else bytes(length)
         else:
-            data = self.err(node, "E-MISSING", "required key 'data' or 'length' is missing",
-                            where)
+            data = self.err(path, "E-MISSING", "required key 'data' or 'length' is missing")
         if f is None or data is None:
             return None
         return TransactionTemplate(f["command"], f["address"], data, f.get("socket", 0),
                                    f.get("repeat", 1))
 
-    def storage(self, node: Node, where: str) -> tuple[int, int, int] | None:
-        f = self.fields(node, where, {"size": self.count}, {
-            "base": self.address, "fill": lambda n, w: self.int_(n, w, minimum=0, maximum=255)})
+    def storage(self, v, path: tuple) -> tuple[int, int, int] | None:
+        f = self.fields(v, path, {"size": self.count}, {
+            "base": self.address, "fill": lambda v, p: self.int_(v, p, minimum=0, maximum=255)})
         return None if f is None else (f.get("base", 0), f["size"], f.get("fill", 0))
 
-    def module(self, node: Node, where: str) -> ModuleSpec | None:
+    def module(self, v, path: tuple) -> ModuleSpec | None:
         # Without a good kind and name no other member is looked at.
-        members = self.obj(node, where)
-        if members is None or self.absent(node, ("kind", "name"), where):
+        members = self.obj(v, path)
+        if members is None or self.absent(members, ("kind", "name"), path):
             return None
-        kind = self.str_(members["kind"], f"{where}.kind")
-        name = self.ident(members["name"], f"{where}.name")
-        if kind is None or name is None:
+        module_kind = self.str_(members["kind"], path + ("kind",))
+        name = self.ident(members["name"], path + ("name",))
+        if module_kind is None or name is None:
             return None
         head, bandwidth = ("kind", "name"), {"bandwidth": self.bandwidth}
-        if kind == "initiator":
-            f = self.fields(node, where, {"delay": self.time_ps, "sockets": self.count}, {
-                "workload": lambda n, w: self.items(n, w, self.template, every=True),
+        if module_kind == "initiator":
+            f = self.fields(v, path, {"delay": self.time_ps, "sockets": self.count}, {
+                "workload": lambda v, p: self.items(v, p, self.template, every=True),
                 **bandwidth}, head)
             return None if f is None else InitiatorSpec(
                 name, f["delay"], f["sockets"], tuple(f.get("workload", ())), f.get("bandwidth"))
-        if kind == "target":
-            f = self.fields(node, where, {
-                "socket_delays": lambda n, w: self.items(
-                    n, w, self.time_ps, 1, "socket_delays must not be empty"),
+        if module_kind == "target":
+            f = self.fields(v, path, {
+                "socket_delays": lambda v, p: self.items(
+                    v, p, self.time_ps, 1, "socket_delays must not be empty"),
                 "storage": self.storage}, {"dmi": self.bool_, **bandwidth}, head)
             return None if f is None else TargetSpec(
                 name, tuple(f["socket_delays"]), *f["storage"], f.get("dmi", False),
                 f.get("bandwidth"))
-        if kind == "router":
-            outs = lambda n, w: self.items(n, w, self.int_, 1, "connection list must not be empty")
-            ranges = lambda n, w: self.pair(n, w, self.address, self.address,
+        if module_kind == "router":
+            outs = lambda v, p: self.items(v, p, self.int_, 1, "connection list must not be empty")
+            ranges = lambda v, p: self.pair(v, p, self.address, self.address,
                                             "expected [base, limit]")
-            f = self.fields(node, where, {
+            f = self.fields(v, path, {
                 "delay": self.time_ps, "in_sockets": self.count, "out_sockets": self.count,
-                "connections": lambda n, w: self.by_socket(n, w, outs, "connection")}, {
-                "address_map": lambda n, w: self.by_socket(n, w, ranges, "address_map"),
+                "connections": lambda v, p: self.by_socket(v, p, outs, "connection")}, {
+                "address_map": lambda v, p: self.by_socket(v, p, ranges, "address_map"),
                 **bandwidth}, head)
             return None if f is None else RouterSpec(
                 name, f["delay"], f["in_sockets"], f["out_sockets"],
-                {k: tuple(v) for k, v in f["connections"].items()}, f.get("address_map"),
+                {k: tuple(c) for k, c in f["connections"].items()}, f.get("address_map"),
                 f.get("bandwidth"))
         if "bandwidth" in members:
-            self.bandwidth(members["bandwidth"], f"{where}.bandwidth")
-        return self.err(members["kind"], "E-TYPE",
-                        f"unknown module kind {kind!r}: expected initiator, target, or router",
-                        f"{where}.kind")
+            self.bandwidth(members["bandwidth"], path + ("bandwidth",))
+        return self.err(path + ("kind",), "E-TYPE", f"unknown module kind {module_kind!r}: "
+                        "expected initiator, target, or router")
 
-    def instance(self, node: Node, where: str) -> Instance | None:
-        f = self.fields(node, where, {"name": self.ident, "module": self.ident, "cpu": self.ident})
+    def instance(self, v, path: tuple) -> Instance | None:
+        f = self.fields(v, path, {"name": self.ident, "module": self.ident, "cpu": self.ident})
         return None if f is None else Instance(f["name"], f["module"], f["cpu"])
 
-    def binding(self, node: Node, where: str) -> Binding | None:
-        end = lambda n, w: self.pair(n, w, self.ident, self.int_, "expected [instance, socket]")
-        f = self.fields(node, where, {"from": end, "to": end})
+    def binding(self, v, path: tuple) -> Binding | None:
+        end = lambda v, p: self.pair(v, p, self.ident, self.int_, "expected [instance, socket]")
+        f = self.fields(v, path, {"from": end, "to": end})
         return None if f is None else Binding(*f["from"], *f["to"])
 
-    def constraint(self, node: Node, where: str) -> TimingConstraint | None:
-        f = self.fields(node, where, {"instance": self.ident, "max_end": self.time_ps})
+    def constraint(self, v, path: tuple) -> TimingConstraint | None:
+        f = self.fields(v, path, {"instance": self.ident, "max_end": self.time_ps})
         return None if f is None else TimingConstraint(f["instance"], f["max_end"])
 
-    def options(self, node: Node, where: str) -> SimOptions | None:
-        f = self.fields(node, where, {}, {
+    def options(self, v, path: tuple) -> SimOptions | None:
+        f = self.fields(v, path, {}, {
             "quantum": self.time_ps, "event_limit": self.count, "trace": self.str_})
         return None if f is None else SimOptions(
             f.get("quantum", 0), f.get("event_limit", DEFAULT_EVENT_LIMIT), f.get("trace"))
@@ -422,21 +430,23 @@ class _Build:
 
 def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnostic]]:
     """Parse description text; returns (description, []) or (None, diagnostics)."""
-    root = load_json(text)
-    desc, diags = (None, []) if root is None else _build(root)
+    try:
+        desc, diags = _build(load_json(text), {})
+    except ValueError:  # json.loads or jsontext's rules refuse the text
+        desc = None
     if desc is None:  # read again, with the positions every diagnostic carries
         try:
-            root = parse_json(text)
+            root, positions = parse_json(text)
         except JsonSyntaxError as exc:
             return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
-        desc, diags = _build(root)
+        desc, diags = _build(root, positions)
     return desc, diags
 
 
-def _build(root: Node) -> tuple[SystemDescription | None, list[Diagnostic]]:
-    b = _Build()
-    section = lambda record: lambda n, w: b.items(n, w, record, every=True)
-    top = b.fields(root, "$", {"cpus": section(b.cpu)}, {
+def _build(root, positions: dict) -> tuple[SystemDescription | None, list[Diagnostic]]:
+    b = _Build(positions)
+    section = lambda record: lambda v, p: b.items(v, p, record, every=True)
+    top = b.fields(root, (), {"cpus": section(b.cpu)}, {
         "buses": section(b.bus), "modules": section(b.module),
         "instances": section(b.instance), "bindings": section(b.binding),
         "constraints": section(b.constraint), "options": b.options})

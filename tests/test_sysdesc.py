@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import sys
 import weakref
@@ -135,6 +136,53 @@ def test_template_length_is_a_tlm_data_length(length):
     assert [str(d) for d in diags] == [
         f"E-TYPE modules[0].workload[0].length (4:82): expected an integer <= 4294967295, "
         f"got {length}"]
+
+
+def edited_template(abs_text, members) -> str:
+    """abs.json, indented by 2, with the Brake WRITE's data replaced by ``members``."""
+    doc = json.loads(abs_text)
+    template = doc["modules"][0]["workload"][0]
+    del template["data"]
+    template.update(members)
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("members, expected", [
+    ({"data": None}, "data (59:19): expected a string, got null"),
+    ({"length": None}, "length (59:21): expected an integer, got null"),
+    ({"data": None, "length": None}, "length (60:21): give 'data' or 'length', not both"),
+    ({"length": 4, "data": None}, "length (59:21): give 'data' or 'length', not both"),
+])
+def test_a_present_null_data_or_length_is_reported(abs_text, members, expected):
+    desc, diags = parse_description(edited_template(abs_text, members))
+    assert desc is None
+    assert [str(d) for d in diags] == ["E-TYPE modules[0].workload[0]." + expected]
+
+
+DEEP = "[" * 300 + "]" * 300
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    ('{\n  "cpus"', '{\n  "zz": %s,\n  "cpus"' % DEEP, "2:264"),
+    ('"name": "Cpu0"', '"name": ' + DEEP, "4:268"),
+    ('"quantum"', '"x": %s, "quantum"' % DEEP, "183:264"),
+], ids=["unknown root key", "cpu name", "options"])
+def test_nesting_past_the_bound_is_a_syntax_error_wherever_it_sits(abs_text, old, new, expected):
+    """json.loads takes 300 levels; the builder refuses them, and the positioned
+    reader reports the bound at the 257th opening bracket."""
+    text = json.dumps(json.loads(abs_text), indent=2).replace(old, new, 1)
+    assert text.count(DEEP) == 1
+    assert [str(d) for d in parse_description(text)[1]] == [
+        f"E-SYNTAX {expected}: nesting deeper than 256"]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[" * 100_000 + "]" * 100_000, "E-SYNTAX 1:257: nesting deeper than 256"),
+    ("null", "E-TYPE $ (1:1): expected an object, got null"),
+    ("[]", "E-TYPE $ (1:1): expected an object, got array"),
+], ids=["100000 arrays", "null", "empty array"])
+def test_a_document_that_is_no_object_is_refused(text, expected):
+    assert [str(d) for d in parse_description(text)[1]] == [expected]
 
 
 def test_string_escapes_in_description_text():
