@@ -21,8 +21,10 @@ first non-OK in ascending destination order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 from .kernel import Activity, QuantumKeeper, Scheduler
@@ -33,6 +35,9 @@ from .transport import DmiAccess, DmiDescriptor
 
 # Extension slot the simulator uses to tag payloads with a transaction id.
 TXN_ID_EXTENSION = "tlmforge.txn-id"
+
+# Bound once: on Python 3.11 a member lookup on an Enum class costs about 9x a global read.
+_OK, _READ, _WRITE = ResponseStatus.OK, Command.READ, Command.WRITE
 
 
 # --------------------------------------------------------------------------
@@ -149,8 +154,6 @@ def in_socket_count(spec: ModuleSpec) -> int:
 
 def effective_delay(nominal_ps: int, frequency_ghz: Fraction | int) -> int:
     """Scale a nominal delay by CPU frequency: round(nominal / f), ties away from zero."""
-    if frequency_ghz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_ghz}")
     # nominal / f = n / d exactly; floor(n / d + 1/2) rounds ties upward
     n = nominal_ps * frequency_ghz.denominator
     d = frequency_ghz.numerator
@@ -167,8 +170,6 @@ def transfer_time(length_bytes: int, bandwidth: Fraction | None) -> int:
     """
     if bandwidth is None:
         return 0
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     result = -((-length_bytes * 1000 * bandwidth.denominator) // bandwidth.numerator)
     if result > U64_MAX:
         raise TimeOverflowError(f"transfer time {result} ps exceeds the 64-bit range")
@@ -205,7 +206,7 @@ def _first_chunk(storage: Storage, p: GenericPayload) -> tuple[int, int, int, Re
     a first chunk that runs off the storage shrinks to its in-range prefix."""
     n, w, off, size = p.data_length, p.streaming_width, p.address - storage.base, len(storage.data)
     if n == 0 or 0 <= off <= size - w:
-        return off, n, w, ResponseStatus.OK
+        return off, n, w, _OK
     inside = 0 if off < 0 else max(0, size - off)
     return off, inside, inside, ResponseStatus.ADDRESS_ERROR
 
@@ -268,46 +269,37 @@ class ModelContext:
 
 Destination = tuple["TargetModel | RouterModel", int]
 
+# Builds a TraceRecord from a ready tuple of its fields, without NamedTuple's __new__ frame.
+_new_record = tuple.__new__
+_route_base = itemgetter(0)
 
-def _txn_id(p: GenericPayload) -> int:
-    value = p.extensions.get(TXN_ID_EXTENSION, 0)
-    return value if isinstance(value, int) else 0
-
-
-def _merge_status(statuses: list[ResponseStatus]) -> ResponseStatus:
-    for s in statuses:
-        if s is not ResponseStatus.OK:
-            return s
-    return ResponseStatus.OK
-
-
-def _status_for_invalid(code: str) -> ResponseStatus:
-    if code in ("E-ENABLE-VALUE", "E-ENABLE-LEN"):
-        return ResponseStatus.BYTE_ENABLE_ERROR
-    if code in ("E-SW-DIVIDE", "E-SW-POSITIVE", "E-DATA-LEN"):
-        return ResponseStatus.BURST_ERROR
-    return ResponseStatus.GENERIC_ERROR
+# The status a target answers for a payload that fails validate_payload, by first code.
+_INVALID_STATUS = {
+    "E-DATA-LEN": ResponseStatus.BURST_ERROR, "E-SW-POSITIVE": ResponseStatus.BURST_ERROR,
+    "E-SW-DIVIDE": ResponseStatus.BURST_ERROR, "E-ENABLE-VALUE": ResponseStatus.BYTE_ENABLE_ERROR,
+    "E-ENABLE-LEN": ResponseStatus.BYTE_ENABLE_ERROR}
 
 
 def deliver(destinations: list[Destination], p: GenericPayload, t: int) -> int:
     """Send a payload to every destination; returns the slowest arm's time.
 
-    A single destination gets the original payload; with several, each arm
-    gets a storage-disjoint deep copy and the merged status is written back
-    into ``p``.  Description validation guarantees at least one destination
-    (E010), and exactly one for a READ (E004).
+    A single destination gets the original payload; with several, each arm gets a
+    storage-disjoint deep copy and the merged status is written back into ``p``.
+    Validation guarantees at least one destination (E010), one for a READ (E004).
     """
     if len(destinations) == 1:
         model, in_socket = destinations[0]
         return model.b_transport(in_socket, p, t)
-    times: list[int] = []
-    statuses: list[ResponseStatus] = []
+    end, status = 0, _OK
     for model, in_socket in destinations:
         arm = deep_copy_payload(p)
-        times.append(model.b_transport(in_socket, arm, t))
-        statuses.append(arm.response_status)
-    p.response_status = _merge_status(statuses)
-    return max(times)
+        arm_end = model.b_transport(in_socket, arm, t)
+        if arm_end > end:
+            end = arm_end
+        if status is _OK:
+            status = arm.response_status
+    p.response_status = status
+    return end
 
 
 class _Responder:
@@ -318,18 +310,28 @@ class _Responder:
         self.spec = spec
         self.ctx = ctx
         self._activations = itertools.count()
+        # transfer_time's ceil(bytes * 1000 * den / num) as (1000 * den, num); None is unlimited
+        bw = spec.bandwidth
+        self._ps_per_byte = None if bw is None else (1000 * bw.denominator, bw.numerator)
 
     def _arrive(self, delay_ps: int, p: GenericPayload, t: int) -> tuple[int, int, int]:
-        """Returns ``(activation, arrival, t plus the service time)``; numbering on
-        arrival keeps a router re-entered through another in-socket in order."""
-        arrival = time_add(self.ctx.scheduler.now, t)
-        service = time_add(delay_ps, transfer_time(p.data_length, self.spec.bandwidth))
-        return next(self._activations), arrival, time_add(t, service)
+        """``(activation, now, t plus the service time)``, numbered on arrival so a router
+        re-entered through another in-socket stays in order.  Only the hop's end is checked."""
+        now = self.ctx.scheduler.now
+        end = t + delay_ps
+        if self._ps_per_byte is not None:
+            num, den = self._ps_per_byte
+            end -= (-p.data_length * num) // den
+        if now + end > U64_MAX:  # raise as the checked sums do: arrival, service, then end
+            time_add(now, t)
+            service = time_add(delay_ps, transfer_time(p.data_length, self.spec.bandwidth))
+            time_add(now, time_add(t, service))
+        return next(self._activations), now, end
 
-    def _record(self, activation: int, arrival: int, t: int, p: GenericPayload) -> None:
-        self.ctx.records.append(TraceRecord(
-            self.name, activation, arrival, time_add(self.ctx.scheduler.now, t),
-            _txn_id(p), p.response_status))
+    def _record(self, activation: int, start: int, end: int, p: GenericPayload) -> None:
+        txn = p.extensions.get(TXN_ID_EXTENSION, 0)
+        self.ctx.records.append(_new_record(TraceRecord, (self.name, activation, start, end,
+                                txn if isinstance(txn, int) else 0, p.response_status)))
 
 
 class TargetModel(_Responder):
@@ -341,27 +343,26 @@ class TargetModel(_Responder):
         self.storage = Storage(spec.storage_base, spec.storage_size, spec.storage_fill)
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
-        activation, arrival, t = self._arrive(self.delays_ps[in_socket], p, t)
+        activation, now, end = self._arrive(self.delays_ps[in_socket], p, t)
         problems = validate_payload(p)
         if problems:
-            p.response_status = _status_for_invalid(problems[0].code)
-        elif p.command is Command.WRITE:
+            p.response_status = _INVALID_STATUS[problems[0].code]
+        elif p.command is _WRITE:
             p.response_status = apply_write(self.storage, p)
-        elif p.command is Command.READ:
+        elif p.command is _READ:
             p.response_status = apply_read(self.storage, p)
         else:
-            p.response_status = ResponseStatus.OK
+            p.response_status = _OK
         p.dmi_allowed = self.spec.dmi_allowed
-        self._record(activation, arrival, t, p)
-        return t
+        self._record(activation, now + t, now + end, p)
+        return end
 
     def transport_dbg(self, p: GenericPayload) -> int:
-        """Zero-time debug access; ignores delays, enables, and streaming."""
-        if p.command not in (Command.READ, Command.WRITE):
+        """Zero-time debug access; ignores delays, enables, and streaming.  Moves at most
+        ``data_length`` bytes, no more than either buffer holds, so neither changes length."""
+        if p.command not in (Command.READ, Command.WRITE) or not self.storage.contains(p.address):
             return 0
-        if not self.storage.contains(p.address):
-            return 0
-        count = min(p.data_length, self.storage.end - p.address)
+        count = max(0, min(p.data_length, len(p.data), self.storage.end - p.address))
         offset = p.address - self.storage.base
         if p.command is Command.READ:
             p.data[0:count] = self.storage.data[offset:offset + count]
@@ -387,27 +388,28 @@ class RouterModel(_Responder):
     def __init__(self, name: str, spec: RouterSpec, frequency_ghz: Fraction, ctx: ModelContext):
         super().__init__(name, spec, ctx)
         self.delay_ps = effective_delay(spec.delay_ps, frequency_ghz)
-        # bound in-socket -> ((base, limit, destinations), ...), built by connect()
+        # bound in-socket -> ((base, limit, destinations), ...) by base, built by connect()
         self.routes: dict[int, tuple[tuple[int, int, list[Destination]], ...]] = {}
 
     def connect(self, in_socket: int, bound: dict[int, list[Destination]]) -> None:
-        """Build ``in_socket``'s route table from :meth:`RouterSpec.routes`, each
-        out replaced by its bound destinations."""
-        self.routes[in_socket] = tuple(
-            (base, limit, [dest for out in outs for dest in bound[out]])
-            for base, limit, outs in self.spec.routes(in_socket))
+        """Build ``in_socket``'s route table from :meth:`RouterSpec.routes`, each out
+        replaced by its bound destinations, sorted by base.  E006 makes the ranges disjoint
+        and non-empty, so an address's route is the last whose base is at most the address."""
+        self.routes[in_socket] = tuple(sorted(
+            ((base, limit, [dest for out in outs for dest in bound[out]])
+             for base, limit, outs in self.spec.routes(in_socket)), key=_route_base))
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
-        activation, arrival, t = self._arrive(self.delay_ps, p, t)
-        t_done = t
-        for base, limit, destinations in self.routes[in_socket]:
-            if base <= p.address < limit:
-                t_done = deliver(destinations, p, t)
-                break
+        activation, now, end = self._arrive(self.delay_ps, p, t)
+        table = self.routes[in_socket]
+        i = bisect_right(table, p.address, key=_route_base) - 1
+        if i >= 0 and p.address < table[i][1]:
+            done = deliver(table[i][2], p, end)
         else:
+            done = end
             p.response_status = ResponseStatus.ADDRESS_ERROR
-        self._record(activation, arrival, t, p)
-        return t_done
+        self._record(activation, now + t, now + end, p)
+        return done
 
 
 class InitiatorModel:
@@ -427,43 +429,40 @@ class InitiatorModel:
     def activity(self) -> Activity:
         """Kernel activity running every workload template in order."""
         for template in self.spec.workload:
-            for _ in range(template.repeat):
-                yield from self.issue(template)
+            yield from self.issue(template)
 
     def issue(self, template: TransactionTemplate) -> Activity:
-        """One activation: wait own latency, transport, sync, append its record."""
+        """The template's activations, back to back.  Each waits the own latency (module
+        delay plus send time, summed once per template), transports, syncs, records."""
+        if not template.repeat:  # it adds no time, so its own latency cannot overflow
+            return
         qk = self.quantum_keeper
         sched = self.ctx.scheduler
-        start = time_add(sched.now, qk.local_offset)
-
+        destinations = self.out_bindings[template.socket]
         own = time_add(self.delay_ps, transfer_time(len(template.data), self.spec.bandwidth))
-        qk.advance(own)
-        if qk.need_sync():
-            yield from qk.sync()
+        for _ in range(template.repeat):
+            start = sched.now + qk.local_offset  # the previous activation's checked end
+            qk.advance(own)
+            if qk.need_sync():
+                yield from qk.sync()
 
-        txn = next(self.ctx.txn_ids)
-        p = GenericPayload(
-            command=template.command, address=template.address,
-            data=bytearray(template.data),
-            extensions={TXN_ID_EXTENSION: txn})
-        t = deliver(self.out_bindings[template.socket], p, qk.local_offset)
+            txn = next(self.ctx.txn_ids)
+            p = GenericPayload(command=template.command, address=template.address,
+                               data=bytearray(template.data), extensions={TXN_ID_EXTENSION: txn})
+            qk.local_offset = deliver(destinations, p, qk.local_offset)
+            if qk.need_sync():
+                yield from qk.sync()
+            end = time_add(sched.now, qk.local_offset)
 
-        qk.local_offset = t
-        if qk.need_sync():
-            yield from qk.sync()
-        end = time_add(sched.now, qk.local_offset)
-
-        self.ctx.records.append(TraceRecord(self.name, next(self._activations), start, end,
-                                            txn, p.response_status))
-
-
-ComponentModel = InitiatorModel | TargetModel | RouterModel
+            self.ctx.records.append(_new_record(TraceRecord, (
+                self.name, next(self._activations), start, end, txn, p.response_status)))
 
 
 class ExecutableModel:
     """An elaborated system: kernel, component models, and the shared trace."""
 
-    def __init__(self, ctx: ModelContext, instances: dict[str, ComponentModel]):
+    def __init__(self, ctx: ModelContext,
+                 instances: dict[str, InitiatorModel | TargetModel | RouterModel]):
         self.ctx = ctx
         self.instances = instances
         self._unstarted = [m for m in instances.values() if isinstance(m, InitiatorModel)]

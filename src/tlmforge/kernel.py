@@ -35,7 +35,7 @@ class SimulationError(RuntimeError):
         self.code = code
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Wait:
     """Suspend the yielding activity for ``delay`` picoseconds."""
 

@@ -386,6 +386,68 @@ def test_out_of_range_delay_refuses_run_and_export(capsys, tmp_path):
         assert err == "error: scaled delay 1000000000000000000000 ps exceeds the 64-bit range\n"
 
 
+U64_TOP = "18446744073709551615ps"  # 2^64 - 1
+SLOW = "1/100000000000000000000"     # bytes per ns: 4 bytes take 4e23 ps
+
+
+def _set(doc, index, **fields):
+    doc["modules"][index].update(fields)
+
+
+# Each edit of abs.json makes one place on the transaction path add past 2^64 - 1,
+# and the message names that sum.  Module 0 is the initiator, 1 the router, 2 the targets.
+OVERFLOWS = {
+    "initiator delay, then sync": (
+        lambda d: (_set(d, 0, delay="18000000000000000000ps"),
+                   d["modules"][0]["workload"][0].update(repeat=2)),
+        "18000000000000006000 ps + 18000000000000000000 ps exceeds the unsigned 64-bit range"),
+    "initiator delay plus send time": (
+        lambda d: _set(d, 0, delay=U64_TOP, bandwidth="1"),
+        "18446744073709551615 ps + 4000 ps exceeds the unsigned 64-bit range"),
+    "initiator offset ahead of the quantum": (
+        lambda d: (_set(d, 0, delay="10000000000000000000ps"),
+                   d["modules"][0]["workload"][0].update(repeat=2),
+                   d["options"].update(quantum=U64_TOP)),
+        "10000000000000006000 ps + 10000000000000000000 ps exceeds the unsigned 64-bit range"),
+    "initiator transfer time": (
+        lambda d: _set(d, 0, bandwidth=SLOW),
+        "transfer time 400000000000000000000000 ps exceeds the 64-bit range"),
+    "router arrival": (
+        lambda d: (_set(d, 0, delay="8000000000000000000ps", bandwidth="1/1000000000000000",
+                        workload=[{"command": "WRITE", "address": "0x0", "data": "abcd"},
+                                  {"command": "WRITE", "address": "0x0", "data": "ab"}]),
+                   d["options"].update(quantum="10000000000000000000ps")),
+        "10000000000000000000 ps + 9000000000000006000 ps exceeds the unsigned 64-bit range"),
+    "router service end": (
+        lambda d: (_set(d, 0, delay="18000000000000000000ps"), _set(d, 1, delay=U64_TOP)),
+        "18000000000000000000 ps + 3689348814741910323 ps exceeds the unsigned 64-bit range"),
+    "router end at the top of the range": (
+        lambda d: _set(d, 0, delay=U64_TOP),
+        "18446744073709551615 ps + 1000 ps exceeds the unsigned 64-bit range"),
+    "router transfer time": (
+        lambda d: _set(d, 1, bandwidth=SLOW),
+        "transfer time 400000000000000000000000 ps exceeds the 64-bit range"),
+    "target service end": (
+        lambda d: (_set(d, 0, delay="18000000000000000000ps"),
+                   _set(d, 2, socket_delays=[U64_TOP])),
+        "18000000000000000000 ps + 4611686018427388904 ps exceeds the unsigned 64-bit range"),
+    "target transfer time": (
+        lambda d: _set(d, 2, bandwidth=SLOW),
+        "transfer time 400000000000000000000000 ps exceeds the 64-bit range"),
+}
+
+
+@pytest.mark.parametrize("place", sorted(OVERFLOWS))
+def test_a_time_past_64_bits_ends_run_with_exit_3_and_names_the_sum(capsys, tmp_path, abs_path,
+                                                                    place):
+    edit, message = OVERFLOWS[place]
+    doc = json.loads(abs_path.read_text(encoding="utf-8"))
+    edit(doc)
+    path = write_description(tmp_path, doc)
+    assert invoke(capsys, "validate", path)[0] == 0
+    assert invoke(capsys, "run", path) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("variant", sorted(MISWIRED_ABS))
 def test_miswired_abs_is_refused_by_every_command(capsys, tmp_path, abs_path, variant):
     miswire, expected = MISWIRED_ABS[variant]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from topogen import max_path_latency, random_topology
 
@@ -24,8 +24,10 @@ from tlmforge.components import (
     effective_delay,
     transfer_time,
 )
-from tlmforge.kernel import Scheduler
+from tlmforge.kernel import Scheduler, Wait
+from tlmforge.components import TXN_ID_EXTENSION
 from tlmforge.payload import Command, GenericPayload, ResponseStatus, validate_payload
+from tlmforge.simtime import U64_MAX, TimeOverflowError
 from tlmforge.sysdesc import SystemDescription, elaborate
 from tlmforge.trace import end_to_end_latency
 
@@ -262,6 +264,65 @@ def test_router_repeated_out_delivers_once():
     assert routed({0: (1, 1, 0)}) == [("t0", "OK"), ("t1", "OK"), ("r0", "OK"), ("i0", "OK")]
 
 
+def reference_route(spec: RouterSpec, in_socket: int, address: int) -> list[int] | None:
+    """The router's decode as a linear scan of ``spec.routes``: the outs of the first
+    route that holds ``address``, or None when none does (an ADDRESS_ERROR)."""
+    for base, limit, outs in spec.routes(in_socket):
+        if base <= address < limit:
+            return outs
+    return None
+
+
+@st.composite
+def address_maps(draw):
+    """``(out count, address map or None)``: disjoint non-empty ranges, adjacent or
+    with gaps, given to a shuffled subset of the outs; None is a broadcast."""
+    outs = draw(st.integers(1, 6))
+    if draw(st.integers(0, 4)) == 0:
+        return outs, None
+    mapped = draw(st.lists(st.sampled_from(range(outs)), unique=True, max_size=outs))
+    address_map, cursor = {}, draw(st.sampled_from([0, 1, 0x40]))
+    for k, out in enumerate(mapped):
+        base = cursor + 16 * draw(st.integers(0, 2))
+        last = k == len(mapped) - 1 and draw(st.booleans())
+        cursor = 2**64 if last else base + draw(st.integers(1, 48))
+        address_map[out] = (base, cursor)
+    return outs, address_map
+
+
+@example(case=(3, None), extra=[])
+@example(case=(4, {2: (0x10, 0x20), 0: (0x40, 0x41), 3: (0x41, 2**64)}), extra=[0x30])
+@given(case=address_maps(), extra=st.lists(st.integers(0, U64_MAX), max_size=3))
+def test_the_router_decodes_as_the_linear_scan_does(case, extra):
+    """Each probe goes through the elaborated router alone: the target rows it leaves
+    name the reference's outs in order, and the router row is an ADDRESS_ERROR when
+    no route holds the address."""
+    outs, address_map = case
+    spec = RouterSpec("R", 1_000, 1, outs, {0: tuple(range(outs))}, address_map)
+    desc = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[InitiatorSpec("I", 1_000, 1, (TransactionTemplate(Command.WRITE, 0, b"\x00"),)),
+                 spec, TargetSpec("T", (1_000,), 0, 1)],
+        instances=[Instance("i0", "I", "C0"), Instance("r0", "R", "C0")]
+                  + [Instance(f"t{k}", "T", "C0") for k in range(outs)],
+        bindings=[Binding("i0", 0, "r0", 0)] + [Binding("r0", k, f"t{k}", 0) for k in range(outs)])
+    model = elaborate(desc)
+    router = model.instances["r0"]
+    edges = [a for base, limit in (address_map or {}).values() for a in (base, limit - 1, limit)]
+    for txn, address in enumerate(sorted({0, U64_MAX, *edges, *extra})):
+        seen = len(model.records)
+        p = GenericPayload(command=Command.WRITE, address=address, data=bytearray(1),
+                           extensions={TXN_ID_EXTENSION: txn})
+        router.b_transport(0, p, 0)
+        rows = model.records[seen:]
+        outs_hit = reference_route(spec, 0, address)
+        assert [r.instance for r in rows] == [f"t{k}" for k in outs_hit or ()] + ["r0"]
+        arms = [r.status for r in rows[:-1] if r.status is not ResponseStatus.OK]
+        want = ResponseStatus.ADDRESS_ERROR if outs_hit is None else (arms + [ResponseStatus.OK])[0]
+        assert rows[-1].status is want and p.response_status is want
+        assert {r.txn_id for r in rows} == {txn}
+
+
 # -- delivery and fan-out ------------------------------------------------------
 
 
@@ -312,6 +373,44 @@ def test_fanout_status_merge_order():
     assert p2.response_status is ResponseStatus.ADDRESS_ERROR
 
 
+class FixedStatus:
+    """A destination that answers every transaction with one status, after ``delay``."""
+
+    def __init__(self, status, delay=0):
+        self.status, self.delay = status, delay
+
+    def b_transport(self, in_socket, p, t):
+        p.response_status = self.status
+        return t + self.delay
+
+
+def test_fanout_status_is_the_first_non_ok_arm_and_time_the_slowest():
+    arms = [FixedStatus(ResponseStatus.OK, 7), FixedStatus(ResponseStatus.BURST_ERROR, 2),
+            FixedStatus(ResponseStatus.ADDRESS_ERROR, 9), FixedStatus(ResponseStatus.OK)]
+    p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
+    assert deliver([(arm, 0) for arm in arms], p, 100) == 109
+    assert p.response_status is ResponseStatus.BURST_ERROR
+
+
+def test_a_hop_whose_end_passes_64_bits_raises_there():
+    """Checked once per hop, the end still raises in the hop, before its row is kept."""
+    ctx = ModelContext(scheduler=Scheduler())
+    target = make_target_model(ctx, "t", 20)
+    raised = []
+
+    def probe():
+        yield Wait(U64_MAX - 10)
+        p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
+        with pytest.raises(TimeOverflowError) as info:
+            target.b_transport(0, p, 5)
+        raised.append(str(info.value))
+
+    ctx.scheduler.schedule(probe())
+    ctx.scheduler.run()
+    assert raised == [f"{U64_MAX - 10} ps + 25 ps exceeds the unsigned 64-bit range"]
+    assert ctx.records == []
+
+
 # -- whole-model behavior ------------------------------------------------------
 
 
@@ -344,6 +443,17 @@ def test_issue_appends_the_completion_record():
     assert (record.instance, record.start, record.end) == ("i0", 0, 5_000)
     assert record.status is ResponseStatus.OK
     assert record in ctx.records
+
+
+def test_a_template_that_never_runs_adds_no_time():
+    """Its own latency would overflow, but with repeat 0 it is never charged."""
+    ctx = ModelContext(scheduler=Scheduler())
+    spec = InitiatorSpec("I", U64_MAX, 1, (TransactionTemplate(Command.WRITE, 0, b"\x01", 0, 0),),
+                         bandwidth=Fraction(1))
+    init = InitiatorModel("i0", spec, Fraction(1), ctx)
+    ctx.scheduler.schedule(init.activity(), 0)
+    assert ctx.scheduler.run() == 0
+    assert ctx.records == []
 
 
 def test_unknown_extensions_ride_through_delivery():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -32,6 +33,7 @@ from tlmforge.sysdesc import (
     serialize_description,
     validate_description,
 )
+from tlmforge.simtime import parse_time
 from tlmforge.trace import write_trace
 
 
@@ -209,12 +211,18 @@ def test_parse_output_matches_the_golden_corpus():
         assert got == want
 
 
-def _workload_texts():
+def _perfbench_workloads():
+    """perfbench/workloads.py, imported read-only."""
     sys.path.insert(0, str(REPO / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def _workload_texts():
+    workloads = _perfbench_workloads()
     return [workloads.generate(name, 1, REPO).text for name in workloads.WORKLOADS]
 
 
@@ -226,6 +234,31 @@ def test_accepted_descriptions_are_read_once_by_json_loads(monkeypatch, abs_text
     for text in [abs_text] + _workload_texts():
         desc, diags = parse_description(text)
         assert desc is not None and diags == []
+
+
+# Kernel events per run under the description's quantum and under the other one.
+BENCH_EVENTS = {"abs_stream": (4001, 32), "bulk_mirror": (25, 129), "wide_map": (501, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_EVENTS))
+def test_the_benchmark_traces_match_their_digests_under_either_quantum(name):
+    """A change that moves one trace byte or one kernel event of the benchmark's seed-1
+    runs fails here as well as in the benchmark's own check."""
+    workloads = _perfbench_workloads()
+    assert sorted(workloads.WORKLOADS) == sorted(BENCH_EVENTS)
+    w = workloads.generate(name, 1, REPO)
+    digests = json.loads((REPO / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    assert digests["seed"] == 1
+    desc, _ = parse_description(w.text)
+    other = "1us" if w.quantum == "0ps" else "0ps"
+    events = []
+    for quantum in (w.quantum, other):
+        model = elaborate(desc, quantum_ps=parse_time(quantum))
+        model.run()
+        trace = write_trace(model.records).encode("utf-8")
+        assert hashlib.sha256(trace).hexdigest() == digests["workloads"][w.name]["trace"]
+        events.append(model.scheduler.dispatched)
+    assert tuple(events) == BENCH_EVENTS[w.name]
 
 
 # -- validation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
 from protocol_table import all_sequences, table_legal
 
 from tlmforge.components import ModelContext, TargetModel, TargetSpec
@@ -206,6 +207,39 @@ def test_debug_write_ignores_enables_and_streaming():
                        streaming_width=2, byte_enables=b"\x00")
     assert target.transport_dbg(p) == 4
     assert bytes(target.storage.data[:4]) == b"\x01\x02\x03\x04"
+
+
+def test_debug_access_never_resizes_either_buffer():
+    """A data_length past the payload buffer moves only the bytes the buffer holds."""
+    target = make_target(size=64, fill=0x5A)
+    write = GenericPayload(command=Command.WRITE, address=0, data=bytearray(b"ab"), data_length=4)
+    assert target.transport_dbg(write) == 2
+    assert (len(target.storage.data), target.storage.end) == (64, 64)
+    assert bytes(target.storage.data[:3]) == b"ab\x5a"
+    read = GenericPayload(command=Command.READ, address=8, data=bytearray(b"xy"), data_length=4)
+    assert target.transport_dbg(read) == 2
+    assert bytes(read.data) == b"\x5a\x5a"
+
+
+@given(command=st.sampled_from([Command.READ, Command.WRITE]), address=st.integers(0, 20),
+       buffer=st.binary(max_size=8), data_length=st.integers(-2, 12))
+def test_debug_access_moves_what_both_buffers_hold(command, address, buffer, data_length):
+    target = make_target(base=4, size=8, fill=0x11)
+    p = GenericPayload(command=command, address=address, data=bytearray(buffer),
+                       data_length=data_length)
+    before_storage, before_data = bytes(target.storage.data), bytes(p.data)
+    moved = target.transport_dbg(p)
+    inside = 4 <= address < 12
+    assert moved == (max(0, min(data_length, len(buffer), 12 - address)) if inside else 0)
+    assert (len(target.storage.data), len(p.data)) == (8, len(buffer))
+    offset = address - 4
+    if command is Command.READ:
+        assert bytes(p.data) == before_storage[offset:offset + moved] + before_data[moved:]
+        assert bytes(target.storage.data) == before_storage
+    else:
+        expected = before_storage[:offset] + before_data[:moved] + before_storage[offset + moved:]
+        assert bytes(target.storage.data) == (expected if moved else before_storage)
+        assert bytes(p.data) == before_data
 
 
 def test_debug_consumes_zero_simulated_time():
