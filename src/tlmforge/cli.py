@@ -11,6 +11,7 @@ Set TLMFORGE_COLOR=0 to force plain output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -141,6 +142,7 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # argparse reads sys.stdout and sys.stderr when it writes, not here
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tlmforge",

@@ -13,7 +13,7 @@ are shared, not copied, and any other value is deep-copied.
 
 Validation codes
 ----------------
-E-DATA-LEN       data_length exceeds the data buffer
+E-DATA-LEN       data_length is negative or exceeds the data buffer
 E-SW-POSITIVE    streaming_width is not positive
 E-SW-DIVIDE      data_length is not a multiple of streaming_width
 E-ENABLE-VALUE   a byte enable is neither 0x00 nor 0xFF
@@ -99,10 +99,10 @@ class GenericPayload:
 def validate_payload(p: GenericPayload) -> list[Diagnostic]:
     """Check every payload invariant; an empty list means the payload is valid."""
     diags: list[Diagnostic] = []
-    if p.data_length > len(p.data):
+    if not 0 <= p.data_length <= len(p.data):
         diags.append(Diagnostic(
-            "E-DATA-LEN", f"data_length {p.data_length} exceeds data buffer of {len(p.data)} bytes",
-            where="data_length"))
+            "E-DATA-LEN", f"data_length {p.data_length} outside 0..{len(p.data)}, "
+            "the data buffer's size", where="data_length"))
     if p.streaming_width <= 0:
         diags.append(Diagnostic(
             "E-SW-POSITIVE", f"streaming_width must be positive, got {p.streaming_width}",

@@ -29,7 +29,7 @@ _FREQ_UNITS_GHZ = {
 }
 
 # Digits are ASCII only: \d would also take other scripts' digits, which int() accepts.
-_TIME_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ps|ns|us|ms|s)\s*$")
+_TIME_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]+))?\s*(ps|ns|us|ms|s)\s*$")
 _FREQ_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*(GHz|MHz|kHz|Hz)\s*$")
 _RATIONAL_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*$")
 
@@ -60,15 +60,20 @@ def time_add(a: int, b: int) -> int:
 def parse_time(text: str) -> int:
     """Parse "10ns" / "500ps" / "1.5us" into picoseconds.
 
-    The value must come out as a whole number of picoseconds.
+    The value must come out as a whole number of picoseconds: the digits with
+    the point dropped, times the unit, must divide by ten to the count of
+    fraction digits.  ``int()`` reads the whole and the fraction digits apart,
+    so only an overlong part meets its digit limit, with its own message.
     """
     m = _TIME_RE.match(text)
     if m is None:
         raise ValueError(f"bad time {text!r}: expected <number><ps|ns|us|ms|s>")
-    value = Fraction(m.group(1)) * _TIME_UNITS_PS[m.group(2)]
-    if value.denominator != 1:
+    whole, frac, unit = m.groups("")
+    scale = 10 ** len(frac)
+    ps, rest = divmod((int(whole) * scale + int(frac or "0")) * _TIME_UNITS_PS[unit], scale)
+    if rest:
         raise ValueError(f"bad time {text!r}: not a whole number of picoseconds")
-    return check_time(int(value))
+    return check_time(ps)
 
 
 def format_time(ps: int) -> str:

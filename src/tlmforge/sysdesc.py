@@ -557,22 +557,31 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 if not 0 <= out < spec.out_socket_count:
                     add("E006", f"connection out-socket {out} out of range "
                         f"({spec.out_socket_count} out-sockets)", cwhere)
-        if spec.address_map is not None:
-            for out, rng in spec.address_map.items():
-                mwhere = f"modules[{m}].address_map[{out}]"
-                if not 0 <= out < spec.out_socket_count:
-                    add("E006", f"address_map out-socket {out} out of range "
-                        f"({spec.out_socket_count} out-sockets)", mwhere)
-                if rng[0] >= rng[1]:
-                    add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
+        if spec.address_map is None:
+            continue  # a broadcast is one route, which nothing can overlap
+        for out, rng in spec.address_map.items():
+            mwhere = f"modules[{m}].address_map[{out}]"
+            if not 0 <= out < spec.out_socket_count:
+                add("E006", f"address_map out-socket {out} out of range "
+                    f"({spec.out_socket_count} out-sockets)", mwhere)
+            if rng[0] >= rng[1]:
+                add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
+        # Overlapping routes, by a sweep in base order: each range still open at a base
+        # overlaps the range that starts there.  An empty or inverted range, refused
+        # above, is tested against every other range with the same overlap test.
         for in_socket in spec.connections:
-            routes = spec.routes(in_socket)
-            for a, (base, limit, outs) in enumerate(routes):
-                for other_base, other_limit, other_outs in routes[a + 1:]:
-                    if base < other_limit and other_base < limit:
-                        add("E006", f"address ranges of out-sockets {outs[0]} and "
-                            f"{other_outs[0]} reachable from in-socket {in_socket} overlap",
-                            f"modules[{m}].address_map")
+            spans = sorted((base, limit, outs[0]) for base, limit, outs in spec.routes(in_socket))
+            pairs, live = [], []  # live: (limit, out) of the ranges open at this base
+            for base, limit, out in spans:
+                if base >= limit:
+                    pairs += [(out, o) for b, l, o in spans if base < l and b < limit]
+                    continue
+                live = [(l, o) for l, o in live if l > base]
+                pairs += [(o, out) for _, o in live]
+                live.append((limit, out))
+            for a, b in map(sorted, pairs):  # the lower out, which routes() lists first
+                add("E006", f"address ranges of out-sockets {a} and {b} reachable from "
+                    f"in-socket {in_socket} overlap", f"modules[{m}].address_map")
 
     # E008: an in-socket accepts at most one binding
     bound_in: set[tuple[str, int]] = set()

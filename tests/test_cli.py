@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import descmut
 
 import tlmforge
+from tlmforge import cli
 from tlmforge.cli import run_command
 
 
@@ -721,3 +722,17 @@ def test_validate_never_raises(seed, edits):
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run_command(["validate", str(path)]) in (0, 1)
+
+
+def test_a_parser_kept_across_calls_answers_as_a_fresh_process(capsys, monkeypatch, abs_path):
+    """run_command builds its parser once per process; a usage error, a success and
+    --version in one process answer as each does alone."""
+    calls = [["validate"], ["validate", str(abs_path)], ["--version"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
+    alone = [subprocess.run([sys.executable, "-m", "tlmforge.cli", *argv], capture_output=True,
+                            text=True, env=env, timeout=60) for argv in calls]
+    together = [invoke(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert together == [(done.returncode, done.stdout, done.stderr) for done in alone]
+    assert cli._build_parser() is cli._build_parser()

@@ -35,6 +35,12 @@ def test_data_length_bound():
     assert codes(p) == ["E-DATA-LEN"]
 
 
+def test_a_negative_data_length_is_refused_even_when_the_width_divides_it():
+    p = GenericPayload(command=Command.WRITE, data=bytearray(8), data_length=-4,
+                       streaming_width=2)
+    assert codes(p) == ["E-DATA-LEN"]
+
+
 def test_streaming_width_positive():
     p = GenericPayload(command=Command.WRITE, data=bytearray(2), streaming_width=0)
     assert codes(p) == ["E-SW-POSITIVE"]

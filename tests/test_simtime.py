@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,56 @@ def test_frequency_round_trip(f):
 def test_numbers_take_ascii_digits_only(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+_REFERENCE_TIME_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ps|ns|us|ms|s)\s*$")
+_UNITS_PS = {"ps": 1, "ns": 10**3, "us": 10**6, "ms": 10**9, "s": 10**12}
+
+
+def reference_parse_time(text: str) -> int:
+    """parse_time as exact Fraction arithmetic: the number times its unit."""
+    m = _REFERENCE_TIME_RE.match(text)
+    if m is None:
+        raise ValueError(f"bad time {text!r}: expected <number><ps|ns|us|ms|s>")
+    value = Fraction(m.group(1)) * _UNITS_PS[m.group(2)]
+    if value.denominator != 1:
+        raise ValueError(f"bad time {text!r}: not a whole number of picoseconds")
+    return check_time(int(value))
+
+
+def outcome(parse, text):
+    """The value ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+digits = st.text("0123456789", min_size=1, max_size=40)
+blanks = st.text(" \t\n\r\x0b\x0c\x1c　", max_size=2)
+
+
+@given(blanks, digits, st.none() | digits, blanks, st.sampled_from(sorted(_UNITS_PS)), blanks)
+def test_parse_time_matches_exact_fractions(lead, whole, frac, gap, unit, tail):
+    """Every unit, long fraction parts, values that are no whole picosecond and
+    values past 2**64 - 1 read as the Fraction reference reads them."""
+    text = f"{lead}{whole}{'' if frac is None else '.' + frac}{gap}{unit}{tail}"
+    assert outcome(parse_time, text) == outcome(reference_parse_time, text)
+
+
+@given(st.text(max_size=12))
+def test_parse_time_refuses_what_the_reference_refuses(text):
+    assert outcome(parse_time, text) == outcome(reference_parse_time, text)
+
+
+@pytest.mark.parametrize("text", [
+    "١٠ns", "1_000ns", "1e3ns", ".5ns", "5.ns", "1/2ns", "+1ns", "1.5.0ns", " 1 . 5 ns",
+    # int() refuses a digit string past sys.get_int_max_str_digits() (4300 by default):
+    # the whole and fraction parts are read one at a time, so only an overlong part fails.
+    "9" * 4301 + "ps", "1." + "5" * 4301 + "ns", "7" * 3000 + "." + "5" * 2000 + "s",
+    "1" * 4300 + "." + "0" * 4300 + "ps", "9" * 4295 + "s", "4" * 4300 + "ps",
+    str(U64_MAX) + "ps", str(U64_MAX + 1) + "ps", "18446744073709551.615ns",
+    "18446744073709551.616ns", "0.000000000001s", "0.0000000000001s",
+])
+def test_parse_time_matches_exact_fractions_at_the_edges(text):
+    assert outcome(parse_time, text) == outcome(reference_parse_time, text)

@@ -7,6 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import descmut
 from conftest import GOLDEN, REPO
@@ -23,6 +24,7 @@ from tlmforge.components import (
     TransactionTemplate,
 )
 from tlmforge import sysdesc
+from tlmforge.diagnostics import Diagnostic, sort_diagnostics
 from tlmforge.payload import Command
 from tlmforge.sysdesc import (
     ElaborationError,
@@ -33,7 +35,7 @@ from tlmforge.sysdesc import (
     serialize_description,
     validate_description,
 )
-from tlmforge.simtime import parse_time
+from tlmforge.simtime import U64_MAX, parse_time
 from tlmforge.trace import write_trace
 
 
@@ -402,6 +404,83 @@ def test_e006_empty_address_range():
     d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)},
                                 address_map={0: (0x10, 0x10)}))
     assert the_codes(d) == ["E006"]
+
+
+def reference_e006(d: SystemDescription) -> list[Diagnostic]:
+    """E006 by comparing every pair of routes of each in-socket."""
+    diags = []
+    add = lambda code, message, where: diags.append(Diagnostic(code, message, where=where))
+    for m, spec in enumerate(d.modules):
+        if not isinstance(spec, RouterSpec):
+            continue
+        for in_socket, outs in spec.connections.items():
+            cwhere = f"modules[{m}].connections[{in_socket}]"
+            if not 0 <= in_socket < spec.in_socket_count:
+                add("E006", f"connection in-socket {in_socket} out of range "
+                    f"({spec.in_socket_count} in-sockets)", cwhere)
+            for out in outs:
+                if not 0 <= out < spec.out_socket_count:
+                    add("E006", f"connection out-socket {out} out of range "
+                        f"({spec.out_socket_count} out-sockets)", cwhere)
+        if spec.address_map is not None:
+            for out, rng in spec.address_map.items():
+                mwhere = f"modules[{m}].address_map[{out}]"
+                if not 0 <= out < spec.out_socket_count:
+                    add("E006", f"address_map out-socket {out} out of range "
+                        f"({spec.out_socket_count} out-sockets)", mwhere)
+                if rng[0] >= rng[1]:
+                    add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
+        for in_socket in spec.connections:
+            routes = spec.routes(in_socket)
+            for a, (base, limit, outs) in enumerate(routes):
+                for other_base, other_limit, other_outs in routes[a + 1:]:
+                    if base < other_limit and other_base < limit:
+                        add("E006", f"address ranges of out-sockets {outs[0]} and "
+                            f"{other_outs[0]} reachable from in-socket {in_socket} overlap",
+                            f"modules[{m}].address_map")
+    return sort_diagnostics(diags)
+
+
+def e006(d: SystemDescription) -> list[str]:
+    return [str(x) for x in validate_description(d) if x.code == "E006"]
+
+
+def test_e006_reports_every_range_a_wide_one_covers():
+    """Sorted neighbours alone would miss [0, 100) against [30, 40)."""
+    d = base_description()
+    d.modules.append(RouterSpec("R", 1_000, 1, 3, {0: (0, 1, 2)},
+                                address_map={0: (0, 100), 1: (10, 20), 2: (30, 40)}))
+    assert [x.message for x in validate_description(d) if x.message.endswith("overlap")] == [
+        "address ranges of out-sockets 0 and 1 reachable from in-socket 0 overlap",
+        "address ranges of out-sockets 0 and 2 reachable from in-socket 0 overlap"]
+    assert e006(d) == [str(x) for x in reference_e006(d)]
+
+
+# Range ends drawn from a few points, so that ranges are often adjacent, nested,
+# identical, empty or inverted, and one may end at 2**64.
+_ENDS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2**63, U64_MAX, U64_MAX + 1]) | st.integers(0, 2**64)
+_RANGES = st.tuples(_ENDS, _ENDS).map(lambda r: tuple(sorted(r))) | st.tuples(_ENDS, _ENDS)
+_OUTS = 6
+
+
+@st.composite
+def address_routers(draw) -> RouterSpec:
+    """A router with 1-3 in-sockets; connections may name in-socket ``ins`` and
+    out-socket 6, both out of range, and an out may be connected but unmapped."""
+    ins = draw(st.integers(1, 3))
+    outs = st.lists(st.integers(0, _OUTS), min_size=1, max_size=8).map(tuple)
+    connections = draw(st.dictionaries(st.integers(0, ins), outs, min_size=1, max_size=ins + 1))
+    address_map = draw(st.dictionaries(st.integers(0, _OUTS), _RANGES, max_size=_OUTS + 1)
+                       | st.none())
+    return RouterSpec("R", 1_000, ins, _OUTS, connections, address_map)
+
+
+@settings(max_examples=200)
+@given(st.lists(address_routers(), min_size=1, max_size=3))
+def test_e006_matches_a_comparison_of_every_pair(routers):
+    d = base_description()
+    d.modules += routers
+    assert e006(d) == [str(x) for x in reference_e006(d)]
 
 
 def test_e007_constraint_unknown_instance():

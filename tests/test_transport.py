@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 from protocol_table import all_sequences, table_legal
 
@@ -127,6 +128,17 @@ def test_b_transport_ignore_leaves_storage_untouched():
     assert t == 5_000
     assert p.response_status is ResponseStatus.OK
     assert bytes(target.storage.data) == b"\x5a" * 8
+
+
+@pytest.mark.parametrize("command", [Command.WRITE, Command.READ])
+def test_a_negative_data_length_is_a_burst_error_that_resizes_no_buffer(command):
+    target = make_target(size=8, fill=0x5A)
+    p = GenericPayload(command=command, address=0, data=bytearray(b"abcdefgh"),
+                       data_length=-4, streaming_width=2)
+    target.b_transport(0, p, 0)
+    assert p.response_status is ResponseStatus.BURST_ERROR
+    assert bytes(target.storage.data) == b"\x5a" * 8
+    assert bytes(p.data) == b"abcdefgh"
 
 
 def test_b_transport_never_leaves_incomplete():
