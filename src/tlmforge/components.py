@@ -319,12 +319,12 @@ class _Responder:
         re-entered through another in-socket stays in order.  Only the hop's end is checked."""
         now = self.ctx.scheduler.now
         end = t + delay_ps
-        if self._ps_per_byte is not None:
+        if self._ps_per_byte is not None and p.data_length > 0:  # a negative length moves no byte
             num, den = self._ps_per_byte
             end -= (-p.data_length * num) // den
         if now + end > U64_MAX:  # raise as the checked sums do: arrival, service, then end
             time_add(now, t)
-            service = time_add(delay_ps, transfer_time(p.data_length, self.spec.bandwidth))
+            service = time_add(delay_ps, transfer_time(max(p.data_length, 0), self.spec.bandwidth))
             time_add(now, time_add(t, service))
         return next(self._activations), now, end
 

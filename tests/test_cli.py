@@ -272,20 +272,27 @@ def test_input_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, abs_path, rol
 
 # An output path that cannot be written, for each command that writes one:
 # (argv with {abs}, {desc}, {trace} and {tmp} fields, options.trace of {desc},
-# what the refusal names).
+# what the refusal names, the reason it gives with the same fields).
+NO_ENTRY = "[Errno 2] No such file or directory: "
 UNWRITABLE = {
     "run --trace into a missing directory": (
-        ["run", "{abs}", "--trace", "{tmp}/missing/t.csv"], None, "trace"),
-    "run --trace onto a directory": (["run", "{abs}", "--trace", "{tmp}"], None, "trace"),
-    "options.trace with a NUL": (["run", "{desc}"], "a\u0000b.csv", "trace"),
-    "options.trace with a lone surrogate": (["run", "{desc}"], "\ud800.csv", "trace"),
-    "options.trace empty": (["run", "{desc}"], "", "trace"),
-    "run --trace empty": (["run", "{abs}", "--trace", ""], None, "trace"),
+        ["run", "{abs}", "--trace", "{tmp}/missing/t.csv"], None, "trace",
+        NO_ENTRY + "'{tmp}/missing/t.csv'"),
+    "run --trace onto a directory": (
+        ["run", "{abs}", "--trace", "{tmp}"], None, "trace", "[Errno 21] Is a directory: '{tmp}'"),
+    "options.trace with a NUL": (["run", "{desc}"], "a\u0000b.csv", "trace", "embedded null byte"),
+    "options.trace with a lone surrogate": (
+        ["run", "{desc}"], "\ud800.csv", "trace",
+        "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+    "options.trace empty": (["run", "{desc}"], "", "trace", NO_ENTRY + "''"),
+    "run --trace empty": (["run", "{abs}", "--trace", ""], None, "trace", NO_ENTRY + "''"),
     "render --svg into a missing directory": (
-        ["render", "{trace}", "--svg", "{tmp}/missing/d.svg"], None, "svg"),
+        ["render", "{trace}", "--svg", "{tmp}/missing/d.svg"], None, "svg",
+        NO_ENTRY + "'{tmp}/missing/d.svg'"),
     "export --out below a regular file": (
-        ["export", "{abs}", "--out", "{trace}/gen"], None, "export"),
-    "export --out empty": (["export", "{abs}", "--out", ""], None, "export"),
+        ["export", "{abs}", "--out", "{trace}/gen"], None, "export",
+        "[Errno 20] Not a directory: '{trace}/gen'"),
+    "export --out empty": (["export", "{abs}", "--out", ""], None, "export", NO_ENTRY + "''"),
 }
 
 
@@ -296,7 +303,7 @@ def test_an_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, ab
     IsADirectoryError, NotADirectoryError, ValueError or UnicodeEncodeError),
     or, for an empty path, to write to stdout or the current directory."""
     monkeypatch.chdir(tmp_path)
-    argv, option, what = UNWRITABLE[case]
+    argv, option, what, reason = UNWRITABLE[case]
     doc = json.loads(abs_text)
     doc["options"]["trace"] = option
     desc = tmp_path / "desc.json"
@@ -307,8 +314,68 @@ def test_an_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, ab
         assert invoke(capsys, "validate", str(desc))[0] == 0
     fields = {"abs": abs_path, "desc": desc, "trace": trace, "tmp": tmp_path}
     code, out, err = invoke(capsys, *(a.format(**fields) for a in argv))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write {what}: ") and err.count("\n") == 1, err
+    assert (code, out, err) == (2, "", f"error: cannot write {what}: {reason.format(**fields)}\n")
+
+
+# -- how an output is written: over the old bytes, cut to the new length ------
+
+PADDING = "a line an older, longer output left behind\n" * 40
+
+
+def _outputs(capsys, abs_path, where: Path) -> dict[str, bytes]:
+    """Run, render and export into ``where``; every output's bytes by its name."""
+    trace, svg, gen = where / "t.csv", where / "d.svg", where / "gen"
+    where.mkdir(exist_ok=True)
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    assert invoke(capsys, "render", str(trace), "--svg", str(svg))[0] == 0
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    return {p.relative_to(where).as_posix(): p.read_bytes()
+            for p in sorted(where.rglob("*")) if p.is_file()}
+
+
+def test_an_output_over_a_longer_file_is_the_bytes_a_fresh_write_gives(capsys, tmp_path,
+                                                                       abs_path):
+    """Each output is written over the old bytes; the tail they leave is cut off."""
+    fresh = _outputs(capsys, abs_path, tmp_path / "fresh")
+    old = tmp_path / "old"
+    for name, data in fresh.items():
+        (old / name).parent.mkdir(parents=True, exist_ok=True)
+        (old / name).write_bytes(data + PADDING.encode())
+    assert _outputs(capsys, abs_path, old) == fresh
+
+
+def test_an_output_to_the_null_device_succeeds(capsys, tmp_path, abs_path):
+    """A character device cannot be truncated; it is written and left as it is."""
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", os.devnull)[0] == 0
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    assert invoke(capsys, "render", str(trace), "--svg", os.devnull)[0] == 0
+
+
+def test_an_output_through_a_symlink_rewrites_its_target(capsys, tmp_path, abs_path):
+    fresh = tmp_path / "fresh.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(fresh))[0] == 0
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text(PADDING, encoding="utf-8")
+    link.symlink_to(real.name)
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == fresh.read_bytes()
+
+
+def test_an_output_keeps_an_existing_files_mode_and_a_new_one_gets_the_umasks(
+        capsys, tmp_path, abs_path):
+    old = tmp_path / "old.csv"
+    old.write_text(PADDING, encoding="utf-8")
+    old.chmod(0o604)
+    mask = os.umask(0o027)
+    try:
+        assert invoke(capsys, "run", str(abs_path), "--trace", str(old))[0] == 0
+        assert invoke(capsys, "run", str(abs_path), "--trace", str(tmp_path / "new.csv"))[0] == 0
+    finally:
+        os.umask(mask)
+    assert old.stat().st_mode & 0o7777 == 0o604
+    assert (tmp_path / "new.csv").stat().st_mode & 0o7777 == 0o640
 
 
 def test_unknown_flag_is_usage_error(capsys, abs_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from protocol_table import all_sequences, table_legal
 
-from tlmforge.components import ModelContext, TargetModel, TargetSpec
+from tlmforge.components import ModelContext, RouterModel, RouterSpec, TargetModel, TargetSpec
 from tlmforge.kernel import QuantumKeeper, Scheduler
 from tlmforge.payload import Command, GenericPayload, Phase, ResponseStatus
 from tlmforge.transport import (
@@ -139,6 +139,38 @@ def test_a_negative_data_length_is_a_burst_error_that_resizes_no_buffer(command)
     assert p.response_status is ResponseStatus.BURST_ERROR
     assert bytes(target.storage.data) == b"\x5a" * 8
     assert bytes(p.data) == b"abcdefgh"
+
+
+@pytest.mark.parametrize("data_length", [-4, -4000])
+def test_a_negative_data_length_moves_no_byte_through_a_bandwidth_limited_target(data_length):
+    """The transfer time of a negative length used to be subtracted from the hop:
+    -4 bytes at 1 byte/ns after a 1 ns delay ended at -3000 ps."""
+    ctx = ModelContext(scheduler=Scheduler())
+    spec = TargetSpec("T", (1_000,), 0, 8, 0x5A, bandwidth=Fraction(1))
+    target = TargetModel("t0", spec, Fraction(1), ctx)
+    p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(b"abcdefgh"),
+                       data_length=data_length, streaming_width=2)
+    assert target.b_transport(0, p, 0) == 1_000
+    assert p.response_status is ResponseStatus.BURST_ERROR
+    assert bytes(target.storage.data) == b"\x5a" * 8 and bytes(p.data) == b"abcdefgh"
+    (row,) = ctx.records
+    assert row.start <= row.end == 1_000
+
+
+@pytest.mark.parametrize("data_length", [-4, -4000])
+def test_a_negative_data_length_moves_no_byte_through_a_bandwidth_limited_router(data_length):
+    ctx = ModelContext(scheduler=Scheduler())
+    router = RouterModel("r0", RouterSpec("R", 1_000, 1, 1, {0: (0,)}, bandwidth=Fraction(1)),
+                         Fraction(1), ctx)
+    target = TargetModel("t0", TargetSpec("T", (1_000,), 0, 8, 0x5A), Fraction(1), ctx)
+    router.connect(0, {0: [(target, 0)]})
+    p = GenericPayload(command=Command.READ, address=0, data=bytearray(b"abcdefgh"),
+                       data_length=data_length, streaming_width=2)
+    assert router.b_transport(0, p, 0) == 2_000
+    assert p.response_status is ResponseStatus.BURST_ERROR
+    assert bytes(target.storage.data) == b"\x5a" * 8 and bytes(p.data) == b"abcdefgh"
+    assert [(r.instance, r.start, r.end) for r in ctx.records] == [("t0", 1_000, 2_000),
+                                                                   ("r0", 0, 1_000)]
 
 
 def test_b_transport_never_leaves_incomplete():
