@@ -33,7 +33,7 @@ def main() -> None:
     (out / "abs_diagram.txt").write_text(chart)
     gen = out / "abs_tlm"
     gen.mkdir(exist_ok=True)
-    for name, text in export_tlm(desc).files:
+    for name, text in export_tlm(desc).items():
         (gen / name).write_text(text)
 
     print(chart)

@@ -38,14 +38,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("TLMFORGE_COLOR") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _verdict(word: str) -> str:
-    if not _color_enabled():
+    if os.environ.get("TLMFORGE_COLOR") == "0" or not sys.stdout.isatty():
         return word
     code = "32" if word == "PASS" else "31"
     return f"\x1b[{code}m{word}\x1b[0m"
@@ -105,14 +99,13 @@ def _cmd_run(args) -> int:
         raise _UsageError(f"--event-limit must be at least 1, got {args.event_limit}")
     desc = _load_description(args.description)
     model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
-    model.run()
+    final = model.run()
     text = write_trace(model.records)
     out_path = desc.options.trace_path if args.trace is None else args.trace
     if out_path is None:
         sys.stdout.write(text)
         return EXIT_OK
     _write(out_path, text, "trace")
-    final = max((r.end for r in model.records), default=0)
     print(f"trace written: {out_path} ({len(model.records)} records)")
     print(f"final time: {format_ns(final)} ns")
     return EXIT_OK
@@ -144,7 +137,7 @@ def _cmd_export(args) -> int:
     out_dir = Path(args.out)
     with _file_access("write export"):
         os.makedirs(args.out, exist_ok=True)  # unlike Path(""), refuses an empty path
-    for name, text in bundle.files:
+    for name, text in bundle.items():
         _write(out_dir / name, text, "export")
         print(f"written: {out_dir / name}")
     return EXIT_OK

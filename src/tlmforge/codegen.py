@@ -6,16 +6,17 @@ style (generic payload, initiator/target sockets, b_transport).  Delays
 in the emitted text are pre-scaled by each instance's CPU frequency, so
 the generated system carries the same timing the simulator executes.
 
-The bundle is text only; it is never compiled here.  Emission is
-template-based and byte-deterministic: equal descriptions produce equal
-bundles.
+The bundle is a dict from file name to file text, ``top.cpp`` first; it is
+never compiled here.  Emission is template-based and byte-deterministic:
+equal descriptions produce equal bundles.
 """
 
 from __future__ import annotations
 
+import re
 import string
-from dataclasses import dataclass
 
+from . import __version__
 from .components import (
     InitiatorSpec,
     RouterSpec,
@@ -36,6 +37,10 @@ _CPP_KEYWORDS = frozenset("""
     reinterpret_cast requires return short signed sizeof static static_assert static_cast struct
     switch template this thread_local throw true try typedef typeid typename union unsigned
     using virtual void volatile wchar_t while xor xor_eq""".split())
+# Names the bundle already spells: namespaces, sc_main, and members of a module's own class.
+_RESERVED = _CPP_KEYWORDS | frozenset("""std sc_core sc_dt tlm tlm_utils sc_main run execute
+    forward wait kBase kSize m_delay m_storage SC_CURRENT_USER_MODULE""".split())
+_NUMBERED_MEMBER_RE = re.compile(r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+")
 
 _COMMAND_NAMES = {
     "READ": "tlm::TLM_READ_COMMAND",
@@ -53,30 +58,14 @@ class CodegenError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class SourceBundle:
-    """Ordered (file name, file text) pairs; names are unique."""
-
-    files: tuple[tuple[str, str], ...]
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.files]
-
-    def text_of(self, name: str) -> str:
-        for file_name, text in self.files:
-            if file_name == name:
-                return text
-        raise KeyError(name)
-
-
 def sanitize_identifier(name: str) -> str:
-    """Map a name into the C++ identifier grammar (bad chars become '_', a keyword gets '_')."""
+    """Map a name into C++ identifier grammar (bad chars become '_', a reserved name gets '_')."""
     out = "".join(ch if ch in _IDENT_CHARS else "_" for ch in name)
     if not out:
         raise CodegenError("E-NAME-UNSANITIZABLE", f"name {name!r} sanitizes to nothing")
     if out[0] in string.digits:
         out = "_" + out
-    return out + "_" if out in _CPP_KEYWORDS else out
+    return out + "_" if out in _RESERVED or _NUMBERED_MEMBER_RE.fullmatch(out) else out
 
 
 class _Namer:
@@ -122,7 +111,7 @@ def _header(cls: str, guard: str, std: str, comment: str, sockets: dict[str, lis
     builds each socket, keeps each delay in ``m_<delay>``, registers ``thread``
     if any and runs ``ctor``; ``body`` closes the class."""
     lines = [
-        "// Generated by tlmforge 0.1.0. Blocking-transport coding style.",
+        f"// Generated by tlmforge {__version__}. Blocking-transport coding style.",
         f"#ifndef {guard}",
         f"#define {guard}",
         "",
@@ -330,18 +319,18 @@ def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
          for i, s in enumerate(ins)], body)
 
 
-def export_tlm(description) -> SourceBundle:
-    """Emit the source bundle for a validated description.
+def export_tlm(description) -> dict[str, str]:
+    """Emit the source bundle for a validated description: file name -> text.
 
-    One header per module spec plus ``top.cpp``; raises CodegenError when a
-    name cannot be sanitized and InvalidDescriptionError (a ValueError) when
-    the description has validation diagnostics.
+    ``top.cpp`` first, then one header per module spec in module order; raises
+    CodegenError when a name cannot be sanitized and InvalidDescriptionError
+    (a ValueError) when the description has validation diagnostics.
     """
     require_valid(description)
     file_namer = _Namer(case_insensitive=True)
     class_namer = _Namer()
     classes: dict[str, str] = {}
-    headers: list[tuple[str, str]] = []
+    headers: dict[str, str] = {}
     for spec in description.modules:
         cls = class_namer.unique(spec.name)
         classes[spec.name] = cls
@@ -353,7 +342,7 @@ def export_tlm(description) -> SourceBundle:
             text = _emit_target(spec, cls, guard)
         else:
             text = _emit_router(spec, cls, guard)
-        headers.append((file_name, text))
+        headers[file_name] = text
 
     freqs = {c.name: c.frequency_ghz for c in description.cpus}
     specs = {m.name: m for m in description.modules}
@@ -362,12 +351,12 @@ def export_tlm(description) -> SourceBundle:
     variables = {inst.name: class_namer.unique(inst.name) for inst in description.instances}
 
     top = [
-        "// Generated by tlmforge 0.1.0. Instantiates and binds the described system.",
+        f"// Generated by tlmforge {__version__}. Instantiates and binds the described system.",
         "#include <systemc>",
         "#include <tlm>",
         "",
     ]
-    for file_name, _ in headers:
+    for file_name in headers:
         top.append(f'#include "{file_name}"')
     if headers:
         top.append("")
@@ -402,5 +391,4 @@ def export_tlm(description) -> SourceBundle:
         "",
     ]
 
-    files = [("top.cpp", "\n".join(top))] + headers
-    return SourceBundle(tuple(files))
+    return {"top.cpp": "\n".join(top), **headers}

@@ -427,9 +427,11 @@ class InitiatorModel:
         self._activations = itertools.count()
 
     def activity(self) -> Activity:
-        """Kernel activity running every workload template in order."""
+        """Kernel activity running every workload template in order, then syncing what is left."""
         for template in self.spec.workload:
             yield from self.issue(template)
+        if self.quantum_keeper.local_offset:
+            yield from self.quantum_keeper.sync()
 
     def issue(self, template: TransactionTemplate) -> Activity:
         """The template's activations, back to back.  Each waits the own latency (module

@@ -30,8 +30,9 @@ _FREQ_UNITS_GHZ = {
 
 # Digits are ASCII only: \d would also take other scripts' digits, which int() accepts.
 _TIME_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]+))?\s*(ps|ns|us|ms|s)\s*$")
-_FREQ_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*(GHz|MHz|kHz|Hz)\s*$")
-_RATIONAL_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*$")
+_RATIONAL = r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*"
+_FREQ_RE = re.compile(_RATIONAL + r"(GHz|MHz|kHz|Hz)\s*$")
+_RATIONAL_RE = re.compile(_RATIONAL + "$")
 
 
 class TimeOverflowError(OverflowError):
@@ -111,9 +112,7 @@ def parse_frequency_ghz(text: str) -> Fraction:
 
 
 def format_frequency_ghz(f: Fraction) -> str:
-    if f.denominator == 1:
-        return f"{f.numerator}GHz"
-    return f"{f.numerator}/{f.denominator}GHz"
+    return format_rational(f) + "GHz"
 
 
 def parse_rational(text: str) -> Fraction:

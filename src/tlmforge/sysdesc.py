@@ -91,11 +91,7 @@ class SystemDescription:
     options: SimOptions = field(default_factory=SimOptions)
 
 
-class ElaborationError(RuntimeError):
-    """The description cannot be turned into an executable model."""
-
-
-class InvalidDescriptionError(ElaborationError, ValueError):
+class InvalidDescriptionError(ValueError):
     """The description has validation diagnostics, kept sorted in ``diagnostics``."""
 
     def __init__(self, diagnostics: list[Diagnostic]):

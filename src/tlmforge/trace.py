@@ -331,15 +331,8 @@ def render_text(records: list[TraceRecord]) -> str:
     for name, act, start, end in zip(names, acts, starts, ends):
         s_col = start * (_CHART_W - 1) // span
         e_col = end * (_CHART_W - 1) // span
-        bar = [" "] * _CHART_W
-        for col in range(s_col + 1, e_col):
-            bar[col] = "="
-        if s_col == e_col:
-            bar[s_col] = "#"
-        else:
-            bar[s_col] = "o"
-            bar[e_col] = "x"
+        bar = "#" if s_col == e_col else "o" + "=" * (e_col - s_col - 1) + "x"
         label = f"{name} #{act}"
-        lines.append(f"{label:<{name_w}} |{''.join(bar)}| "
+        lines.append(f"{label:<{name_w}} |{' ' * s_col}{bar}{' ' * (_CHART_W - 1 - e_col)}| "
                      f"{ns[start]} .. {ns[end]} ns")
     return "\n".join(lines) + "\n"

@@ -130,7 +130,7 @@ def descriptions(seed: int = SEED, count: int = COUNT):
 
 def bundle_digest(d) -> str:
     h = hashlib.sha256()
-    for name, text in export_tlm(d).files:
+    for name, text in export_tlm(d).items():
         h.update(f"{name}\0{text}\0".encode("utf-8"))
     return h.hexdigest()
 

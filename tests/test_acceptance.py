@@ -319,8 +319,8 @@ def test_criterion_09_rendering_contract(abs_description):
 def test_criterion_10_codegen_golden_files(abs_description):
     bundle = export_tlm(abs_description)
     golden_dir = GOLDEN / "abs"
-    names_ok = sorted(bundle.names()) == sorted(p.name for p in golden_dir.iterdir())
+    names_ok = sorted(bundle) == sorted(p.name for p in golden_dir.iterdir())
     bytes_ok = all(text.encode() == (golden_dir / name).read_bytes()
-                   for name, text in bundle.files)
+                   for name, text in bundle.items())
     report(10, "export matches shipped golden sources byte-for-byte",
-           names_ok and bytes_ok, f"{len(bundle.files)} files")
+           names_ok and bytes_ok, f"{len(bundle)} files")

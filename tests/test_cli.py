@@ -165,6 +165,18 @@ def test_check_fails_when_deadline_is_tightened(capsys, abs_path, tmp_path):
     assert "FAIL Brake" in out
 
 
+def test_check_without_the_constrained_instance_fails_with_its_reason(capsys, abs_path,
+                                                                     tmp_path):
+    trace = tmp_path / "t.csv"
+    invoke(capsys, "run", str(abs_path), "--trace", str(trace))
+    rows = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    trace.write_text("".join(r for r in rows if not r.startswith("Brake,")), encoding="utf-8")
+    code, out, _ = invoke(capsys, "check", str(abs_path), str(trace))
+    assert code == 1
+    assert out.splitlines() == ["FAIL Brake: E-NO-INSTANCE: no trace records for 'Brake'",
+                                "result: FAIL"]
+
+
 def test_run_twice_writes_identical_bytes(capsys, abs_path, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     invoke(capsys, "run", str(abs_path), "--trace", str(a))
@@ -418,6 +430,24 @@ def test_color_disabled_without_tty(capsys, abs_path, tmp_path, monkeypatch):
     invoke(capsys, "run", str(abs_path), "--trace", str(trace))
     _, out, _ = invoke(capsys, "check", str(abs_path), str(trace))
     assert "\x1b[" not in out
+
+
+def test_check_colours_the_verdict_on_a_terminal(capsys, abs_path, tmp_path, monkeypatch):
+    monkeypatch.delenv("TLMFORGE_COLOR", raising=False)
+    trace = tmp_path / "t.csv"
+    invoke(capsys, "run", str(abs_path), "--trace", str(trace))
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    _, out, _ = invoke(capsys, "check", str(abs_path), str(trace))
+    assert out.splitlines() == ["\x1b[32mPASS\x1b[0m Brake: end 16000 ps <= deadline 16000 ps",
+                                "result: \x1b[32mPASS\x1b[0m"]
+
+
+@pytest.mark.parametrize("quantum", ["0ps", "1us", "1s"])
+def test_run_reports_the_final_time_under_any_quantum(capsys, abs_path, tmp_path, quantum):
+    code, out, _ = invoke(capsys, "run", str(abs_path), "--quantum", quantum,
+                          "--trace", str(tmp_path / "t.csv"))
+    assert code == 0
+    assert out.splitlines()[-1] == "final time: 16 ns"
 
 
 def test_binding_cycle_is_a_validation_failure(capsys, tmp_path):

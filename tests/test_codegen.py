@@ -8,7 +8,7 @@ import pytest
 import exportcorpus
 from conftest import GOLDEN
 
-from tlmforge.codegen import CodegenError, SourceBundle, export_tlm, sanitize_identifier
+from tlmforge.codegen import CodegenError, export_tlm, sanitize_identifier
 from tlmforge.components import (
     Binding,
     CpuSpec,
@@ -24,7 +24,7 @@ from tlmforge.sysdesc import SystemDescription, elaborate, parse_description
 
 def test_bundle_has_top_plus_one_file_per_module(abs_description):
     bundle = export_tlm(abs_description)
-    assert bundle.names() == ["top.cpp", "module0.h", "module1.h", "module2.h"]
+    assert list(bundle) == ["top.cpp", "module0.h", "module1.h", "module2.h"]
 
 
 def test_export_is_deterministic(abs_description):
@@ -37,8 +37,8 @@ def test_matches_golden_files(abs_description):
     bundle = export_tlm(abs_description)
     golden_dir = GOLDEN / "abs"
     golden_names = sorted(p.name for p in golden_dir.iterdir())
-    assert sorted(bundle.names()) == golden_names
-    for name, text in bundle.files:
+    assert sorted(bundle) == golden_names
+    for name, text in bundle.items():
         assert text == (golden_dir / name).read_text(encoding="utf-8"), name
 
 
@@ -52,7 +52,7 @@ def test_export_matches_the_golden_corpus():
 
 def test_every_instance_instantiated_exactly_once(abs_description):
     bundle = export_tlm(abs_description)
-    top = bundle.text_of("top.cpp")
+    top = bundle["top.cpp"]
     for inst in abs_description.instances:
         pattern = re.compile(
             rf"^\s+\w+ {re.escape(sanitize_identifier(inst.name))}\(", re.MULTILINE)
@@ -60,14 +60,14 @@ def test_every_instance_instantiated_exactly_once(abs_description):
 
 
 def test_top_carries_scaled_delays(abs_description):
-    top = export_tlm(abs_description).text_of("top.cpp")
+    top = export_tlm(abs_description)["top.cpp"]
     assert 'Brake("Brake", sc_core::sc_time(10000, sc_core::SC_PS))' in top
     assert 'Router("Router", sc_core::sc_time(1000, sc_core::SC_PS))' in top
     assert 'ABSbrake1("ABSbrake1", sc_core::sc_time(5000, sc_core::SC_PS))' in top
 
 
 def test_bindings_appear_in_top(abs_description):
-    top = export_tlm(abs_description).text_of("top.cpp")
+    top = export_tlm(abs_description)["top.cpp"]
     assert "Brake.socket0.bind(Router.in0);" in top
     assert "Router.out3.bind(ABSbrake4.socket0);" in top
 
@@ -75,8 +75,8 @@ def test_bindings_appear_in_top(abs_description):
 def test_minimal_description_exports_top_only():
     d = SystemDescription(cpus=[CpuSpec("C0", Fraction(1))])
     bundle = export_tlm(d)
-    assert bundle.names() == ["top.cpp"]
-    assert "sc_main" in bundle.text_of("top.cpp")
+    assert list(bundle) == ["top.cpp"]
+    assert "sc_main" in bundle["top.cpp"]
 
 
 def test_sanitize_replaces_invalid_characters():
@@ -99,8 +99,8 @@ def test_colliding_names_get_suffixes():
         instances=[Instance("x.1", "mem.a", "C0"), Instance("x-1", "mem-a", "C0")],
     )
     bundle = export_tlm(d)
-    assert bundle.names() == ["top.cpp", "mem_a.h", "mem_a_2.h"]
-    top = bundle.text_of("top.cpp")
+    assert list(bundle) == ["top.cpp", "mem_a.h", "mem_a_2.h"]
+    top = bundle["top.cpp"]
     assert "mem_a x_1(" in top
     assert "mem_a_2 x_1_2(" in top
 
@@ -111,7 +111,7 @@ def test_an_instance_named_like_a_class_does_not_shadow_it():
         modules=[TargetSpec("Mem", (1_000,), 0, 16, 0, False)],
         instances=[Instance("Mem", "Mem", "C0"), Instance("m2", "Mem", "C0")],
     )
-    top = export_tlm(d).text_of("top.cpp")
+    top = export_tlm(d)["top.cpp"]
     assert '    Mem Mem_2("Mem", ' in top
     assert '    Mem m2("m2", ' in top
 
@@ -125,8 +125,37 @@ def test_cpp_keywords_get_an_underscore(keyword):
         instances=[Instance(keyword.upper(), keyword, "C0")],
     )
     bundle = export_tlm(d)
-    assert f"SC_MODULE({keyword}_) {{" in bundle.text_of(f"{keyword}_.h")
-    assert f'    {keyword}_ {keyword.upper()}("{keyword.upper()}", ' in bundle.text_of("top.cpp")
+    assert f"SC_MODULE({keyword}_) {{" in bundle[f"{keyword}_.h"]
+    assert f'    {keyword}_ {keyword.upper()}("{keyword.upper()}", ' in bundle["top.cpp"]
+
+
+# Namespaces and the function the bundle uses, members a module's own header declares,
+# and numbered members: a class with one of these names does not compile.
+RESERVED_NAMES = ["std", "sc_core", "sc_dt", "tlm", "tlm_utils", "sc_main", "run", "execute",
+                  "forward", "wait", "kBase", "kSize", "m_delay", "m_storage",
+                  "SC_CURRENT_USER_MODULE", "socket0", "socket12", "in0", "out3", "b_transport0",
+                  "b_transport_in0", "m_delay0"]
+
+
+@pytest.mark.parametrize("name", RESERVED_NAMES)
+def test_a_name_the_bundle_already_uses_gets_an_underscore(abs_text, name):
+    assert sanitize_identifier(name) == name + "_"
+    for index in range(3):  # the ABS initiator, router and target in turn
+        d, _ = parse_description(abs_text)
+        old = d.modules[index].name
+        d.modules[index].name = name
+        for inst in d.instances:
+            if inst.module == old:
+                inst.module = name
+        bundle = export_tlm(d)
+        assert not any(f"SC_MODULE({name})" in text for text in bundle.values())
+        for file_name, text in list(bundle.items())[1:]:
+            cls = re.search(r"SC_MODULE\((\w+)\)", text)[1]
+            # Drop comments and the places a header names its own class; no other may remain.
+            code = re.sub(r"//.*", "", text)
+            code = re.sub(rf"SC_MODULE\({cls}\)|SC_HAS_PROCESS\({cls}\)|<{cls}>|&{cls}::"
+                          rf"|^    {cls}\(sc_core::sc_module_name", "", code, flags=re.MULTILINE)
+            assert re.search(rf"\b{cls}\b", code) is None, (file_name, cls)
 
 
 def test_names_equal_but_for_case_get_distinct_include_guards():
@@ -136,15 +165,15 @@ def test_names_equal_but_for_case_get_distinct_include_guards():
                  TargetSpec("MEM", (1_000,), 0, 16, 0, False)],
     )
     bundle = export_tlm(d)
-    assert bundle.names() == ["top.cpp", "mem.h", "mem_2.h"]
-    assert bundle.text_of("mem.h").startswith(
+    assert list(bundle) == ["top.cpp", "mem.h", "mem_2.h"]
+    assert bundle["mem.h"].startswith(
         "// Generated by tlmforge 0.1.0. Blocking-transport coding style.\n"
         "#ifndef TLMFORGE_MEM_H\n#define TLMFORGE_MEM_H\n")
-    assert "SC_MODULE(MEM) {" in bundle.text_of("mem_2.h")
-    assert bundle.text_of("mem_2.h").startswith(
+    assert "SC_MODULE(MEM) {" in bundle["mem_2.h"]
+    assert bundle["mem_2.h"].startswith(
         "// Generated by tlmforge 0.1.0. Blocking-transport coding style.\n"
         "#ifndef TLMFORGE_MEM_2_H\n#define TLMFORGE_MEM_2_H\n")
-    assert bundle.text_of("mem_2.h").endswith("#endif  // TLMFORGE_MEM_2_H\n")
+    assert bundle["mem_2.h"].endswith("#endif  // TLMFORGE_MEM_2_H\n")
 
 
 def test_export_refuses_invalid_description(abs_description):
@@ -155,9 +184,9 @@ def test_export_refuses_invalid_description(abs_description):
 
 def test_bundle_lookup_helpers(abs_description):
     bundle = export_tlm(abs_description)
-    assert isinstance(bundle, SourceBundle)
+    assert isinstance(bundle, dict)
     with pytest.raises(KeyError):
-        bundle.text_of("nope.h")
+        bundle["nope.h"]
 
 
 # -- the simulator and the export route alike --------------------------------------
@@ -203,7 +232,7 @@ def wide_map_shaped(k: int = 40) -> SystemDescription:
 ], ids=["descmut Map", "wide_map-shaped"])
 def test_exported_if_chain_matches_the_simulators_routes(d, router):
     module = next(i.module for i in d.instances if i.name == router)
-    header = export_tlm(d).text_of(f"{module.lower()}.h")
+    header = export_tlm(d)[f"{module.lower()}.h"]
     bound = {b.from_socket: [(b.to_instance, b.to_socket)]
              for b in d.bindings if b.from_instance == router}
     tables = elaborate(d).instances[router].routes

@@ -109,6 +109,12 @@ def test_transfer_time(length, bandwidth, expected):
 # -- storage semantics ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_storage_size_must_be_positive(size):
+    with pytest.raises(ValueError, match="storage size must be positive"):
+        Storage(0, size)
+
+
 def test_write_plain():
     storage = Storage(0, 8)
     p = GenericPayload(command=Command.WRITE, address=2, data=bytearray(b"\xaa\xbb"))

@@ -87,6 +87,8 @@ def test_positions_survive_surrogate_pairs_tabs_and_deep_nesting():
     ("-", "bad number", 1, 1),
     ("[1,\n]", "unexpected character ']'", 2, 1),
     ('{"a": 1\r\n"b": 2}', "expected ',' or '}' in object", 2, 1),
+    ('{"a":', "unexpected end of input", 1, 6),
+    ("[", "unexpected end of input", 1, 2),
 ])
 def test_syntax_errors_keep_their_positions(text, reason, line, column):
     with pytest.raises(JsonSyntaxError) as info:

@@ -276,3 +276,11 @@ def test_dispatched_counts_events_and_only_the_quantum_moves_it(abs_text):
     assert counts[1] < counts[0]
     with pytest.raises(AttributeError):
         model.scheduler.dispatched = 0
+
+
+@pytest.mark.parametrize("quantum_ps", [0, 10**6, 10**12])
+def test_run_ends_at_the_last_trace_end_under_any_quantum(abs_description, quantum_ps):
+    """The initiator gives the time its quantum keeper still holds back to the kernel."""
+    model = elaborate(abs_description, quantum_ps=quantum_ps)
+    final = model.run()
+    assert final == model.scheduler.now == max(r.end for r in model.records) == 16_000

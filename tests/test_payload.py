@@ -129,3 +129,9 @@ def test_deep_copy_round_trip(p):
     if p.data:
         c.data[0] ^= 0xFF
         assert bytes(c.data) != bytes(p.data)
+
+
+def test_data_becomes_a_bytearray_and_enables_become_bytes():
+    p = GenericPayload(command=Command.WRITE, data=b"\x01\x02", byte_enables=bytearray(b"\xff\x00"))
+    assert type(p.data) is bytearray and p.data == b"\x01\x02"
+    assert type(p.byte_enables) is bytes and p.byte_enables == b"\xff\x00"

@@ -27,7 +27,7 @@ from tlmforge import sysdesc
 from tlmforge.diagnostics import Diagnostic, sort_diagnostics
 from tlmforge.payload import Command
 from tlmforge.sysdesc import (
-    ElaborationError,
+    InvalidDescriptionError,
     SystemDescription,
     TimingConstraint,
     elaborate,
@@ -40,6 +40,12 @@ from tlmforge.trace import write_trace
 
 
 # -- parsing -------------------------------------------------------------------
+
+
+def test_a_description_cut_short_is_a_syntax_error():
+    desc, diags = parse_description('{"cpus":')
+    assert desc is None
+    assert [str(d) for d in diags] == ["E-SYNTAX 1:9: unexpected end of input"]
 
 
 def test_abs_description_parses(abs_description):
@@ -239,7 +245,7 @@ def test_accepted_descriptions_are_read_once_by_json_loads(monkeypatch, abs_text
 
 
 # Kernel events per run under the description's quantum and under the other one.
-BENCH_EVENTS = {"abs_stream": (4001, 32), "bulk_mirror": (25, 129), "wide_map": (501, 6)}
+BENCH_EVENTS = {"abs_stream": (4001, 33), "bulk_mirror": (25, 129), "wide_map": (501, 7)}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_EVENTS))
@@ -570,14 +576,14 @@ def test_serialize_round_trips_address_map_and_bandwidth():
 def test_elaborate_refuses_invalid_description():
     d = base_description()
     d.instances[0] = Instance("i0", "I", "C9")
-    with pytest.raises(ElaborationError):
+    with pytest.raises(InvalidDescriptionError):
         elaborate(d)
 
 
 def test_elaborate_refuses_unbound_initiator_socket():
     d = base_description()
     d.bindings = []
-    with pytest.raises(ElaborationError) as info:
+    with pytest.raises(InvalidDescriptionError) as info:
         elaborate(d)
     assert [str(x) for x in info.value.diagnostics] == [
         "E010 i0.workload[0]: initiator 'i0' socket 0 is unbound"]
@@ -589,7 +595,7 @@ def test_elaborate_refuses_bound_router_without_connection():
         d.modules.append(RouterSpec("R", 1_000, 1, 1, connections))
         d.instances.append(Instance("r0", "R", "C0"))
         d.bindings = [Binding("i0", 0, "r0", 0)]
-        with pytest.raises(ElaborationError) as info:
+        with pytest.raises(InvalidDescriptionError) as info:
             elaborate(d)
         assert [str(x) for x in info.value.diagnostics] == [
             "E010 r0.connections[0]: router 'r0' in-socket 0 is bound "
@@ -601,7 +607,7 @@ def test_elaborate_refuses_unbound_router_out():
     d.modules.append(RouterSpec("R", 1_000, 1, 1, {0: (0,)}))
     d.instances.append(Instance("r0", "R", "C0"))
     d.bindings = [Binding("i0", 0, "r0", 0)]
-    with pytest.raises(ElaborationError) as info:
+    with pytest.raises(InvalidDescriptionError) as info:
         elaborate(d)
     assert [str(x) for x in info.value.diagnostics] == [
         "E010 r0.connections[0]: router 'r0' out-socket 0 is unbound"]

@@ -571,3 +571,16 @@ def test_loosening_a_deadline_never_flips_pass_to_fail(records, deadline, slack)
     loose = check_constraints(records, [TimingConstraint(names[0], deadline + slack)])
     if tight.passed:
         assert loose.passed
+
+
+def test_unknown_instance_error_names_the_instance():
+    assert str(UnknownInstanceError("X")) == "E-NO-INSTANCE: no trace records for instance 'X'"
+
+
+def test_text_chart_marks_an_activation_shorter_than_one_column():
+    chart = render_text([TraceRecord("A", 0, 0, 1_000_000, 0, ResponseStatus.OK),
+                         TraceRecord("B", 0, 500_000, 500_100, 1, ResponseStatus.OK)])
+    assert chart.splitlines()[1:] == [
+        "A #0 |o" + "=" * 58 + "x| 0 .. 1000 ns",
+        "B #0 |" + " " * 29 + "#" + " " * 30 + "| 500 .. 500.1 ns",
+    ]

@@ -295,3 +295,10 @@ def test_debug_consumes_zero_simulated_time():
     p = GenericPayload(command=Command.READ, address=0, data=bytearray(8))
     target.transport_dbg(p)
     assert (sched.now, qk.local_offset) == before
+
+
+def test_protocol_error_text_names_the_step_and_the_state():
+    _, state = nb_step(IDLE, FW, Phase.BEGIN_REQ)
+    status, _ = nb_step(state, FW, Phase.BEGIN_REQ)
+    assert str(status) == ("E-PROTO: fw BEGIN_REQ illegal (outstanding_request=True, "
+                           "outstanding_response=False, last_phase=Phase.BEGIN_REQ)")
