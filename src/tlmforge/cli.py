@@ -37,6 +37,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+_BANNER = b"// Generated by tlmforge"  # the first bytes of every exported file
+
 
 def _verdict(word: str) -> str:
     if os.environ.get("TLMFORGE_COLOR") == "0" or not sys.stdout.isatty():
@@ -140,6 +142,17 @@ def _cmd_export(args) -> int:
     for name, text in bundle.items():
         _write(out_dir / name, text, "export")
         print(f"written: {out_dir / name}")
+    # Then remove what an earlier export left: a regular *.h or *.cpp directly in --out,
+    # outside the bundle (whose names are lower case), that starts with the banner.
+    with _file_access("write export"), os.scandir(out_dir) as entries:
+        for entry in entries:
+            if (entry.name.endswith((".h", ".cpp")) and entry.name.lower() not in bundle
+                    and entry.is_file(follow_symlinks=False)):
+                with open(entry.path, "rb") as f:
+                    stale = f.read(len(_BANNER)) == _BANNER
+                if stale:
+                    os.remove(entry.path)
+                    print(f"removed: {entry.path}")
     return EXIT_OK
 
 

@@ -40,7 +40,9 @@ _CPP_KEYWORDS = frozenset("""
 # Names the bundle already spells: namespaces, sc_main, and members of a module's own class.
 _RESERVED = _CPP_KEYWORDS | frozenset("""std sc_core sc_dt tlm tlm_utils sc_main run execute
     forward wait kBase kSize m_delay m_storage SC_CURRENT_USER_MODULE""".split())
-_NUMBERED_MEMBER_RE = re.compile(r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+")
+# Numbered members, and the include-guard shape: a guard is a macro that would erase a name.
+_RESERVED_RE = re.compile(
+    r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+|TLMFORGE_[0-9A-Z_]+_H")
 
 _COMMAND_NAMES = {
     "READ": "tlm::TLM_READ_COMMAND",
@@ -65,7 +67,7 @@ def sanitize_identifier(name: str) -> str:
         raise CodegenError("E-NAME-UNSANITIZABLE", f"name {name!r} sanitizes to nothing")
     if out[0] in string.digits:
         out = "_" + out
-    return out + "_" if out in _RESERVED or _NUMBERED_MEMBER_RE.fullmatch(out) else out
+    return out + "_" if out in _RESERVED or _RESERVED_RE.fullmatch(out) else out
 
 
 class _Namer:

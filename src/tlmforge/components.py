@@ -465,21 +465,14 @@ class ExecutableModel:
 
     def __init__(self, ctx: ModelContext,
                  instances: dict[str, InitiatorModel | TargetModel | RouterModel]):
-        self.ctx = ctx
+        self.scheduler = ctx.scheduler
+        self.records = ctx.records
         self.instances = instances
         self._unstarted = [m for m in instances.values() if isinstance(m, InitiatorModel)]
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.ctx.scheduler
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        return self.ctx.records
 
     def run(self) -> int:
         """Start the initiators, run to completion; returns the final time in ps."""
         for model in self._unstarted:
-            self.ctx.scheduler.schedule(model.activity(), 0, name=model.name)
+            self.scheduler.schedule(model.activity())
         self._unstarted = []
-        return self.ctx.scheduler.run()
+        return self.scheduler.run()

@@ -1,8 +1,8 @@
 """Deterministic discrete-event kernel with cooperative activities.
 
-Activities are plain generators.  They suspend by yielding one request:
-
-    yield Wait(delay_ps)   resume after the given simulated delay
+Activities are plain generators.  They suspend by yielding their delay,
+an ``int`` count of picoseconds, and resume that much simulated time later
+(SystemC's ``wait(t)``); anything else raises ``TypeError``.
 
 Events fire in (time, insertion order); equal-time events are strictly
 FIFO, so a run's dispatch sequence is a pure function of the initial
@@ -17,7 +17,6 @@ keeps rescheduling itself forever) into a diagnosable E-EVENT-LIMIT error.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Generator
 
 from .simtime import check_time, time_add
@@ -35,19 +34,12 @@ class SimulationError(RuntimeError):
         self.code = code
 
 
-@dataclass(slots=True)
-class Wait:
-    """Suspend the yielding activity for ``delay`` picoseconds."""
-
-    delay: int
-
-
 class Scheduler:
     """Single-threaded event queue ordered by (time, insertion sequence)."""
 
     def __init__(self, event_limit: int = DEFAULT_EVENT_LIMIT):
         self._now = 0
-        self._queue: list[tuple[int, int, Activity, str | None]] = []
+        self._queue: list[tuple[int, int, Activity]] = []
         self._seq = 0
         self._dispatched = 0
         self.event_limit = event_limit
@@ -61,18 +53,18 @@ class Scheduler:
         """Events dispatched so far; a larger quantum dispatches fewer for the same run."""
         return self._dispatched
 
-    def schedule(self, activity: Activity, delay: int = 0, name: str | None = None) -> None:
+    def schedule(self, activity: Activity, delay: int = 0) -> None:
         """Queue a fresh activity to start after ``delay``."""
-        self._push(time_add(self._now, check_time(delay)), activity, name)
+        self._push(time_add(self._now, check_time(delay)), activity)
 
-    def _push(self, at: int, activity: Activity, name: str | None) -> None:
-        heapq.heappush(self._queue, (at, self._seq, activity, name))
+    def _push(self, at: int, activity: Activity) -> None:
+        heapq.heappush(self._queue, (at, self._seq, activity))
         self._seq += 1
 
     def run(self) -> int:
         """Dispatch until the queue drains; returns the final simulated time."""
         while self._queue:
-            at, _seq, activity, name = heapq.heappop(self._queue)
+            at, _seq, activity = heapq.heappop(self._queue)
             self._dispatched += 1
             if self._dispatched > self.event_limit:
                 raise SimulationError(
@@ -82,12 +74,10 @@ class Scheduler:
                 )
             self._now = at
             try:
-                request = next(activity)
+                delay = next(activity)
             except StopIteration:
                 continue
-            if not isinstance(request, Wait):
-                raise TypeError(f"activity {name or activity!r} yielded {request!r}; expected Wait")
-            self._push(time_add(self._now, check_time(request.delay)), activity, name)
+            self._push(time_add(self._now, check_time(delay)), activity)
         return self._now
 
 
@@ -113,5 +103,5 @@ class QuantumKeeper:
 
     def sync(self) -> Activity:
         """Suspend the caller for the accrued offset, then reset it to zero."""
-        yield Wait(self.local_offset)
+        yield self.local_offset
         self.local_offset = 0

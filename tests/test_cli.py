@@ -227,6 +227,14 @@ def test_render_rejects_malformed_trace(capsys, tmp_path):
     assert "E-TRACE-SYNTAX" in out
 
 
+def test_render_rejects_a_wrong_column_line_at_line_2(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# tlm-forge-trace v1\ninstance,start,end\n", encoding="utf-8")
+    code, out, _ = invoke(capsys, "render", str(bad))
+    assert (code, out) == (1, "E-TRACE-SYNTAX line 2: expected column line "
+                              "'instance,activation,start_ps,end_ps,txn_id,status'\n")
+
+
 def test_export_writes_bundle(capsys, abs_path, tmp_path):
     out_dir = tmp_path / "gen"
     code, out, _ = invoke(capsys, "export", str(abs_path), "--out", str(out_dir))
@@ -241,6 +249,71 @@ def test_export_twice_is_byte_identical(capsys, abs_path, tmp_path):
     invoke(capsys, "export", str(abs_path), "--out", str(d2))
     for p in d1.iterdir():
         assert p.read_bytes() == (d2 / p.name).read_bytes()
+
+
+# -- export --out holds exactly the bundle -------------------------------------
+
+MARKER = "// Generated by tlmforge"
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every regular file under ``root``: its bytes by its relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_export_after_a_module_rename_equals_a_fresh_export(capsys, tmp_path, abs_path,
+                                                           abs_text):
+    """The old module's generated header is removed, so ``diff -r`` finds nothing."""
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(abs_text.replace('"Module1"', '"Renamed"'), encoding="utf-8")
+    gen, fresh = tmp_path / "gen", tmp_path / "fresh"
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    code, out, _ = invoke(capsys, "export", str(renamed), "--out", str(gen))
+    assert code == 0
+    assert f"removed: {gen / 'module1.h'}\n" in out
+    assert invoke(capsys, "export", str(renamed), "--out", str(fresh))[0] == 0
+    assert sorted(_tree(gen)) == ["module0.h", "module2.h", "renamed.h", "top.cpp"]
+    assert _tree(gen) == _tree(fresh)
+
+
+def test_export_removes_only_its_own_stale_files_directly_in_out(capsys, tmp_path, abs_path):
+    gen, outside = tmp_path / "gen", tmp_path / "outside"
+    (gen / "sub").mkdir(parents=True)
+    outside.mkdir()
+    kept = {
+        "notes.txt": MARKER + " but not a header\n",
+        "user.h": "// written by hand\n",
+        "late.cpp": "int x;  " + MARKER + "\n",
+        "sub/old.h": MARKER + " 0.1.0.\n",
+    }
+    for name, text in kept.items():
+        (gen / name).write_text(text, encoding="utf-8")
+    (outside / "target.h").write_text(MARKER + " 0.1.0.\n", encoding="utf-8")
+    (gen / "link.h").symlink_to(outside / "target.h")
+    (gen / "stale.h").write_text(MARKER + " 0.1.0.\n", encoding="utf-8")
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    assert not (gen / "stale.h").exists()
+    assert (gen / "link.h").is_symlink() and os.readlink(gen / "link.h") == str(
+        outside / "target.h")
+    assert _tree(outside) == {"target.h": (MARKER + " 0.1.0.\n").encode()}
+    for name, text in kept.items():
+        assert (gen / name).read_text(encoding="utf-8") == text
+
+
+def test_an_unremovable_stale_file_is_a_usage_error(capsys, monkeypatch, tmp_path, abs_path):
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    (gen / "stale.h").write_text(MARKER + " 0.1.0.\n", encoding="utf-8")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "remove", refuse)
+    monkeypatch.setattr(os, "unlink", refuse)
+    code, _, err = invoke(capsys, "export", str(abs_path), "--out", str(gen))
+    assert (code, err) == (
+        2, f"error: cannot write export: [Errno 13] Permission denied: '{gen / 'stale.h'}'\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -341,8 +414,7 @@ def _outputs(capsys, abs_path, where: Path) -> dict[str, bytes]:
     assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
     assert invoke(capsys, "render", str(trace), "--svg", str(svg))[0] == 0
     assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
-    return {p.relative_to(where).as_posix(): p.read_bytes()
-            for p in sorted(where.rglob("*")) if p.is_file()}
+    return _tree(where)
 
 
 def test_an_output_over_a_longer_file_is_the_bytes_a_fresh_write_gives(capsys, tmp_path,

@@ -158,6 +158,39 @@ def test_a_name_the_bundle_already_uses_gets_an_underscore(abs_text, name):
             assert re.search(rf"\b{cls}\b", code) is None, (file_name, cls)
 
 
+def declared_names_and_macros(bundle: dict[str, str]) -> tuple[set[str], set[str]]:
+    """The classes and ``sc_main`` variables a bundle declares, and the macros it defines."""
+    text = "".join(bundle.values())
+    names = set(re.findall(r"^SC_MODULE\((\w+)\)", text, flags=re.MULTILINE))
+    for cls, var in re.findall(r"^    (\w+) (\w+)\(\"", bundle["top.cpp"], flags=re.MULTILINE):
+        names |= {cls, var}
+    return names, set(re.findall(r"^#define (\w+)", text, flags=re.MULTILINE))
+
+
+@pytest.mark.parametrize("kind, index, name", [
+    ("module", 2, "TLMFORGE_MODULE1_H"), ("module", 0, "TLMFORGE_MODULE2_H"),
+    ("module", 1, "TLMFORGE_MODULE0_H"), ("instance", 0, "TLMFORGE_MODULE0_H"),
+    ("instance", 2, "TLMFORGE_MODULE2_H")])
+def test_no_declared_name_equals_an_include_guard(abs_text, kind, index, name):
+    """A guard is a macro, so a class or variable spelled like one would be erased."""
+    doc = json.loads(abs_text)
+    old = doc[f"{kind}s"][index]["name"]
+    doc[f"{kind}s"][index]["name"] = name
+    if kind == "module":
+        for inst in doc["instances"]:
+            inst["module"] = name if inst["module"] == old else inst["module"]
+    else:
+        for ref in [b[end] for b in doc["bindings"] for end in ("from", "to")]:
+            ref[0] = name if ref[0] == old else ref[0]
+        for c in doc["constraints"]:
+            c["instance"] = name if c["instance"] == old else c["instance"]
+    d, diags = parse_description(json.dumps(doc))
+    assert diags == []
+    names, macros = declared_names_and_macros(export_tlm(d))
+    assert names.isdisjoint(macros), names & macros
+    assert name + "_" in names
+
+
 def test_names_equal_but_for_case_get_distinct_include_guards():
     d = SystemDescription(
         cpus=[CpuSpec("C0", Fraction(1))],

@@ -24,7 +24,7 @@ from tlmforge.components import (
     effective_delay,
     transfer_time,
 )
-from tlmforge.kernel import Scheduler, Wait
+from tlmforge.kernel import Scheduler
 from tlmforge.components import TXN_ID_EXTENSION
 from tlmforge.payload import Command, GenericPayload, ResponseStatus, validate_payload
 from tlmforge.simtime import U64_MAX, TimeOverflowError
@@ -405,7 +405,7 @@ def test_a_hop_whose_end_passes_64_bits_raises_there():
     raised = []
 
     def probe():
-        yield Wait(U64_MAX - 10)
+        yield U64_MAX - 10
         p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
         with pytest.raises(TimeOverflowError) as info:
             target.b_transport(0, p, 5)

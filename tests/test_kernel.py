@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,6 @@ from tlmforge.kernel import (
     QuantumKeeper,
     Scheduler,
     SimulationError,
-    Wait,
 )
 from tlmforge.simtime import TimeOverflowError, U64_MAX
 from tlmforge.sysdesc import elaborate, parse_description
@@ -26,7 +26,7 @@ def note(log, label):
 def waiter(log, label, delays):
     def activity():
         for d in delays:
-            yield Wait(d)
+            yield d
             log.append((label, d))
 
     return activity()
@@ -56,7 +56,7 @@ def test_zero_delay_runs_before_time_advances():
 
     def spawner():
         s.schedule(note(log, "child"), 0)
-        yield Wait(1)
+        yield 1
         log.append(("after",))
 
     s.schedule(spawner(), 0)
@@ -80,7 +80,7 @@ def test_now_is_monotonic_and_matches_waits():
 
     def activity():
         for d in (4, 0, 6):
-            yield Wait(d)
+            yield d
             seen.append(s.now)
 
     s.schedule(activity(), 0)
@@ -93,7 +93,7 @@ def test_event_limit_trips():
 
     def forever():
         while True:
-            yield Wait(1)
+            yield 1
 
     s.schedule(forever(), 0)
     with pytest.raises(SimulationError) as info:
@@ -105,22 +105,36 @@ def test_schedule_overflow_is_hard_error():
     s = Scheduler()
 
     def far():
-        yield Wait(U64_MAX)
-        yield Wait(1)
+        yield U64_MAX
+        yield 1
 
     s.schedule(far(), 0)
     with pytest.raises(TimeOverflowError):
         s.run()
 
 
-def test_a_request_other_than_wait_is_refused_by_name():
+def test_an_int_yield_resumes_that_many_picoseconds_later():
     s = Scheduler()
+    seen = []
 
     def sleeper():
         yield 5
+        seen.append(s.now)
 
-    s.schedule(sleeper(), 0, name="Sleeper")
-    with pytest.raises(TypeError, match="activity 'Sleeper' yielded 5; expected Wait"):
+    s.schedule(sleeper(), 2)
+    assert s.run() == 7
+    assert seen == [7]
+
+
+@pytest.mark.parametrize("request_", [5.0, "5", None, True])
+def test_a_yield_other_than_an_int_is_refused_naming_the_value(request_):
+    s = Scheduler()
+
+    def sleeper():
+        yield request_
+
+    s.schedule(sleeper(), 0)
+    with pytest.raises(TypeError, match=re.escape(f"got {request_!r}")):
         s.run()
 
 
@@ -130,9 +144,9 @@ def test_dispatch_sequence_is_deterministic():
         log = []
         for i, delay in enumerate([5, 3, 5, 0, 9]):
             def activity(i=i, delay=delay):
-                yield Wait(delay)
+                yield delay
                 log.append((s.now, i))
-                yield Wait(i)
+                yield i
                 log.append((s.now, i))
 
             s.schedule(activity(), delay)
@@ -148,7 +162,7 @@ def test_dispatch_times_never_decrease(delays):
     observed = []
 
     def activity(d):
-        yield Wait(d)
+        yield d
         observed.append(s.now)
 
     for d in delays:
@@ -192,7 +206,7 @@ def test_sync_waits_offset_then_resets():
     log = []
 
     def activity():
-        yield Wait(100)
+        yield 100
         qk.advance(300)
         yield from qk.sync()
         log.append((s.now, qk.local_offset))
@@ -208,7 +222,7 @@ def test_sync_with_zero_offset_stays_in_timestamp():
     log = []
 
     def activity():
-        yield Wait(9)
+        yield 9
         yield from qk.sync()
         log.append(s.now)
 

@@ -76,6 +76,21 @@ def test_parse_rejects_bad_header():
     assert info.value.line == 1
 
 
+COLUMN_LINE = f"expected column line {TRACE_COLUMNS!r}"
+
+
+@pytest.mark.parametrize("text", [
+    f"{TRACE_HEADER}\ninstance,activation,start,end,txn_id,status\nA,0,0,5,0,OK\n",
+    f"{TRACE_HEADER}\n\n",
+    f"{TRACE_HEADER}\n",
+    TRACE_HEADER,  # the header alone, without its newline
+])
+def test_parse_rejects_a_wrong_or_missing_column_line(text):
+    with pytest.raises(TraceSyntaxError) as info:
+        parse_trace(text)
+    assert str(info.value) == f"E-TRACE-SYNTAX line 2: {COLUMN_LINE}"
+
+
 def test_parse_rejects_wrong_field_count():
     text = f"{TRACE_HEADER}\n{TRACE_COLUMNS}\nA,0,10\n"
     with pytest.raises(TraceSyntaxError) as info:
