@@ -39,10 +39,11 @@ _CPP_KEYWORDS = frozenset("""
     using virtual void volatile wchar_t while xor xor_eq""".split())
 # Names the bundle already spells: namespaces, sc_main, and members of a module's own class.
 _RESERVED = _CPP_KEYWORDS | frozenset("""std sc_core sc_dt tlm tlm_utils sc_main run execute
-    forward wait kBase kSize m_delay m_storage SC_CURRENT_USER_MODULE""".split())
-# Numbered members, and the include-guard shape: a guard is a macro that would erase a name.
-_RESERVED_RE = re.compile(
-    r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+|TLMFORGE_[0-9A-Z_]+_H")
+    forward wait kBase kSize m_delay m_storage""".split())
+# Numbered members, and the shapes of macros that would rewrite a name: include guards and
+# SystemC's macros (SC_MODULE, SC_THREAD, SC_CURRENT_USER_MODULE, ...).
+_RESERVED_RE = re.compile(r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+"
+                          r"|TLMFORGE_[0-9A-Z_]+_H|SC_[0-9A-Z_]*")
 
 _COMMAND_NAMES = {
     "READ": "tlm::TLM_READ_COMMAND",

@@ -1,17 +1,17 @@
 """JSON readers: the stdlib scanner, and one that remembers where values sit.
 
 Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``float``,
-``bool`` and ``None``.  ``parse_json`` defines the accepted language and every
-syntax message.  Beside the value it returns a table from each value's path (the
-object keys and array indices from the root; ``()`` is the root) to the 1-based
-line and column where that value starts.  It tracks only a character offset, and
-turns one into a line and column through the offsets where lines start.
-Stricter than the RFC: a duplicate object key, nesting deeper than ``MAX_DEPTH``
-(RFC 8259 section 9 allows such a bound) and an integer of more digits than
-``int()`` takes are errors.  ``load_json`` is ``json.loads`` with the duplicate
-key and ``NaN`` rules; it has no depth bound of its own, so it accepts a text
-that only nests too deep, and a caller that needs the bound reads with
-``parse_json``.
+``bool`` and ``None``, and both decode every string, number and literal with one
+``json.JSONDecoder``.  ``parse_json`` owns the rest: the structure, the duplicate
+key and depth rules, the positions and every syntax message.  Beside the value it
+returns a table from each value's path (the object keys and array indices from the
+root; ``()`` is the root) to the 1-based line and column where that value starts.
+It tracks only a character offset, and turns one into a line and column through
+the offsets where lines start.  Stricter than the RFC: a duplicate object key,
+nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and an
+integer of more digits than ``int()`` takes are errors.  ``load_json`` is the
+decoder alone (its hooks refuse duplicate keys and ``NaN``), with no depth bound,
+so it accepts a text that only nests too deep; ``parse_json`` reads with the bound.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from bisect import bisect_right
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")  # ASCII digits
 _WS_RE = re.compile(r"[ \t\r\n]*")
-_PLAIN_RE = re.compile(r'[^"\\\x00-\x1f]*')  # string characters that stand for themselves
-_HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
+_STRING_RE = re.compile(r'(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*')  # what json takes
 MAX_DEPTH = 256
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f",
-            "n": "\n", "r": "\r", "t": "\t"}
 _KINDS = {dict: "object", list: "array", bool: "boolean", int: "integer", float: "number",
           str: "string", type(None): "null"}  # the only types a JSON value takes
 
@@ -83,17 +80,7 @@ class _Reader:
             if len(self.path) == MAX_DEPTH:  # one path step per open container
                 self._error(f"nesting deeper than {MAX_DEPTH}")
             return self._object() if ch == "{" else self._array()
-        if ch == '"':
-            return self._string()
-        if ch == "-" or ch.isdigit():
-            return self._number()
-        for literal, value in (("true", True), ("false", False), ("null", None)):
-            if self.text.startswith(literal, self.pos):
-                self.pos += len(literal)
-                return value
-        if ch == "":
-            self._error("unexpected end of input")
-        self._error(f"unexpected character {ch!r}")
+        return self._scalar()
 
     def _object(self) -> dict:
         members: dict[str, object] = {}
@@ -107,7 +94,7 @@ class _Reader:
             if self._peek() != '"':
                 self._error("expected a string key")
             key_pos = self.pos
-            key = self._string()
+            key = self._scalar()
             if key in members:
                 self._error(f"duplicate key {key!r}", key_pos)
             self._skip_ws()
@@ -150,66 +137,35 @@ class _Reader:
                 return items
             self._error("expected ',' or ']' in array")
 
-    def _string(self) -> str:
-        self.pos += 1  # opening quote
-        parts: list[str] = []
-        while True:
-            end = _PLAIN_RE.match(self.text, self.pos).end()
-            parts.append(self.text[self.pos:end])
-            self.pos = end
-            if self.pos >= self.n:
-                self._error("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(parts)
-            if ch == "\\":
-                self.pos += 1
-                esc = self._peek()
-                if esc in _ESCAPES:
-                    parts.append(_ESCAPES[esc])
-                    self.pos += 1
-                elif esc == "u":
-                    self.pos += 1
-                    parts.append(self._unicode_escape())
-                else:
-                    self._error(f"bad escape \\{esc}")
-            elif ch in "\n\r":
-                self._error("newline inside string")
-            else:  # RFC 8259 section 7: control characters must be escaped
-                self._error(f"control character {ch!r} inside string")
-
-    def _unicode_escape(self) -> str:
-        def hex4() -> int:
-            if self.pos + 4 > self.n:
-                self._error("truncated \\u escape")
-            digits = self.text[self.pos:self.pos + 4]
-            if not _HEX4_RE.fullmatch(digits):
-                self._error(f"bad \\u escape {digits!r}")
-            self.pos += 4
-            return int(digits, 16)
-
-        code = hex4()
-        if 0xD800 <= code <= 0xDBFF and self.text.startswith("\\u", self.pos):
-            self.pos += 2
-            low = hex4()
-            if 0xDC00 <= low <= 0xDFFF:
-                return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-            return chr(code) + chr(low)
-        return chr(code)
-
-    def _number(self) -> int | float:
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m is None:
-            self._error("bad number")
-        start, literal = self.pos, m.group(0)
-        self.pos = m.end()
-        if "." in literal or "e" in literal or "E" in literal:
-            return float(literal)
+    def _scalar(self) -> object:
+        """A string, number or literal from the json scanner; where the scanner
+        refuses one, the first problem is named."""
         try:
-            return int(literal)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            self._error("integer literal too long", start)
+            value, self.pos = _DECODER.raw_decode(self.text, self.pos)
+            return value
+        except ValueError:  # also int()'s refusal of too many digits
+            pass
+        ch = self._peek()
+        if ch == '"':
+            end = _STRING_RE.match(self.text, self.pos + 1).end()  # the first refused character
+            ch = self.text[end:end + 1]
+            if ch == "":
+                self._error("unterminated string", end)
+            if ch in "\n\r":
+                self._error("newline inside string", end)
+            if ch != "\\":  # RFC 8259 section 7: control characters must be escaped
+                self._error(f"control character {ch!r} inside string", end)
+            esc = self.text[end + 1:end + 2]
+            if esc != "u":
+                self._error(f"bad escape \\{esc}", end + 1)
+            if end + 6 > self.n:
+                self._error("truncated \\u escape", end + 2)
+            self._error(f"bad \\u escape {self.text[end + 2:end + 6]!r}", end + 2)
+        if ch == "-" or ch.isdigit():
+            if _NUMBER_RE.match(self.text, self.pos):  # int() refused its digits
+                self._error("integer literal too long")
+            self._error("bad number")
+        self._error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
 def parse_json(text: str) -> tuple[object, dict[tuple, tuple[int, int]]]:
@@ -229,10 +185,13 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_members, parse_constant=_no_constant)
+
+
 def load_json(text: str) -> object:
-    """json.loads with this module's duplicate-key and NaN rules; raises
-    ValueError where they refuse the text."""
+    """The value of a text, with this module's duplicate-key and NaN rules; raises
+    ValueError where the decoder refuses the text."""
     try:
-        return json.loads(text, object_pairs_hook=_members, parse_constant=_no_constant)
+        return _DECODER.decode(text)
     except RecursionError:
-        raise ValueError("nesting too deep for json.loads") from None
+        raise ValueError("nesting too deep for the json decoder") from None

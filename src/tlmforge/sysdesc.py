@@ -27,6 +27,7 @@ Validation rules on a parsed description:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -220,8 +221,8 @@ class _Build:
                 raise ValueError("expected a number")
             if isinstance(v, int):
                 result = Fraction(v)
-            elif isinstance(v, float):
-                result = parse_rational(repr(v))
+            elif isinstance(v, float):  # repr is the shortest decimal that reads back as v
+                result = Fraction(repr(v)) if math.isfinite(v) else parse_rational(repr(v))
             elif isinstance(v, str):
                 result = parse_rational(v)
             else:

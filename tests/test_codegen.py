@@ -130,11 +130,11 @@ def test_cpp_keywords_get_an_underscore(keyword):
 
 
 # Namespaces and the function the bundle uses, members a module's own header declares,
-# and numbered members: a class with one of these names does not compile.
+# numbered members and SystemC's macros: a class with one of these names does not compile.
 RESERVED_NAMES = ["std", "sc_core", "sc_dt", "tlm", "tlm_utils", "sc_main", "run", "execute",
                   "forward", "wait", "kBase", "kSize", "m_delay", "m_storage",
                   "SC_CURRENT_USER_MODULE", "socket0", "socket12", "in0", "out3", "b_transport0",
-                  "b_transport_in0", "m_delay0"]
+                  "b_transport_in0", "m_delay0", "SC_THREAD", "SC_METHOD", "SC_CTOR", "SC_MODULE"]
 
 
 @pytest.mark.parametrize("name", RESERVED_NAMES)

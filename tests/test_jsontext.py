@@ -89,6 +89,11 @@ def test_positions_survive_surrogate_pairs_tabs_and_deep_nesting():
     ('{"a": 1\r\n"b": 2}', "expected ',' or '}' in object", 2, 1),
     ('{"a":', "unexpected end of input", 1, 6),
     ("[", "unexpected end of input", 1, 2),
+    ('{"a\\x": 1}', "bad escape \\x", 1, 5),
+    ('{"ab', "unterminated string", 1, 5),
+    ('{"a\x01": 1}', "control character '\\x01' inside string", 1, 4),
+    ('{"\\u12": 1}', "bad \\u escape '12\":'", 1, 5),
+    ('{"k":\n "\\ud800\\uzz"}', "bad \\u escape 'zz\"}'", 2, 11),
 ])
 def test_syntax_errors_keep_their_positions(text, reason, line, column):
     with pytest.raises(JsonSyntaxError) as info:
@@ -225,6 +230,8 @@ def test_the_fast_read_refuses_or_gives_the_same_value(text):
     pytest.param('["\\ud800", "\\udc00", "\\ud83d\\ude00", "\\ud800\\u0041", "\\ud800\\ud800"]',
                  "both", id="lone and paired surrogate escapes"),
     pytest.param('["\\ud800\\u12"]', "neither", id="truncated low surrogate"),
+    # a lone high surrogate escape, then a pair: the pair still makes one character
+    pytest.param('["\\ud800\\ud83d\\ude00"]', "both", id="lone high surrogate before a pair"),
     pytest.param("[-0, -0.0, 1E400, -1e400, 0.5e-400]", "both",
                  id="zeros and out-of-range floats"),
     pytest.param("[%s]" % ("9" * 5000), "neither" if 0 < DIGIT_LIMIT < 5000 else "both",

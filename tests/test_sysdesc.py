@@ -195,6 +195,20 @@ def test_a_document_that_is_no_object_is_refused(text, expected):
     assert [str(d) for d in parse_description(text)[1]] == [expected]
 
 
+@pytest.mark.parametrize("literal, expected", [
+    ("0.00001", Fraction(1, 100000)), ("1E-5", Fraction(1, 100000)), ("1e16", Fraction(10**16)),
+    ("-0.5", "bandwidth must be positive, got -0.5"), ("1e400", "bad rational 'inf'"),
+])
+def test_a_float_bandwidth_reads_as_the_decimal_it_was_written_as(abs_text, literal, expected):
+    """A float in exponent form is exact too; an infinite one is no rational."""
+    text = abs_text.replace('"sockets": 1,', f'"sockets": 1, "bandwidth": {literal},', 1)
+    desc, diags = parse_description(text)
+    if isinstance(expected, Fraction):
+        assert diags == [] and desc.modules[0].bandwidth == expected
+    else:
+        assert [str(d) for d in diags] == [f"E-TYPE modules[0].bandwidth (19:34): {expected}"]
+
+
 def test_string_escapes_in_description_text():
     text = ('{"cpus": [{"name": "C0", "frequency": "1GHz"}],'
             ' "options": {"trace": "out\\u0041\\t.csv"}}')
