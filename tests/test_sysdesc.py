@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import descmut
+import validatecorpus
 from conftest import GOLDEN, REPO
 from topogen import random_topology
 
@@ -231,6 +232,19 @@ def test_parse_output_matches_the_golden_corpus():
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
+
+
+def test_validation_output_matches_the_golden_corpus():
+    expected = (GOLDEN / "validate_diagnostics.txt").read_text(encoding="utf-8").split("\n== ")
+    actual = validatecorpus.golden_text().split("\n== ")
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want
+
+
+def test_validation_corpus_reaches_every_rule():
+    codes = {line.split()[0] for line in validatecorpus.golden_text().splitlines()}
+    assert {f"E{k:03}" for k in range(1, 12)} <= codes
 
 
 def _perfbench_workloads():
