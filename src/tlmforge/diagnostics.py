@@ -37,5 +37,7 @@ class Diagnostic:
 
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
-    """Stable order: code first, then location, so repeated runs agree byte for byte."""
-    return sorted(diags, key=lambda d: (d.code, d.where, d.line or 0, d.column or 0, d.message))
+    """Each distinct diagnostic once, even if it was found twice, in a stable order:
+    code first, then location, so repeated runs agree byte for byte."""
+    return sorted(dict.fromkeys(diags),
+                  key=lambda d: (d.code, d.where, d.line or 0, d.column or 0, d.message))

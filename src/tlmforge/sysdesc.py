@@ -468,6 +468,7 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
     cpu_names = {c.name for c in d.cpus}
     specs = {m.name: m for m in d.modules}
     instances = {i.name: i for i in d.instances}
+    spec_of = {inst.name: specs.get(inst.module) for inst in d.instances}
 
     # E005: duplicates within each namespace
     for label, names in (("cpus", [c.name for c in d.cpus]),
@@ -480,28 +481,71 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 add("E005", f"duplicate identifier '{name}'", f"{label}[{idx}].name")
             seen.add(name)
 
-    # E001: unresolved references
+    # E001: unresolved references of buses and instances
+    buses_of: dict[str, set[int]] = {}
     for i, bus in enumerate(d.buses):
         for j, cpu in enumerate(bus.cpus):
             if cpu not in cpu_names:
                 add("E001", f"unknown CPU '{cpu}'", f"buses[{i}].cpus[{j}]")
+            buses_of.setdefault(cpu, set()).add(i)
     for i, inst in enumerate(d.instances):
         if inst.cpu not in cpu_names:
             add("E001", f"unknown CPU '{inst.cpu}'", f"instances[{i}].cpu")
         if inst.module not in specs:
             add("E001", f"unknown module '{inst.module}'", f"instances[{i}].module")
+
+    # One socket graph for E004, E009 and E010.  Nodes are sockets (instance, index, is_out);
+    # a router joins each in-socket to its connected outs, a binding an out to an in.  A fan
+    # is a socket where a transaction can split: an out with several bindings, or a router
+    # in-socket with a route to several outs.  Router edges go in first: E009's search
+    # starts from the sockets in this order, which decides the loop its message names.
+    successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
+    fans: list[tuple[str, int, bool]] = []
+    for name, spec in spec_of.items():
+        if isinstance(spec, RouterSpec):
+            for in_socket, outs in spec.connections.items():
+                successors[(name, in_socket, False)] = [(name, o, True) for o in outs]
+                if any(len(to) > 1 for _, _, to in spec.routes(in_socket)):
+                    fans.append((name, in_socket, False))
+
+    # Per binding: E001 and E002 for each end, E003 for a cross-CPU binding, which needs
+    # a shared bus, E008 for an in-socket bound before; and the binding's edge.
+    bound_in: set[tuple[str, int]] = set()
     for i, binding in enumerate(d.bindings):
         for end, name in (("from", binding.from_instance), ("to", binding.to_instance)):
             if name not in instances:
                 add("E001", f"unknown instance '{name}'", f"bindings[{i}].{end}")
+        from_spec = spec_of.get(binding.from_instance)
+        if from_spec is not None and not 0 <= binding.from_socket < out_socket_count(from_spec):
+            add("E002",
+                f"out-socket {binding.from_socket} out of range for '{binding.from_instance}' "
+                f"({out_socket_count(from_spec)} out-sockets)",
+                f"bindings[{i}].from")
+        to_spec = spec_of.get(binding.to_instance)
+        if to_spec is not None and not 0 <= binding.to_socket < in_socket_count(to_spec):
+            add("E002",
+                f"in-socket {binding.to_socket} out of range for '{binding.to_instance}' "
+                f"({in_socket_count(to_spec)} in-sockets)",
+                f"bindings[{i}].to")
+        src = instances.get(binding.from_instance)
+        dst = instances.get(binding.to_instance)
+        if (src is not None and dst is not None and src.cpu != dst.cpu
+                and src.cpu in cpu_names and dst.cpu in cpu_names
+                and buses_of.get(src.cpu, set()).isdisjoint(buses_of.get(dst.cpu, ()))):
+            add("E003",
+                f"instances '{src.name}' ({src.cpu}) and '{dst.name}' ({dst.cpu}) "
+                "share no bus", f"bindings[{i}]")
+        key = (binding.to_instance, binding.to_socket)
+        if key in bound_in:
+            add("E008", f"in-socket {binding.to_socket} of '{binding.to_instance}' "
+                "is bound more than once", f"bindings[{i}].to")
+        bound_in.add(key)
+        successors.setdefault((binding.from_instance, binding.from_socket, True), []).append(
+            (binding.to_instance, binding.to_socket, False))
+    fans += [node for node, nexts in successors.items() if node[2] and len(nexts) > 1]
 
-    def spec_of(instance_name: str) -> ModuleSpec | None:
-        inst = instances.get(instance_name)
-        if inst is None:
-            return None
-        return specs.get(inst.module)
-
-    # E002: socket indices out of range
+    # Per module: E002 for each workload socket of an initiator, E006 for a router's
+    # internal wiring.
     for m, spec in enumerate(d.modules):
         if isinstance(spec, InitiatorSpec):
             for k, template in enumerate(spec.workload):
@@ -510,39 +554,6 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                         f"socket {template.socket} out of range for '{spec.name}' "
                         f"({spec.socket_count} sockets)",
                         f"modules[{m}].workload[{k}].socket")
-    for i, binding in enumerate(d.bindings):
-        from_spec = spec_of(binding.from_instance)
-        if from_spec is not None and not 0 <= binding.from_socket < out_socket_count(from_spec):
-            add("E002",
-                f"out-socket {binding.from_socket} out of range for '{binding.from_instance}' "
-                f"({out_socket_count(from_spec)} out-sockets)",
-                f"bindings[{i}].from")
-        to_spec = spec_of(binding.to_instance)
-        if to_spec is not None and not 0 <= binding.to_socket < in_socket_count(to_spec):
-            add("E002",
-                f"in-socket {binding.to_socket} out of range for '{binding.to_instance}' "
-                f"({in_socket_count(to_spec)} in-sockets)",
-                f"bindings[{i}].to")
-
-    # E003: cross-CPU bindings need a shared bus
-    buses_of: dict[str, set[int]] = {}
-    for k, bus in enumerate(d.buses):
-        for cpu in bus.cpus:
-            buses_of.setdefault(cpu, set()).add(k)
-    for i, binding in enumerate(d.bindings):
-        src = instances.get(binding.from_instance)
-        dst = instances.get(binding.to_instance)
-        if src is None or dst is None or src.cpu not in cpu_names or dst.cpu not in cpu_names:
-            continue
-        if src.cpu == dst.cpu:
-            continue
-        if buses_of.get(src.cpu, set()).isdisjoint(buses_of.get(dst.cpu, ())):
-            add("E003",
-                f"instances '{src.name}' ({src.cpu}) and '{dst.name}' ({dst.cpu}) "
-                "share no bus", f"bindings[{i}]")
-
-    # E006: router internal wiring
-    for m, spec in enumerate(d.modules):
         if not isinstance(spec, RouterSpec):
             continue
         for in_socket, outs in spec.connections.items():
@@ -580,45 +591,17 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 add("E006", f"address ranges of out-sockets {a} and {b} reachable from "
                     f"in-socket {in_socket} overlap", f"modules[{m}].address_map")
 
-    # E008: an in-socket accepts at most one binding
-    bound_in: set[tuple[str, int]] = set()
-    bound_out: set[tuple[str, int]] = set()
-    for i, binding in enumerate(d.bindings):
-        key = (binding.to_instance, binding.to_socket)
-        if key in bound_in:
-            add("E008", f"in-socket {binding.to_socket} of '{binding.to_instance}' "
-                "is bound more than once", f"bindings[{i}].to")
-        bound_in.add(key)
-        bound_out.add((binding.from_instance, binding.from_socket))
-
     # E010: a bound router in-socket has connections, and each out it lists is bound.
     for name, socket in bound_in:
-        spec = spec_of(name)
+        spec = spec_of.get(name)
         if isinstance(spec, RouterSpec) and 0 <= socket < spec.in_socket_count:
             where, outs = f"{name}.connections[{socket}]", spec.outs(socket)
             if not outs:
                 add("E010", f"router '{name}' in-socket {socket} is bound "
                     "but has no connection entry", where)
             for out in outs:
-                if 0 <= out < spec.out_socket_count and (name, out) not in bound_out:
+                if 0 <= out < spec.out_socket_count and (name, out, True) not in successors:
                     add("E010", f"router '{name}' out-socket {out} is unbound", where)
-
-    # One socket graph for E004 and E009.  Nodes are sockets (instance, index, is_out); a
-    # router joins each in-socket to its connected outs, a binding an out to an in.  A fan
-    # is a socket where a transaction can split: an out with several bindings, or a router
-    # in-socket with a route to several outs.
-    successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
-    fans: list[tuple[str, int, bool]] = []
-    for inst in d.instances:
-        if isinstance(inst_spec := spec_of(inst.name), RouterSpec):
-            for in_socket, outs in inst_spec.connections.items():
-                successors[(inst.name, in_socket, False)] = [(inst.name, o, True) for o in outs]
-                if any(len(to) > 1 for _, _, to in inst_spec.routes(in_socket)):
-                    fans.append((inst.name, in_socket, False))
-    for binding in d.bindings:
-        successors.setdefault((binding.from_instance, binding.from_socket, True), []).append(
-            (binding.to_instance, binding.to_socket, False))
-    fans += [node for node, nexts in successors.items() if node[2] and len(nexts) > 1]
 
     # E004: a READ's out-socket must not reach a fan.  One reverse walk finds all that do.
     predecessors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
@@ -660,23 +643,22 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
 
     # Per initiator: E004 for each READ that reaches a fan; E010 and E011 once for each
     # socket its workload uses, which must be bound and pass at most MAX_ROUTERS routers.
-    for inst in d.instances:
-        if not isinstance(inst_spec := spec_of(inst.name), InitiatorSpec):
+    for name, spec in spec_of.items():
+        if not isinstance(spec, InitiatorSpec):
             continue
         first: dict[int, int] = {}  # socket -> index of the first template using it
-        for idx, template in enumerate(inst_spec.workload):
-            if (template.command is Command.READ
-                    and (inst.name, template.socket, True) in reaches_fan):
-                add("E004", f"READ issued by '{inst.name}' can reach more than one destination "
-                    "with no disjoint address decode", f"{inst.name}.workload[{idx}]")
-            if 0 <= template.socket < inst_spec.socket_count:
+        for idx, template in enumerate(spec.workload):
+            if template.command is Command.READ and (name, template.socket, True) in reaches_fan:
+                add("E004", f"READ issued by '{name}' can reach more than one destination "
+                    "with no disjoint address decode", f"{name}.workload[{idx}]")
+            if 0 <= template.socket < spec.socket_count:
                 first.setdefault(template.socket, idx)
         for socket, idx in first.items():
-            where = f"{inst.name}.workload[{idx}]"
-            if (inst.name, socket) not in bound_out:
-                add("E010", f"initiator '{inst.name}' socket {socket} is unbound", where)
-            elif (count := routers[(inst.name, socket, True)]) > MAX_ROUTERS:
-                add("E011", f"a path from '{inst.name}' socket {socket} passes {count} routers; "
+            where = f"{name}.workload[{idx}]"
+            if (name, socket, True) not in successors:
+                add("E010", f"initiator '{name}' socket {socket} is unbound", where)
+            elif (count := routers[(name, socket, True)]) > MAX_ROUTERS:
+                add("E011", f"a path from '{name}' socket {socket} passes {count} routers; "
                     f"at most {MAX_ROUTERS} are allowed", where)
 
     # E007: constraints must point at real instances

@@ -50,6 +50,20 @@ class ProtocolState:
 
 
 IDLE = ProtocolState()
+_REQ = ProtocolState(True, False, Phase.BEGIN_REQ)
+_ACKED = ProtocolState(False, False, Phase.END_REQ)
+_RESP = ProtocolState(False, True, Phase.BEGIN_RESP)
+_DONE = ProtocolState(False, False, Phase.END_RESP)
+
+# Every legal step: (state, direction, phase) -> the state after it.
+_STEPS = {
+    (IDLE, Direction.FORWARD, Phase.BEGIN_REQ): _REQ,
+    (_DONE, Direction.FORWARD, Phase.BEGIN_REQ): _REQ,
+    (_REQ, Direction.BACKWARD, Phase.END_REQ): _ACKED,
+    (_REQ, Direction.BACKWARD, Phase.BEGIN_RESP): _RESP,
+    (_ACKED, Direction.BACKWARD, Phase.BEGIN_RESP): _RESP,
+    (_RESP, Direction.FORWARD, Phase.END_RESP): _DONE,
+}
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,7 @@ def nb_step(
     phase: Phase,
     reply: SyncStatus | None = None,
 ) -> tuple[SyncStatus | ProtocolError, ProtocolState]:
-    """Advance one connection by one observed phase transition.
+    """Advance one connection by one observed phase transition, a step of ``_STEPS``.
 
     Legal order for one transaction: fw BEGIN_REQ, bw END_REQ, bw
     BEGIN_RESP, fw END_RESP.  A BEGIN_RESP directly after BEGIN_REQ
@@ -99,32 +113,12 @@ def nb_step(
     Illegal steps return a :class:`ProtocolError` and leave the state
     unchanged.
     """
-    new: ProtocolState | None = None
-    if direction is Direction.FORWARD and phase is Phase.BEGIN_REQ:
-        if (not state.outstanding_request and not state.outstanding_response
-                and state.last_phase in (None, Phase.END_RESP)):
-            new = ProtocolState(True, False, Phase.BEGIN_REQ)
-    elif direction is Direction.BACKWARD and phase is Phase.END_REQ:
-        if state.outstanding_request and state.last_phase is Phase.BEGIN_REQ:
-            new = ProtocolState(False, False, Phase.END_REQ)
-    elif direction is Direction.BACKWARD and phase is Phase.BEGIN_RESP:
-        opened = state.outstanding_request and state.last_phase is Phase.BEGIN_REQ
-        acked = not state.outstanding_request and state.last_phase is Phase.END_REQ
-        if opened or acked:
-            new = ProtocolState(False, True, Phase.BEGIN_RESP)
-    elif direction is Direction.FORWARD and phase is Phase.END_RESP:
-        if state.outstanding_response:
-            new = ProtocolState(False, False, Phase.END_RESP)
-
+    new = _STEPS.get((state, direction, phase))
     if new is None:
         return ProtocolError(state, direction, phase), state
-
-    if phase is Phase.END_RESP:
-        return SyncStatus.COMPLETED, new
-    status = reply if reply is not None else SyncStatus.ACCEPTED
-    if status is SyncStatus.COMPLETED:
-        new = ProtocolState(False, False, Phase.END_RESP)
-    return status, new
+    if phase is Phase.END_RESP or reply is SyncStatus.COMPLETED:
+        return SyncStatus.COMPLETED, _DONE
+    return reply or SyncStatus.ACCEPTED, new
 
 
 def protocol_legal(seq: Iterable[tuple[Direction, Phase]]) -> bool:

@@ -628,6 +628,43 @@ def test_miswired_abs_is_refused_by_every_command(capsys, tmp_path, abs_path, va
         assert invoke(capsys, *argv) == (1, expected, "")
 
 
+READ_TEMPLATE = {"command": "READ", "address": "0x0", "length": 4}
+
+# Edits of abs.json that each lead the validator to one finding along two routes.
+FOUND_TWICE = {
+    "a repeated bad connection out": (
+        lambda doc: doc["modules"][1].update(connections={"0": [0, 1, 2, 3, 7, 7]}),
+        "E006 modules[1].connections[0]: connection out-socket 7 out of range (4 out-sockets)"),
+    "a repeated self binding": (
+        lambda doc: doc["bindings"].extend([{"from": ["Router", 0], "to": ["Router", 0]}] * 2),
+        "E009 bindings: binding cycle Router[0] -> Router[0]"),
+    "a repeated initiator name and a READ": (
+        lambda doc: (doc["instances"].append({"name": "Brake", "module": "Module0",
+                                              "cpu": "Cpu0"}),
+                     doc["modules"][0]["workload"].append(READ_TEMPLATE)),
+        "E004 Brake.workload[1]: READ issued by 'Brake' can reach more than one destination "
+        "with no disjoint address decode"),
+    "a repeated initiator name and an unbound socket": (
+        lambda doc: (doc["instances"].append({"name": "Brake", "module": "Module0",
+                                              "cpu": "Cpu0"}),
+                     doc["modules"][0].update(sockets=2),
+                     doc["modules"][0]["workload"].append({**READ_TEMPLATE, "socket": 1})),
+        "E010 Brake.workload[1]: initiator 'Brake' socket 1 is unbound"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FOUND_TWICE))
+def test_a_diagnostic_found_twice_is_printed_once(capsys, tmp_path, abs_path, variant):
+    edit, line = FOUND_TWICE[variant]
+    doc = json.loads(abs_path.read_text(encoding="utf-8"))
+    edit(doc)
+    code, out, err = invoke(capsys, "validate", write_description(tmp_path, doc))
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert line in lines
+    assert len(lines) == len(set(lines))
+
+
 def test_a_path_through_256_routers_runs(capsys, tmp_path):
     path = write_description(tmp_path, router_chain(256))
     code, out, err = invoke(capsys, "run", path)
