@@ -39,8 +39,7 @@ def main() -> None:
     print(chart)
     latency = end_to_end_latency(model.records, "Brake")
     print(f"Brake end-to-end latency: {format_ns(latency)} ns")
-    report = check_constraints(model.records, desc.constraints)
-    for check in report.checks:
+    for check in check_constraints(model.records, desc.constraints):
         print(check)
     print(f"artifacts in {out}/")
 

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .codegen import CodegenError, export_tlm
+from .codegen import BANNER, CodegenError, export_tlm
 from .kernel import SimulationError
 from .simtime import TimeOverflowError, format_ns, parse_time
 from .sysdesc import InvalidDescriptionError, elaborate, parse_description, require_valid
@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
-
-_BANNER = b"// Generated by tlmforge"  # the first bytes of every exported file
 
 
 def _verdict(word: str) -> str:
@@ -126,12 +124,13 @@ def _cmd_render(args) -> int:
 def _cmd_check(args) -> int:
     desc = _load_description(args.description)
     require_valid(desc)
-    report = check_constraints(parse_trace(_read(args.trace, "trace")), desc.constraints)
-    for c in report.checks:
+    checks = check_constraints(parse_trace(_read(args.trace, "trace")), desc.constraints)
+    for c in checks:
         word, rest = str(c).split(" ", 1)
         print(f"{_verdict(word)} {rest}")
-    print(f"result: {_verdict('PASS' if report.passed else 'FAIL')}")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    passed = all(c.passed for c in checks)
+    print(f"result: {_verdict('PASS' if passed else 'FAIL')}")
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def _cmd_export(args) -> int:
@@ -149,7 +148,7 @@ def _cmd_export(args) -> int:
             if (entry.name.endswith((".h", ".cpp")) and entry.name.lower() not in bundle
                     and entry.is_file(follow_symlinks=False)):
                 with open(entry.path, "rb") as f:
-                    stale = f.read(len(_BANNER)) == _BANNER
+                    stale = f.read(len(BANNER)) == BANNER.encode()  # the banner is ASCII
                 if stale:
                     os.remove(entry.path)
                     print(f"removed: {entry.path}")

@@ -26,6 +26,8 @@ from .components import (
 )
 from .sysdesc import require_valid
 
+BANNER = "// Generated by tlmforge"  # how every exported file starts
+
 _IDENT_CHARS = set(string.ascii_letters + string.digits + "_")
 # C++20 keywords and alternative tokens; a name equal to one gets a "_" suffix.
 _CPP_KEYWORDS = frozenset("""
@@ -114,7 +116,7 @@ def _header(cls: str, guard: str, std: str, comment: str, sockets: dict[str, lis
     builds each socket, keeps each delay in ``m_<delay>``, registers ``thread``
     if any and runs ``ctor``; ``body`` closes the class."""
     lines = [
-        f"// Generated by tlmforge {__version__}. Blocking-transport coding style.",
+        f"{BANNER} {__version__}. Blocking-transport coding style.",
         f"#ifndef {guard}",
         f"#define {guard}",
         "",
@@ -354,7 +356,7 @@ def export_tlm(description) -> dict[str, str]:
     variables = {inst.name: class_namer.unique(inst.name) for inst in description.instances}
 
     top = [
-        f"// Generated by tlmforge {__version__}. Instantiates and binds the described system.",
+        f"{BANNER} {__version__}. Instantiates and binds the described system.",
         "#include <systemc>",
         "#include <tlm>",
         "",

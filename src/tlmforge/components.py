@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator
@@ -31,7 +32,6 @@ from .kernel import Activity, QuantumKeeper, Scheduler
 from .payload import Command, GenericPayload, ResponseStatus, deep_copy_payload, validate_payload
 from .simtime import U64_MAX, TimeOverflowError, time_add
 from .trace import TraceRecord
-from .transport import DmiAccess, DmiDescriptor
 
 # Extension slot the simulator uses to tag payloads with a transaction id.
 TXN_ID_EXTENSION = "tlmforge.txn-id"
@@ -189,10 +189,6 @@ class Storage:
         self.data = bytearray([fill]) * size
 
     @property
-    def size(self) -> int:
-        return len(self.data)
-
-    @property
     def end(self) -> int:
         """One past the last valid address."""
         return self.base + len(self.data)
@@ -332,6 +328,25 @@ class _Responder:
         txn = p.extensions.get(TXN_ID_EXTENSION, 0)
         self.ctx.records.append(_new_record(TraceRecord, (self.name, activation, start, end,
                                 txn if isinstance(txn, int) else 0, p.response_status)))
+
+
+class DmiAccess(Enum):
+    READ = "READ"
+    WRITE = "WRITE"
+    READ_WRITE = "READ_WRITE"
+
+
+@dataclass
+class DmiDescriptor:
+    """A direct-memory grant (or refusal) for an inclusive address range."""
+
+    granted: bool
+    start_address: int
+    end_address: int
+    access: DmiAccess = DmiAccess.READ_WRITE
+    read_latency_ps: int = 0
+    write_latency_ps: int = 0
+    storage: object = None
 
 
 class TargetModel(_Responder):

@@ -25,14 +25,11 @@ class Diagnostic:
     line: int | None = None
     column: int | None = None
 
-    def location(self) -> str:
+    def __str__(self) -> str:
+        loc = self.where
         if self.line is not None:
             pos = f"{self.line}:{self.column}" if self.column is not None else str(self.line)
-            return f"{self.where} ({pos})" if self.where else pos
-        return self.where
-
-    def __str__(self) -> str:
-        loc = self.location()
+            loc = f"{loc} ({pos})" if loc else pos
         return f"{self.code} {loc}: {self.message}" if loc else f"{self.code}: {self.message}"
 
 

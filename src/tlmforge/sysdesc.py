@@ -106,7 +106,8 @@ class InvalidDescriptionError(ValueError):
 
 _ADDRESS_RE = re.compile(r"0x[0-9A-Fa-f]+")
 _SOCKET_KEY_RE = re.compile(r"[0-9]+")
-_MAX_LENGTH = 2**32 - 1  # a TLM-2.0 data length is an unsigned int
+_HEX_DIGITS = b"0123456789ABCDEFabcdef"
+_MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
 
 
 class _SocketKey(str):
@@ -241,13 +242,10 @@ class _Build:
             return self.err(path, "E-TYPE", "hex data needs an even number of digits")
         if not s:
             return self.err(path, "E-TYPE", "data must hold at least one byte")
-        try:
-            data = bytes.fromhex(s)
-        except ValueError:
-            data = b""
-        if 2 * len(data) != len(s):  # fromhex also skips blanks; a description has none
+        # Every character a hex digit; on 8 KiB, deleting the digits took 7 us, a regex 30 us.
+        if not s.isascii() or s.encode().translate(None, _HEX_DIGITS):
             return self.err(path, "E-TYPE", f"bad hex data {s!r}")
-        return data
+        return bytes.fromhex(s)
 
     # -- records, arrays, pairs and socket-keyed objects
 
@@ -340,7 +338,8 @@ class _Build:
 
     def template(self, v, path: tuple) -> TransactionTemplate | None:
         f = self.fields(v, path, {"command": self.command, "address": self.address},
-                        {"socket": self.int_, "repeat": lambda v, p: self.int_(v, p, minimum=0)},
+                        {"socket": self.int_,
+                         "repeat": lambda v, p: self.int_(v, p, minimum=0, maximum=_MAX_LENGTH)},
                         ("data", "length"))
         if not isinstance(v, dict):
             return None
@@ -359,9 +358,15 @@ class _Build:
                                    f.get("repeat", 1))
 
     def storage(self, v, path: tuple) -> tuple[int, int, int] | None:
-        f = self.fields(v, path, {"size": self.count}, {
+        f = self.fields(v, path, {
+            "size": lambda v, p: self.int_(v, p, minimum=1, maximum=_MAX_LENGTH)}, {
             "base": self.address, "fill": lambda v, p: self.int_(v, p, minimum=0, maximum=255)})
-        return None if f is None else (f.get("base", 0), f["size"], f.get("fill", 0))
+        if f is None:
+            return None
+        base, size = f.get("base", 0), f["size"]
+        if base + size > U64_MAX:  # the exported range check computes base + size in 64 bits
+            return self.err(path, "E-TYPE", f"storage ends at {base + size:#x}, past {U64_MAX:#x}")
+        return base, size, f.get("fill", 0)
 
     def module(self, v, path: tuple) -> ModuleSpec | None:
         # Without a good kind and name no other member is looked at.

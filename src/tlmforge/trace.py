@@ -204,45 +204,34 @@ def end_to_end_latency(records: list[TraceRecord], instance: str) -> int:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
+    """One deadline: the instance's final end, or None if it has no trace records."""
+
     instance: str
     deadline_ps: int
     measured_ps: int | None
-    passed: bool
-    reason: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.measured_ps is not None and self.measured_ps <= self.deadline_ps
 
     def __str__(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
         if self.measured_ps is None:
-            return f"{verdict} {self.instance}: {self.reason}"
-        rel = "<=" if self.passed else ">"
+            return f"FAIL {self.instance}: E-NO-INSTANCE: no trace records for '{self.instance}'"
+        verdict, rel = ("PASS", "<=") if self.passed else ("FAIL", ">")
         return (f"{verdict} {self.instance}: end {self.measured_ps} ps "
                 f"{rel} deadline {self.deadline_ps} ps")
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    checks: tuple[ConstraintCheck, ...]
-    passed: bool
-
-
-def check_constraints(records: list[TraceRecord], constraints) -> ConstraintReport:
-    """PASS each constraint iff the instance's final end meets its deadline.
+def check_constraints(records: list[TraceRecord], constraints) -> list[ConstraintCheck]:
+    """One check per constraint: PASS iff the instance's final end meets its deadline.
 
     An unknown instance fails its constraint with reason E-NO-INSTANCE.
-    An empty constraint list passes vacuously.
     """
-    checks: list[ConstraintCheck] = []
+    checks = []
     for c in constraints:
         mine = [r.end for r in records if r.instance == c.instance]
-        if not mine:
-            checks.append(ConstraintCheck(
-                c.instance, c.max_end_ps, None, False,
-                reason=f"E-NO-INSTANCE: no trace records for '{c.instance}'"))
-            continue
-        measured = max(mine)
-        checks.append(ConstraintCheck(c.instance, c.max_end_ps, measured,
-                                      measured <= c.max_end_ps))
-    return ConstraintReport(tuple(checks), all(c.passed for c in checks))
+        checks.append(ConstraintCheck(c.instance, c.max_end_ps, max(mine) if mine else None))
+    return checks
 
 
 # --------------------------------------------------------------------------

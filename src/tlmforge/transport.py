@@ -1,9 +1,9 @@
-"""Transport vocabulary: the non-blocking phase machine and the DMI grant.
+"""Transport vocabulary: the non-blocking phase machine.
 
 The blocking, DMI and debug calls are methods of the components:
 ``TargetModel.b_transport(in_socket, p, t)`` carries a whole transaction in
 one step and returns the caller's grown local-time annotation,
-``TargetModel.get_dmi(address)`` returns a :class:`DmiDescriptor` that lets
+``TargetModel.get_dmi(address)`` returns a ``DmiDescriptor`` that lets
 a caller touch target storage at a fixed per-beat latency, and
 ``TargetModel.transport_dbg(p)`` reads or writes storage in zero simulated
 time.
@@ -32,12 +32,6 @@ class SyncStatus(Enum):
     ACCEPTED = "ACCEPTED"
     UPDATED = "UPDATED"
     COMPLETED = "COMPLETED"
-
-
-class DmiAccess(Enum):
-    READ = "READ"
-    WRITE = "WRITE"
-    READ_WRITE = "READ_WRITE"
 
 
 @dataclass(frozen=True)
@@ -80,19 +74,6 @@ class ProtocolError:
                 f"(outstanding_request={self.state.outstanding_request}, "
                 f"outstanding_response={self.state.outstanding_response}, "
                 f"last_phase={self.state.last_phase})")
-
-
-@dataclass
-class DmiDescriptor:
-    """A direct-memory grant (or refusal) for an inclusive address range."""
-
-    granted: bool
-    start_address: int
-    end_address: int
-    access: DmiAccess = DmiAccess.READ_WRITE
-    read_latency_ps: int = 0
-    write_latency_ps: int = 0
-    storage: object = None
 
 
 def nb_step(

@@ -907,7 +907,7 @@ def test_validate_never_raises(seed, edits):
     """``validate`` ends in exit 0 or 1 on any mutated description, never in a traceback.
 
     Only ``validate``: ``run`` and ``export`` allocate storage and sockets by the
-    described size, which has no bound yet (ROADMAP item 2).  For the same reason
+    described size, which has no total bound yet (ROADMAP item 4).  For the same reason
     the mutations hold no large positive integer: a template's ``length`` of up
     to 2**32 - 1 bytes is allocated while the description is parsed.
     """

@@ -193,7 +193,7 @@ def payload_and_storage(draw):
 
 
 def assert_agrees_with_oracle(p, storage):
-    base, size = storage.base, storage.size
+    base, size = storage.base, len(storage.data)
     mem_before = storage_as_dict(storage)
     if p.command is Command.WRITE:
         status = apply_write(storage, p)

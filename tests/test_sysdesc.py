@@ -170,6 +170,48 @@ def test_a_present_null_data_or_length_is_reported(abs_text, members, expected):
     assert [str(d) for d in diags] == ["E-TYPE modules[0].workload[0]." + expected]
 
 
+def edited_abs(abs_text, repeat=1, storage=None) -> str:
+    """abs.json, indented by 2, with the Brake WRITE's ``repeat`` and Module2's ``storage``."""
+    doc = json.loads(abs_text)
+    doc["modules"][0]["workload"][0]["repeat"] = repeat
+    doc["modules"][2]["storage"].update(storage or {})
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("repeat, storage, expected", [
+    (2**32, None, "modules[0].workload[0].repeat (59:21): "
+                  "expected an integer <= 4294967295, got 4294967296"),
+    (5_000_000_000, None, "modules[0].workload[0].repeat (59:21): "
+                          "expected an integer <= 4294967295, got 5000000000"),
+    (1, {"size": 2**32}, "modules[2].storage.size (86:17): "
+                         "expected an integer <= 4294967295, got 4294967296"),
+    (1, {"size": 5368709120}, "modules[2].storage.size (86:17): "
+                              "expected an integer <= 4294967295, got 5368709120"),
+    (1, {"base": "0xffffffffffffffc0"},
+     "modules[2].storage (84:18): storage ends at 0x10000000000000000, past 0xffffffffffffffff"),
+    (1, {"base": "0xfffffffffffffff0"},
+     "modules[2].storage (84:18): storage ends at 0x10000000000000030, past 0xffffffffffffffff"),
+], ids=["repeat 2^32", "repeat 5e9", "size 2^32", "size 5 GiB", "end 2^64", "end past 2^64"])
+def test_repeat_size_and_storage_end_fit_the_exported_types(abs_text, repeat, storage, expected):
+    """The export holds a repeat count and a storage size in an unsigned int and
+    computes base + size in 64 bits; a value past either is refused when parsed."""
+    desc, diags = parse_description(edited_abs(abs_text, repeat, storage))
+    assert desc is None
+    assert [str(d) for d in diags] == ["E-TYPE " + expected]
+
+
+@pytest.mark.parametrize("repeat, storage", [
+    (2**32 - 1, None),
+    (1, {"size": 2**32 - 1}),
+    (1, {"base": "0xffffffffffffffbf"}),
+], ids=["repeat 2^32-1", "size 2^32-1", "end 2^64-1"])
+def test_the_largest_repeat_size_and_storage_end_are_accepted(abs_text, repeat, storage):
+    """Parsed and validated only: elaborating a 4 GiB storage would allocate it."""
+    desc, diags = parse_description(edited_abs(abs_text, repeat, storage))
+    assert diags == []
+    assert validate_description(desc) == []
+
+
 DEEP = "[" * 300 + "]" * 300
 
 

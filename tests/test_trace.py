@@ -555,35 +555,34 @@ def test_marker_count_equals_record_count(records):
 
 
 def test_constraint_pass_and_measured_value():
-    report = check_constraints(ABS_ROWS, [TimingConstraint("Brake", 16_000)])
-    assert report.passed
-    (check,) = report.checks
+    (check,) = check_constraints(ABS_ROWS, [TimingConstraint("Brake", 16_000)])
+    assert check.passed
     assert check.measured_ps == 16_000
-    assert "PASS" in str(check)
+    assert str(check) == "PASS Brake: end 16000 ps <= deadline 16000 ps"
 
 
 def test_constraint_fail():
-    report = check_constraints(ABS_ROWS, [TimingConstraint("Brake", 15_000)])
-    assert not report.passed
-    assert not report.checks[0].passed
+    (check,) = check_constraints(ABS_ROWS, [TimingConstraint("Brake", 15_000)])
+    assert not check.passed
+    assert str(check) == "FAIL Brake: end 16000 ps > deadline 15000 ps"
 
 
 def test_constraints_vacuous_pass():
-    assert check_constraints(ABS_ROWS, []).passed
+    assert check_constraints(ABS_ROWS, []) == []
 
 
 def test_constraint_unknown_instance_fails_with_reason():
-    report = check_constraints(ABS_ROWS, [TimingConstraint("ghost", 1)])
-    assert not report.passed
-    assert "E-NO-INSTANCE" in report.checks[0].reason
+    (check,) = check_constraints(ABS_ROWS, [TimingConstraint("ghost", 1)])
+    assert not check.passed
+    assert check.measured_ps is None
+    assert str(check) == "FAIL ghost: E-NO-INSTANCE: no trace records for 'ghost'"
 
 
 @given(record_lists(), st.integers(0, 30_000), st.integers(0, 10_000))
 def test_loosening_a_deadline_never_flips_pass_to_fail(records, deadline, slack):
     names = sorted({r.instance for r in records}) or ["alpha"]
-    constraints = [TimingConstraint(names[0], deadline)]
-    tight = check_constraints(records, constraints)
-    loose = check_constraints(records, [TimingConstraint(names[0], deadline + slack)])
+    (tight,) = check_constraints(records, [TimingConstraint(names[0], deadline)])
+    (loose,) = check_constraints(records, [TimingConstraint(names[0], deadline + slack)])
     if tight.passed:
         assert loose.passed
 
