@@ -1,17 +1,17 @@
 """JSON readers: the stdlib scanner, and one that remembers where values sit.
 
-Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``float``,
-``bool`` and ``None``, and both decode every string, number and literal with one
-``json.JSONDecoder``.  ``parse_json`` owns the rest: the structure, the duplicate
-key and depth rules, the positions and every syntax message.  Beside the value it
-returns a table from each value's path (the object keys and array indices from the
-root; ``()`` is the root) to the 1-based line and column where that value starts.
-It tracks only a character offset, and turns one into a line and column through
-the offsets where lines start.  Stricter than the RFC: a duplicate object key,
-nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and an
-integer of more digits than ``int()`` takes are errors.  ``load_json`` is the
-decoder alone (its hooks refuse duplicate keys and ``NaN``), with no depth bound,
-so it accepts a text that only nests too deep; ``parse_json`` reads with the bound.
+Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``Decimal`` (a number
+with a fraction or exponent, kept exact), ``bool`` and ``None``, and both decode every
+string, number and literal with one ``json.JSONDecoder``.  ``parse_json`` owns the rest:
+the structure, the duplicate key and depth rules, the positions and every syntax message.
+Beside the value it returns a table from each value's path (the object keys and array
+indices from the root; ``()`` is the root) to the 1-based line and column where that value
+starts.  It tracks only a character offset, and turns one into a line and column through
+the offsets where lines start.  Stricter than the RFC: a duplicate object key, nesting
+deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and an integer of more
+digits than ``int()`` takes are errors.  ``load_json`` is the decoder alone (its hooks
+refuse duplicate keys and ``NaN``), with no depth bound, so it accepts a text that only
+nests too deep; ``parse_json`` reads with the bound.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from decimal import Decimal
 
 _NUMBER_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")  # ASCII digits
 _WS_RE = re.compile(r"[ \t\r\n]*")
 _STRING_RE = re.compile(r'(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*')  # what json takes
 MAX_DEPTH = 256
-_KINDS = {dict: "object", list: "array", bool: "boolean", int: "integer", float: "number",
+_KINDS = {dict: "object", list: "array", bool: "boolean", int: "integer", Decimal: "number",
           str: "string", type(None): "null"}  # the only types a JSON value takes
 
 
@@ -185,7 +186,8 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_members, parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(object_pairs_hook=_members, parse_constant=_no_constant,
+                            parse_float=Decimal)
 
 
 def load_json(text: str) -> object:

@@ -27,9 +27,9 @@ Validation rules on a parsed description:
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .components import (
@@ -220,16 +220,18 @@ class _Build:
         try:
             if isinstance(v, bool):
                 raise ValueError("expected a number")
-            if isinstance(v, int):
+            if isinstance(v, (int, Decimal)):  # a Decimal is a float literal's exact value
+                _, digits, exponent = Decimal(v).as_tuple()
+                if len(digits) + abs(exponent) > 4300:  # int()'s limit; Fraction builds 10**exp
+                    raise ValueError("bandwidth needs more than 4300 digits")
                 result = Fraction(v)
-            elif isinstance(v, float):  # repr is the shortest decimal that reads back as v
-                result = Fraction(repr(v)) if math.isfinite(v) else parse_rational(repr(v))
             elif isinstance(v, str):
                 result = parse_rational(v)
             else:
                 raise ValueError(f"expected bytes-per-ns, got {kind(v)}")
             if result <= 0:
-                raise ValueError(f"bandwidth must be positive, got {v!r}")
+                raise ValueError("bandwidth must be positive, got "  # a Decimal spelled as a number
+                                 + (str(v) if isinstance(v, Decimal) else repr(v)))
         except ValueError as exc:
             return self.err(path, "E-TYPE", str(exc))
         return result

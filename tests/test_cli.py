@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -907,7 +908,7 @@ def test_validate_never_raises(seed, edits):
     """``validate`` ends in exit 0 or 1 on any mutated description, never in a traceback.
 
     Only ``validate``: ``run`` and ``export`` allocate storage and sockets by the
-    described size, which has no total bound yet (ROADMAP item 4).  For the same reason
+    described size, which has no total bound yet (ROADMAP item 5).  For the same reason
     the mutations hold no large positive integer: a template's ``length`` of up
     to 2**32 - 1 bytes is allocated while the description is parsed.
     """
@@ -942,3 +943,109 @@ def test_a_parser_kept_across_calls_answers_as_a_fresh_process(capsys, monkeypat
     assert [code for code, _, _ in together] == [2, 0, 0]
     assert together == [(done.returncode, done.stdout, done.stderr) for done in alone]
     assert cli._build_parser() is cli._build_parser()
+
+
+# -- the cyclic garbage collector is held off while a command runs
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic garbage collector on or off for the block, then as it was."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("argv, expected", [
+    (["validate", "{abs}"], 0),
+    (["validate", "{broken}"], 1),
+    (["validate", "{missing}"], 2),
+    (["run", "{abs}", "--event-limit", "1"], 3),
+], ids=["exit 0", "exit 1", "exit 2", "exit 3"])
+def test_a_command_leaves_the_collector_as_it_found_it(capsys, abs_path, broken_path, tmp_path,
+                                                      monkeypatch, argv, expected, enabled):
+    """The command itself runs with the collector off, whatever the caller chose."""
+    during = []
+    require_valid = cli.require_valid
+
+    def watched(desc):
+        during.append(gc.isenabled())
+        return require_valid(desc)
+    monkeypatch.setattr(cli, "require_valid", watched)
+    paths = {"abs": abs_path, "broken": broken_path, "missing": tmp_path / "nope.json"}
+    with collector(enabled):
+        assert run_command([a.format(**paths) for a in argv]) == expected
+        assert gc.isenabled() is enabled
+    assert during == ([False] if expected in (0, 1) else [])  # exit 2 and 3 never validate here
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_an_exception_that_escapes_a_command_restores_the_collector(monkeypatch, abs_path,
+                                                                   enabled):
+    def boom(desc):
+        raise RuntimeError("not a refusal")
+    monkeypatch.setattr(cli, "require_valid", boom)
+    with collector(enabled):
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            run_command(["validate", str(abs_path)])
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"], ["frobnicate"],
+                                  ["run"]])
+def test_a_usage_exit_leaves_the_collector_untouched(capsys, monkeypatch, argv):
+    touched = []
+    monkeypatch.setattr(gc, "disable", lambda: touched.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: touched.append("enable"))
+    assert run_command(argv) in (0, 2)
+    assert touched == []
+
+
+def cyclic_garbage_of_a_second_run(argv: list[str]) -> tuple[int, int]:
+    """The exit code of a command run twice in one process, and how many objects the
+    collector finds unreachable after the second run, with it held off around that run.
+    The first run makes what a process makes once: imports, caches, the parser."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        first = run_command(argv)
+        with collector(False):
+            gc.collect()
+            second = run_command(argv)
+            garbage = gc.collect()
+    assert first == second
+    return second, garbage
+
+
+@pytest.mark.parametrize("repeat", [1, 2000])
+@pytest.mark.parametrize("quantum", ["0ps", "1us"])
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, abs_text, repeat, quantum):
+    """The safety fence of the collector's hold: a command makes no reference cycle.
+    A change that makes a cycle per transaction fails here instead of leaking while
+    the collector is held off."""
+    desc = edited_abs(tmp_path, abs_text, BRAKE_WRITE + ("repeat",), repeat)
+    argv = ["run", desc, "--quantum", quantum, "--trace", str(tmp_path / "t.csv")]
+    assert cyclic_garbage_of_a_second_run(argv) == (0, 0)
+
+
+def test_a_refused_run_leaves_no_cyclic_garbage(abs_path):
+    argv = ["run", str(abs_path), "--event-limit", "1"]
+    assert cyclic_garbage_of_a_second_run(argv) == (3, 0)
+
+
+@pytest.mark.parametrize("command, code", [
+    (["render", "{trace}", "--svg", "{svg}"], 0),
+    (["render", "{trace}", "--text"], 0),
+    (["check", "{desc}", "{trace}"], 1),  # 2000 WRITEs end past Brake's 16 ns deadline
+    (["validate", "{desc}"], 0),
+    (["export", "{desc}", "--out", "{gen}"], 0),
+], ids=["render --svg", "render --text", "check", "validate", "export"])
+def test_every_other_command_leaves_no_cyclic_garbage(capsys, tmp_path, abs_text, command,
+                                                       code):
+    desc = edited_abs(tmp_path, abs_text, BRAKE_WRITE + ("repeat",), 2000)
+    trace = str(tmp_path / "t.csv")
+    assert invoke(capsys, "run", desc, "--trace", trace)[0] == 0
+    paths = {"desc": desc, "trace": trace, "svg": tmp_path / "t.svg", "gen": tmp_path / "gen"}
+    assert cyclic_garbage_of_a_second_run([a.format(**paths) for a in command]) == (code, 0)

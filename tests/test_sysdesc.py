@@ -240,16 +240,50 @@ def test_a_document_that_is_no_object_is_refused(text, expected):
 
 @pytest.mark.parametrize("literal, expected", [
     ("0.00001", Fraction(1, 100000)), ("1E-5", Fraction(1, 100000)), ("1e16", Fraction(10**16)),
-    ("-0.5", "bandwidth must be positive, got -0.5"), ("1e400", "bad rational 'inf'"),
+    ("-0.5", "bandwidth must be positive, got -0.5"), ("1e400", Fraction(10**400)),
+    ("1e-400", Fraction(1, 10**400)), ("0.0", "bandwidth must be positive, got 0.0"),
+    ("123456789012345678901.5", Fraction(246913578024691357803, 2)),
+    ("1e4299", Fraction(10**4299)), ("1e-4299", Fraction(1, 10**4299)),
+    ("1e4300", "bandwidth needs more than 4300 digits"),
+    ("1e-999999999", "bandwidth needs more than 4300 digits"),
+    pytest.param("1" * 4300 + ".5", "bandwidth needs more than 4300 digits", id="4301 digits"),
 ])
 def test_a_float_bandwidth_reads_as_the_decimal_it_was_written_as(abs_text, literal, expected):
-    """A float in exponent form is exact too; an infinite one is no rational."""
+    """A float literal is exact, in exponent form too, far past a double's range.  Its
+    digits and exponent are bounded as int() bounds an integer's digits: Fraction builds
+    10**exponent, so an exponent of 10**9 would take gigabytes."""
     text = abs_text.replace('"sockets": 1,', f'"sockets": 1, "bandwidth": {literal},', 1)
     desc, diags = parse_description(text)
     if isinstance(expected, Fraction):
         assert diags == [] and desc.modules[0].bandwidth == expected
     else:
         assert [str(d) for d in diags] == [f"E-TYPE modules[0].bandwidth (19:34): {expected}"]
+
+
+@pytest.mark.parametrize("decimal", ["0.5", "0.1", "123456789012345678901.5",
+                                     "3.14159265358979323846"])
+def test_a_float_literal_and_its_string_give_the_same_bandwidth(abs_text, decimal):
+    bandwidths = []
+    for spelled in (decimal, f'"{decimal}"'):
+        text = abs_text.replace('"sockets": 1,', f'"sockets": 1, "bandwidth": {spelled},', 1)
+        desc, diags = parse_description(text)
+        assert diags == []
+        bandwidths.append(desc.modules[0].bandwidth)
+    assert bandwidths[0] == bandwidths[1] == Fraction(decimal)
+
+
+@pytest.mark.parametrize("key, expected", [
+    ('"sockets": 1', "modules[0].sockets (19:18): expected an integer, got number"),
+    ('"repeat": 1', "modules[0].workload[0].repeat (21:91): expected an integer, got number"),
+    ('"size": 64', "modules[2].storage.size (36:42): expected an integer, got number"),
+    ('"fill": 0', "modules[2].storage.fill (36:54): expected an integer, got number"),
+    ('"name": "Brake"', "instances[0].name (41:14): expected a string, got number"),
+    ('"frequency": "1GHz"', "cpus[0].frequency (3:35): expected a string, got number"),
+])
+def test_an_integer_or_string_field_refuses_a_float_literal(abs_text, key, expected):
+    """A float literal is read as a Decimal, which no integer or string field takes."""
+    text = abs_text.replace(key, key.split(":")[0] + ": 1.5", 1)
+    assert [str(d) for d in parse_description(text)[1]] == [f"E-TYPE {expected}"]
 
 
 def test_string_escapes_in_description_text():

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -55,6 +58,41 @@ def test_write_format_is_exact():
 
 def test_parse_inverts_write():
     assert parse_trace(write_trace(ABS_ROWS)) == ABS_ROWS
+
+
+def calls(fn, arg) -> int:
+    """How many Python and C function calls ``fn(arg)`` makes, the calls inside it included.
+    The collector is held off, as the CLI holds it: a collection in between would count
+    the finalizers and gc callbacks it runs."""
+    count = 0
+
+    def profile(frame, event, _):
+        nonlocal count
+        count += event in ("call", "c_call")
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return count
+
+
+def rows(n: int) -> list[TraceRecord]:
+    return [TraceRecord(f"I{i % 7}", i, 10 * i, 10 * i + 5, i // 3, ResponseStatus.OK)
+            for i in range(n)]
+
+
+def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10():
+    """Both check and convert a trace by whole columns and whole texts, with no call per
+    row: a reader line by line, as _refusal is, makes 5007 calls on 1000 rows.  Unlike a
+    profiled share of the time, a call count does not move with the machine's load."""
+    small, large = rows(10), rows(5000)
+    assert calls(write_trace, small) == calls(write_trace, large)
+    assert calls(parse_trace, write_trace(small)) == calls(parse_trace, write_trace(large))
 
 
 def test_empty_trace_is_header_only_and_round_trips():
