@@ -1,11 +1,12 @@
 """Command-line front end: validate, run, render, check, export.
 
-Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage error (including a
-file that cannot be read as UTF-8 or written, and an --event-limit below 1), 3 runtime error
-(event limit, 64-bit time overflow).  Commands raise their refusals; ``run_command`` alone
-prints them and picks the exit code.  A command runs with the cyclic garbage collector held
-off: its hot paths make no reference cycles, as the safety-fence test in tests/test_cli.py
-pins.  Set TLMFORGE_COLOR=0 to force plain output.
+Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
+error (including a file that cannot be read as UTF-8 or written, and an
+--event-limit below 1), 3 runtime error (event limit, 64-bit time
+overflow).  Commands raise their refusals;
+``run_command`` alone prints them and picks the exit code.
+A command runs with the cyclic collector held off; test_cli's safety fence pins why.
+Set TLMFORGE_COLOR=0 to force plain output.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """JSON readers: the stdlib scanner, and one that remembers where values sit.
 
-Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``Decimal`` (a number
-with a fraction or exponent, kept exact), ``bool`` and ``None``, and both decode every
-string, number and literal with one ``json.JSONDecoder``.  ``parse_json`` owns the rest:
-the structure, the duplicate key and depth rules, the positions and every syntax message.
-Beside the value it returns a table from each value's path (the object keys and array
-indices from the root; ``()`` is the root) to the 1-based line and column where that value
-starts.  It tracks only a character offset, and turns one into a line and column through
-the offsets where lines start.  Stricter than the RFC: a duplicate object key, nesting
-deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and an integer of more
-digits than ``int()`` takes are errors.  ``load_json`` is the decoder alone (its hooks
-refuse duplicate keys and ``NaN``), with no depth bound, so it accepts a text that only
-nests too deep; ``parse_json`` reads with the bound.
+Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``Decimal``,
+``bool`` and ``None``, and both decode every string, number and literal with one
+``json.JSONDecoder``.  ``parse_json`` owns the rest: the structure, the duplicate
+key and depth rules, the positions and every syntax message.  Beside the value it
+returns a table from each value's path (the object keys and array indices from the
+root; ``()`` is the root) to the 1-based line and column where that value starts.
+It tracks only a character offset, and turns one into a line and column through
+the offsets where lines start.  Stricter than the RFC: a duplicate object key,
+nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and a
+number that ``int()`` or ``Decimal`` refuses are errors.  ``load_json`` is the
+decoder alone (its hooks refuse duplicate keys and ``NaN``), with no depth bound,
+so it accepts a text that only nests too deep; ``parse_json`` reads with the bound.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class _Reader:
         try:
             value, self.pos = _DECODER.raw_decode(self.text, self.pos)
             return value
-        except ValueError:  # also int()'s refusal of too many digits
+        except (ValueError, ArithmeticError):  # int() refused the digits or Decimal the exponent
             pass
         ch = self._peek()
         if ch == '"':
@@ -163,8 +163,9 @@ class _Reader:
                 self._error("truncated \\u escape", end + 2)
             self._error(f"bad \\u escape {self.text[end + 2:end + 6]!r}", end + 2)
         if ch == "-" or ch.isdigit():
-            if _NUMBER_RE.match(self.text, self.pos):  # int() refused its digits
-                self._error("integer literal too long")
+            if m := _NUMBER_RE.match(self.text, self.pos):  # int() or Decimal refused it
+                self._error("integer literal too long" if m[0].lstrip("-").isdigit()
+                            else "number out of range")
             self._error("bad number")
         self._error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
@@ -197,3 +198,5 @@ def load_json(text: str) -> object:
         return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("nesting too deep for the json decoder") from None
+    except ArithmeticError:  # Decimal holds an exponent below 10**18 only
+        raise ValueError("number out of range") from None

@@ -881,6 +881,22 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error(capsys, tmp_path, abs
     assert (code, out, err) == (1, "E-SYNTAX 19:18: integer literal too long\n", "")
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "check", "export"])
+def test_a_float_past_the_exponent_decimal_holds_is_a_syntax_error(capsys, tmp_path, abs_path,
+                                                                  abs_text, command):
+    """Decimal refuses such a literal with InvalidOperation, an ArithmeticError that
+    would escape every command as a traceback."""
+    path = tmp_path / "desc.json"
+    path.write_text(abs_text.replace('"sockets": 1,', '"sockets": 1e1000000000000000000,'),
+                    encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    argv = {"validate": [path], "run": [path], "check": [path, trace],
+            "export": [path, "--out", tmp_path / "gen"]}[command]
+    code, out, err = invoke(capsys, command, *map(str, argv))
+    assert (code, out, err) == (1, "E-SYNTAX 19:18: number out of range\n", "")
+
+
 @pytest.mark.parametrize("char", ["\t", "\x00", "\x1f"])
 def test_a_raw_control_character_in_a_string_is_a_syntax_error(capsys, tmp_path, abs_text, char):
     """RFC 8259 section 7: a control character in a string must be escaped."""

@@ -147,6 +147,16 @@ def test_an_integer_past_the_digit_limit_is_a_syntax_error():
         "integer literal too long", 2, 7)
 
 
+@pytest.mark.parametrize("literal", [
+    "1e1000000000000000000", "-1E-9999999999999999999",
+    pytest.param("1.5e" + "9" * 5000, id="a 5000-digit exponent")])
+def test_a_float_past_the_exponent_decimal_holds_is_a_syntax_error(literal):
+    with pytest.raises(JsonSyntaxError) as info:
+        parse_json('{"a":\n  [0, %s]}' % literal)
+    assert (info.value.reason, info.value.line, info.value.column) == (
+        "number out of range", 2, 7)
+
+
 # -- the fast read: json.loads, or ValueError where only parse_json can answer --
 
 
@@ -237,6 +247,10 @@ def test_the_fast_read_refuses_or_gives_the_same_value(text):
                  id="zeros and out-of-range floats"),
     pytest.param("[%s]" % ("9" * 5000), "neither" if 0 < DIGIT_LIMIT < 5000 else "both",
                  id="5000-digit integer"),
+    pytest.param("[1e999999999999999999, -1E-999999999999999999]", "both",
+                 id="exponents Decimal holds"),
+    pytest.param("[1e1000000000000000000]", "neither", id="an exponent past Decimal's"),
+    pytest.param("[0.5e-9999999999999999999]", "neither", id="a negative exponent past Decimal's"),
 ])
 def test_the_fast_read_on_edge_cases(text, readers):
     assert assert_fast_read_agrees(text) == readers

@@ -246,6 +246,7 @@ def test_a_document_that_is_no_object_is_refused(text, expected):
     ("1e4299", Fraction(10**4299)), ("1e-4299", Fraction(1, 10**4299)),
     ("1e4300", "bandwidth needs more than 4300 digits"),
     ("1e-999999999", "bandwidth needs more than 4300 digits"),
+    ("1e999999999999999999", "bandwidth needs more than 4300 digits"),
     pytest.param("1" * 4300 + ".5", "bandwidth needs more than 4300 digits", id="4301 digits"),
 ])
 def test_a_float_bandwidth_reads_as_the_decimal_it_was_written_as(abs_text, literal, expected):
@@ -284,6 +285,20 @@ def test_an_integer_or_string_field_refuses_a_float_literal(abs_text, key, expec
     """A float literal is read as a Decimal, which no integer or string field takes."""
     text = abs_text.replace(key, key.split(":")[0] + ": 1.5", 1)
     assert [str(d) for d in parse_description(text)[1]] == [f"E-TYPE {expected}"]
+
+
+@pytest.mark.parametrize("key, literal, where", [
+    ('"sockets": 1,', '"sockets": 1, "bandwidth": 1e1000000000000000000,', "19:34"),
+    ('"sockets": 1,', '"sockets": 1, "bandwidth": 1e-9999999999999999999,', "19:34"),
+    ('"sockets": 1,', '"sockets": -1E+1000000000000000000,', "19:18"),
+    ('"size": 64', '"size": 6.4e1000000000000000000', "36:42"),
+])
+def test_a_float_past_the_exponent_decimal_holds_is_a_syntax_error(abs_text, key, literal, where):
+    """Decimal refuses an exponent of 10**18 or more with InvalidOperation, which is no
+    ValueError; both readers name it at the literal instead of raising it."""
+    text = abs_text.replace(key, literal, 1)
+    assert [str(d) for d in parse_description(text)[1]] == [
+        f"E-SYNTAX {where}: number out of range"]
 
 
 def test_string_escapes_in_description_text():
