@@ -24,6 +24,7 @@ from .components import (
     effective_delay,
     transfer_time,
 )
+from .simtime import U64_MAX
 from .sysdesc import require_valid
 
 BANNER = "// Generated by tlmforge"  # how every exported file starts
@@ -56,7 +57,8 @@ _BYTE_LITERALS = tuple(f"0x{b:02x}" for b in range(256))
 
 
 class CodegenError(ValueError):
-    """Source emission failed; code E-NAME-UNSANITIZABLE for empty names."""
+    """Source emission failed: E-NAME-UNSANITIZABLE for an empty name,
+    E-BANDWIDTH-RANGE for a bandwidth that an unsigned 64-bit literal cannot hold."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -101,6 +103,9 @@ def _handler(spec: TargetSpec | RouterSpec, name: str, delay: str, lines: list[s
     serialize = []
     if spec.bandwidth is not None:
         num, den = spec.bandwidth.numerator, spec.bandwidth.denominator
+        if num > U64_MAX or 1000 * den > U64_MAX:  # the literals below are unsigned long long
+            raise CodegenError("E-BANDWIDTH-RANGE", f"module '{spec.name}': bandwidth "
+                               f"{spec.bandwidth} needs a C++ literal past 2^64 - 1")
         expr = f"trans.get_data_length() * {1000 * den}ull"
         serialize = [f"        t += sc_core::sc_time(({expr} + {num - 1}ull) / {num}ull, "
                      "sc_core::SC_PS);  // bandwidth serialization"]

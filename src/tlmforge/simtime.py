@@ -13,7 +13,7 @@ from fractions import Fraction
 
 U64_MAX = 2**64 - 1
 
-_TIME_UNITS_PS = {
+TIME_UNITS_PS = {
     "ps": 1,
     "ns": 10**3,
     "us": 10**6,
@@ -71,7 +71,7 @@ def parse_time(text: str) -> int:
         raise ValueError(f"bad time {text!r}: expected <number><ps|ns|us|ms|s>")
     whole, frac, unit = m.groups("")
     scale = 10 ** len(frac)
-    ps, rest = divmod((int(whole) * scale + int(frac or "0")) * _TIME_UNITS_PS[unit], scale)
+    ps, rest = divmod((int(whole) * scale + int(frac or "0")) * TIME_UNITS_PS[unit], scale)
     if rest:
         raise ValueError(f"bad time {text!r}: not a whole number of picoseconds")
     return check_time(ps)

@@ -56,6 +56,7 @@ from .jsontext import JsonSyntaxError, kind, load_json, parse_json
 from .kernel import DEFAULT_EVENT_LIMIT, Scheduler
 from .payload import Command
 from .simtime import (
+    TIME_UNITS_PS,
     U64_MAX,
     format_frequency_ghz,
     format_rational,
@@ -106,6 +107,8 @@ class InvalidDescriptionError(ValueError):
 
 _ADDRESS_RE = re.compile(r"0x[0-9A-Fa-f]+")
 _SOCKET_KEY_RE = re.compile(r"[0-9]+")
+_WHOLE_TIME_RE = re.compile(r"([0-9]{1,6})(ps|ns|us|ms|s)")  # at most 10**18 ps: in range
+_COMMANDS = {c.value: c for c in Command}
 _HEX_DIGITS = b"0123456789ABCDEFabcdef"
 _MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
 
@@ -125,37 +128,122 @@ def _spell(path: tuple) -> str:
 
 def _typed(cls: type, what: str):
     """A converter that accepts values of one JSON type as they are."""
-    def convert(self: _Build, value, path: tuple):
-        if isinstance(value, cls):
-            return value
-        return self.err(path, "E-TYPE", f"expected {what}, got {kind(value)}")
+    def convert(self: _Build, value, path: tuple, key):
+        return value if isinstance(value, cls) else self.expected(what, value, path + (key,))
     return convert
 
 
 def _parsed(parse):
     """A converter that reads a string with ``parse`` and reports what it raises."""
-    def convert(self: _Build, value, path: tuple):
-        s = self.str_(value, path)
+    def convert(self: _Build, value, path: tuple, key):
+        s = self.str_(value, path, key)
         if s is None:
             return None
         try:
             return parse(s)
         except (ValueError, OverflowError) as exc:
-            return self.err(path, "E-TYPE", str(exc))
+            return self.err(path + (key,), "E-TYPE", str(exc))
+    return convert
+
+
+def _integer(minimum: int | None = None, maximum: int | None = None):
+    """A converter of integers within the bounds given."""
+    def convert(self: _Build, v, path: tuple, key) -> int | None:
+        if type(v) is int and (minimum is None or v >= minimum) and (
+                maximum is None or v <= maximum):
+            return v
+        at = path + (key,)
+        if type(v) is not int:  # a JSON boolean is no integer
+            return self.expected("an integer", v, at)
+        if minimum is not None and v < minimum:
+            return self.err(at, "E-TYPE", f"expected an integer >= {minimum}, got {v}")
+        return self.err(at, "E-TYPE", f"expected an integer <= {maximum}, got {v}")
+    return convert
+
+
+def _array(element, least: int = 0, too_few: str = "", every: bool = False):
+    """A converter of an array of at least ``least`` elements, each converted by
+    ``element``; the walk stops at the first bad element unless ``every`` is set."""
+    def convert(self: _Build, v, path: tuple, key) -> list | None:
+        at = path + (key,)
+        if type(v) is not list:
+            return self.expected("an array", v, at)
+        if len(v) < least:
+            return self.err(at, "E-TYPE", too_few)
+        start = len(self.diags)
+        values = []
+        for i, item in enumerate(v):
+            value = element(self, item, at, i)
+            if value is None and not every:
+                return None
+            values.append(value)
+        return values if len(self.diags) == start else None
+    return convert
+
+
+def _pair(first, second, message: str):
+    """A converter of an array of exactly two elements; both are converted."""
+    def convert(self: _Build, v, path: tuple, key) -> tuple | None:
+        at = path + (key,)
+        if type(v) is not list:
+            return self.expected("an array", v, at)
+        if len(v) != 2:
+            return self.err(at, "E-TYPE", message)
+        a, b = first(self, v[0], at, 0), second(self, v[1], at, 1)
+        return None if a is None or b is None else (a, b)
+    return convert
+
+
+def _by_socket(entry, label: str):
+    """A converter of an object keyed by socket index; every entry is converted."""
+    def convert(self: _Build, v, path: tuple, key) -> dict | None:
+        at = path + (key,)
+        if type(v) is not dict:
+            return self.expected("an object", v, at)
+        start = len(self.diags)
+        values = {}
+        for k, child in v.items():
+            if not _SOCKET_KEY_RE.fullmatch(k):
+                self.err(at + (_SocketKey(k),), "E-TYPE",
+                         f"{label} key {k!r} must be a socket index")
+            elif (value := entry(self, child, at, _SocketKey(k))) is not None:
+                values[int(k)] = value
+        return values if len(self.diags) == start else None
+    return convert
+
+
+def _table(required: dict, optional: dict | None = None) -> tuple[dict, object]:
+    """A record's converters by key, and a set-like view of the keys it requires."""
+    return required | (optional or {}), required.keys()
+
+
+def _record(make, required: dict, optional: dict | None = None):
+    """A converter of a record with no rule beyond its members' own; ``make`` builds
+    its value from the members' values by key."""
+    table = _table(required, optional)
+
+    def convert(self: _Build, v, path: tuple, key):
+        f = self.fields(v, path + (key,), table)
+        return None if f is None else make(f)
     return convert
 
 
 class _Build:
     """Walks the plain JSON value, collecting typed values and diagnostics.
 
-    Every converter takes ``(value, path)``: a JSON value and its path from the
-    root, a tuple of object keys and array indices.  It returns the typed value,
-    or records at least one diagnostic and returns None; None is never a value.
-    A diagnostic takes its line and column from ``positions`` (path -> (line,
-    column), empty when the text was read without positions) and spells its
-    ``where`` from the path only when it is made.  A record is a table of key ->
-    converter read by ``fields``; arrays, fixed pairs and objects keyed by socket
-    index go through ``items``, ``pair`` and ``by_socket``.
+    Every converter takes ``(value, path, key)``: member ``key`` (an object key,
+    array index or socket key) of the container at ``path``, a tuple of keys from
+    the root.  It returns the typed value, or records at least one diagnostic and
+    returns None; None is never a value.  A leaf forms its own path, ``path +
+    (key,)``, only to report; a container forms it once, for its children.  A
+    diagnostic takes its line and column from ``positions`` (path -> (line,
+    column), empty when the text was read without positions).  The first lines of
+    a converter accept the common case by the value's exact JSON type; anything
+    else falls through to the checks.  A record's converters by key are a table
+    read by ``fields``, of plain functions built once, with the class: ``_record``
+    keeps its table in the converter it makes, a record with rules of its own in
+    a class attribute.  A table of bound methods would be built per parse and tie
+    each builder to itself in a reference cycle.
     """
 
     def __init__(self, positions: dict[tuple, tuple[int, int]]) -> None:
@@ -167,56 +255,52 @@ class _Build:
         self.diags.append(Diagnostic(code, message, where=_spell(at) if where is None else where,
                                      line=line, column=column))
 
+    def expected(self, what: str, v, at: tuple) -> None:
+        return self.err(at, "E-TYPE", f"expected {what}, got {kind(v)}")
+
     # -- converters of single values
 
-    obj = _typed(dict, "an object")
-    arr = _typed(list, "an array")
     str_ = _typed(str, "a string")
     bool_ = _typed(bool, "a boolean")
-    time_ps = _parsed(parse_time)
     freq_ghz = _parsed(parse_frequency_ghz)
+    any_time = _parsed(parse_time)
+    int_ = _integer()
+    count = _integer(1)
+    byte = _integer(0, 255)
+    repeat = _integer(0, _MAX_LENGTH)
+    length = _integer(1, _MAX_LENGTH)  # a template's length or a storage's size
 
-    def int_(self, v, path: tuple, minimum: int | None = None,
-             maximum: int | None = None) -> int | None:
-        if not isinstance(v, int) or isinstance(v, bool):
-            return self.err(path, "E-TYPE", f"expected an integer, got {kind(v)}")
-        if minimum is not None and v < minimum:
-            return self.err(path, "E-TYPE", f"expected an integer >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            return self.err(path, "E-TYPE", f"expected an integer <= {maximum}, got {v}")
-        return v
+    def time_ps(self, v, path: tuple, key) -> int | None:
+        if type(v) is str and (m := _WHOLE_TIME_RE.fullmatch(v)):
+            return int(m[1]) * TIME_UNITS_PS[m[2]]
+        return self.any_time(v, path, key)
 
-    def count(self, v, path: tuple) -> int | None:
-        return self.int_(v, path, minimum=1)
+    def ident(self, v, path: tuple, key) -> str | None:
+        if type(v) is str and IDENTIFIER_RE.fullmatch(v):
+            return v
+        s = self.str_(v, path, key)
+        return None if s is None else self.err(
+            path + (key,), "E-TYPE", f"bad identifier {s!r}: use letters, digits, '_', '.', '-'")
 
-    def ident(self, v, path: tuple) -> str | None:
-        s = self.str_(v, path)
-        if s is None or IDENTIFIER_RE.fullmatch(s):
-            return s
-        return self.err(path, "E-TYPE",
-                        f"bad identifier {s!r}: use letters, digits, '_', '.', '-'")
+    def command(self, v, path: tuple, key) -> Command | None:
+        if type(v) is str and v in _COMMANDS:
+            return _COMMANDS[v]
+        s = self.str_(v, path, key)
+        return None if s is None else self.err(path + (key,), "E-TYPE", f"unknown command {s!r}")
 
-    def command(self, v, path: tuple) -> Command | None:
-        s = self.str_(v, path)
-        if s is None:
-            return None
-        try:
-            return Command(s)
-        except ValueError:
-            return self.err(path, "E-TYPE", f"unknown command {s!r}")
-
-    def address(self, v, path: tuple) -> int | None:
+    def address(self, v, path: tuple, key) -> int | None:
+        if type(v) is str and _ADDRESS_RE.fullmatch(v) and (n := int(v, 16)) <= U64_MAX:
+            return n
+        if type(v) is int and 0 <= v <= U64_MAX:
+            return v
+        at = path + (key,)
         if isinstance(v, int) and not isinstance(v, bool):
-            if 0 <= v <= U64_MAX:
-                return v
-            return self.err(path, "E-TYPE", f"address {v} outside the unsigned 64-bit range")
+            return self.err(at, "E-TYPE", f"address {v} outside the unsigned 64-bit range")
         if isinstance(v, str):
-            if _ADDRESS_RE.fullmatch(v) and int(v, 16) <= U64_MAX:
-                return int(v, 16)
-            return self.err(path, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex")
-        return self.err(path, "E-TYPE", f"expected an address, got {kind(v)}")
+            return self.err(at, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex")
+        return self.err(at, "E-TYPE", f"expected an address, got {kind(v)}")
 
-    def bandwidth(self, v, path: tuple) -> Fraction | None:
+    def bandwidth(self, v, path: tuple, key) -> Fraction | None:
         try:
             if isinstance(v, bool):
                 raise ValueError("expected a number")
@@ -233,203 +317,142 @@ class _Build:
                 raise ValueError("bandwidth must be positive, got "  # a Decimal spelled as a number
                                  + (str(v) if isinstance(v, Decimal) else repr(v)))
         except ValueError as exc:
-            return self.err(path, "E-TYPE", str(exc))
+            return self.err(path + (key,), "E-TYPE", str(exc))
         return result
 
-    def hex_data(self, v, path: tuple) -> bytes | None:
-        s = self.str_(v, path)
+    def hex_data(self, v, path: tuple, key) -> bytes | None:
+        s = self.str_(v, path, key)
         if s is None:
             return None
+        at = path + (key,)
         if len(s) % 2 != 0:
-            return self.err(path, "E-TYPE", "hex data needs an even number of digits")
+            return self.err(at, "E-TYPE", "hex data needs an even number of digits")
         if not s:
-            return self.err(path, "E-TYPE", "data must hold at least one byte")
+            return self.err(at, "E-TYPE", "data must hold at least one byte")
         # Every character a hex digit; on 8 KiB, deleting the digits took 7 us, a regex 30 us.
         if not s.isascii() or s.encode().translate(None, _HEX_DIGITS):
-            return self.err(path, "E-TYPE", f"bad hex data {s!r}")
+            return self.err(at, "E-TYPE", f"bad hex data {s!r}")
         return bytes.fromhex(s)
 
-    # -- records, arrays, pairs and socket-keyed objects
+    # -- records
 
-    def absent(self, members: dict, keys, path: tuple) -> bool:
+    def absent(self, members: dict, keys, at: tuple) -> bool:
         """Report each of ``keys`` missing from the object; True if any is."""
         missing = [key for key in keys if key not in members]
         for key in missing:
             # The root names a missing section by its key, a record by the record's path.
-            self.err(path, "E-MISSING", f"required key '{key}' is missing",
-                     None if path else key)
+            self.err(at, "E-MISSING", f"required key '{key}' is missing", None if at else key)
         return bool(missing)
 
-    def fields(self, v, path: tuple, required: dict, optional: dict | None = None,
-               other_keys: tuple[str, ...] = ()) -> dict | None:
-        """An object whose members are converted by ``required`` and ``optional``.
-
-        ``other_keys`` are allowed but left to the caller.  Returns the present
-        members' values by key, or None if anything was reported.
-        """
-        members = self.obj(v, path)
-        if members is None:
-            return None
-        optional = optional or {}
+    def fields(self, v, at: tuple, table: tuple, other_keys: tuple[str, ...] = ()) -> dict | None:
+        """The object at ``at``, its members converted by ``table`` (see ``_table``); the
+        present members' values by key, or None if anything was reported.  ``other_keys``
+        are allowed but left to the caller."""
+        if type(v) is not dict:
+            return self.expected("an object", v, at)
+        converters, required = table
         start = len(self.diags)
         values = {}
-        for key, child in members.items():
-            convert = required.get(key) or optional.get(key)
-            if convert is not None:
-                values[key] = convert(child, path + (key,))
+        for key, child in v.items():
+            if (convert := converters.get(key)) is not None:
+                values[key] = convert(self, child, at, key)
             elif key not in other_keys:
-                self.err(path + (key,), "E-TYPE", f"unknown key '{key}'",
-                         None if path else f"$.{key}")
-        self.absent(members, required, path)
+                self.err(at + (key,), "E-TYPE", f"unknown key '{key}'", None if at else f"$.{key}")
+        if not v.keys() >= required:
+            self.absent(v, required, at)
         return values if len(self.diags) == start else None
 
-    def items(self, v, path: tuple, convert, least: int = 0, too_few: str = "",
-              every: bool = False) -> list | None:
-        """An array of at least ``least`` elements; the walk stops at the first bad
-        element unless ``every`` is set."""
-        elements = self.arr(v, path)
-        if elements is None:
-            return None
-        if len(elements) < least:
-            return self.err(path, "E-TYPE", too_few)
-        start = len(self.diags)
-        values = []
-        for i, item in enumerate(elements):
-            value = convert(item, path + (i,))
-            if value is None and not every:
-                return None
-            values.append(value)
-        return values if len(self.diags) == start else None
+    cpu = _record(lambda f: CpuSpec(f["name"], f["frequency"]),
+                  {"name": ident, "frequency": freq_ghz})
+    bus = _record(lambda f: BusSpec(f["name"], tuple(f["cpus"])),
+                  {"name": ident, "cpus": _array(ident, 2, "a bus joins at least two CPUs")})
+    instance = _record(lambda f: Instance(f["name"], f["module"], f["cpu"]),
+                       {"name": ident, "module": ident, "cpu": ident})
+    binding = _record(lambda f: Binding(*f["from"], *f["to"]), dict.fromkeys(
+        ("from", "to"), _pair(ident, int_, "expected [instance, socket]")))
+    constraint = _record(lambda f: TimingConstraint(f["instance"], f["max_end"]),
+                         {"instance": ident, "max_end": time_ps})
+    options = _record(lambda f: SimOptions(
+        f.get("quantum", 0), f.get("event_limit", DEFAULT_EVENT_LIMIT), f.get("trace")),
+        {}, {"quantum": time_ps, "event_limit": count, "trace": str_})
 
-    def pair(self, v, path: tuple, first, second, message: str) -> tuple | None:
-        """An array of exactly two elements; both are converted."""
-        elements = self.arr(v, path)
-        if elements is None:
-            return None
-        if len(elements) != 2:
-            return self.err(path, "E-TYPE", message)
-        a, b = first(elements[0], path + (0,)), second(elements[1], path + (1,))
-        return None if a is None or b is None else (a, b)
-
-    def by_socket(self, v, path: tuple, convert, label: str) -> dict | None:
-        """An object keyed by socket index; every entry is converted."""
-        members = self.obj(v, path)
-        if members is None:
-            return None
-        start = len(self.diags)
-        values = {}
-        for key, child in members.items():
-            at = path + (_SocketKey(key),)
-            if not _SOCKET_KEY_RE.fullmatch(key):
-                self.err(at, "E-TYPE", f"{label} key {key!r} must be a socket index")
-            elif (value := convert(child, at)) is not None:
-                values[int(key)] = value
-        return values if len(self.diags) == start else None
-
-    # -- the records of a description
-
-    def cpu(self, v, path: tuple) -> CpuSpec | None:
-        f = self.fields(v, path, {"name": self.ident, "frequency": self.freq_ghz})
-        return None if f is None else CpuSpec(f["name"], f["frequency"])
-
-    def bus(self, v, path: tuple) -> BusSpec | None:
-        f = self.fields(v, path, {
-            "name": self.ident,
-            "cpus": lambda v, p: self.items(v, p, self.ident, 2, "a bus joins at least two CPUs")})
-        return None if f is None else BusSpec(f["name"], tuple(f["cpus"]))
-
-    def template(self, v, path: tuple) -> TransactionTemplate | None:
-        f = self.fields(v, path, {"command": self.command, "address": self.address},
-                        {"socket": self.int_,
-                         "repeat": lambda v, p: self.int_(v, p, minimum=0, maximum=_MAX_LENGTH)},
-                        ("data", "length"))
-        if not isinstance(v, dict):
+    def template(self, v, path: tuple, key) -> TransactionTemplate | None:
+        at = path + (key,)
+        f = self.fields(v, at, self.TEMPLATE, ("data", "length"))
+        if type(v) is not dict:
             return None
         if "data" in v and "length" in v:
-            data = self.err(path + ("length",), "E-TYPE", "give 'data' or 'length', not both")
+            data = self.err(at + ("length",), "E-TYPE", "give 'data' or 'length', not both")
         elif "data" in v:
-            data = self.hex_data(v["data"], path + ("data",))
+            data = self.hex_data(v["data"], at, "data")
         elif "length" in v:
-            length = self.int_(v["length"], path + ("length",), minimum=1, maximum=_MAX_LENGTH)
+            length = self.length(v["length"], at, "length")
             data = None if length is None else bytes(length)
         else:
-            data = self.err(path, "E-MISSING", "required key 'data' or 'length' is missing")
+            data = self.err(at, "E-MISSING", "required key 'data' or 'length' is missing")
         if f is None or data is None:
             return None
         return TransactionTemplate(f["command"], f["address"], data, f.get("socket", 0),
                                    f.get("repeat", 1))
 
-    def storage(self, v, path: tuple) -> tuple[int, int, int] | None:
-        f = self.fields(v, path, {
-            "size": lambda v, p: self.int_(v, p, minimum=1, maximum=_MAX_LENGTH)}, {
-            "base": self.address, "fill": lambda v, p: self.int_(v, p, minimum=0, maximum=255)})
+    def storage(self, v, path: tuple, key) -> tuple[int, int, int] | None:
+        at = path + (key,)
+        f = self.fields(v, at, self.STORAGE)
         if f is None:
             return None
         base, size = f.get("base", 0), f["size"]
         if base + size > U64_MAX:  # the exported range check computes base + size in 64 bits
-            return self.err(path, "E-TYPE", f"storage ends at {base + size:#x}, past {U64_MAX:#x}")
+            return self.err(at, "E-TYPE", f"storage ends at {base + size:#x}, past {U64_MAX:#x}")
         return base, size, f.get("fill", 0)
 
-    def module(self, v, path: tuple) -> ModuleSpec | None:
+    def module(self, v, path: tuple, key) -> ModuleSpec | None:
         # Without a good kind and name no other member is looked at.
-        members = self.obj(v, path)
-        if members is None or self.absent(members, ("kind", "name"), path):
+        at = path + (key,)
+        if type(v) is not dict:
+            return self.expected("an object", v, at)
+        if self.absent(v, ("kind", "name"), at):
             return None
-        module_kind = self.str_(members["kind"], path + ("kind",))
-        name = self.ident(members["name"], path + ("name",))
+        module_kind = self.str_(v["kind"], at, "kind")
+        name = self.ident(v["name"], at, "name")
         if module_kind is None or name is None:
             return None
-        head, bandwidth = ("kind", "name"), {"bandwidth": self.bandwidth}
         if module_kind == "initiator":
-            f = self.fields(v, path, {"delay": self.time_ps, "sockets": self.count}, {
-                "workload": lambda v, p: self.items(v, p, self.template, every=True),
-                **bandwidth}, head)
+            f = self.fields(v, at, self.INITIATOR, ("kind", "name"))
             return None if f is None else InitiatorSpec(
                 name, f["delay"], f["sockets"], tuple(f.get("workload", ())), f.get("bandwidth"))
         if module_kind == "target":
-            f = self.fields(v, path, {
-                "socket_delays": lambda v, p: self.items(
-                    v, p, self.time_ps, 1, "socket_delays must not be empty"),
-                "storage": self.storage}, {"dmi": self.bool_, **bandwidth}, head)
+            f = self.fields(v, at, self.TARGET, ("kind", "name"))
             return None if f is None else TargetSpec(
                 name, tuple(f["socket_delays"]), *f["storage"], f.get("dmi", False),
                 f.get("bandwidth"))
         if module_kind == "router":
-            outs = lambda v, p: self.items(v, p, self.int_, 1, "connection list must not be empty")
-            ranges = lambda v, p: self.pair(v, p, self.address, self.address,
-                                            "expected [base, limit]")
-            f = self.fields(v, path, {
-                "delay": self.time_ps, "in_sockets": self.count, "out_sockets": self.count,
-                "connections": lambda v, p: self.by_socket(v, p, outs, "connection")}, {
-                "address_map": lambda v, p: self.by_socket(v, p, ranges, "address_map"),
-                **bandwidth}, head)
+            f = self.fields(v, at, self.ROUTER, ("kind", "name"))
             return None if f is None else RouterSpec(
                 name, f["delay"], f["in_sockets"], f["out_sockets"],
                 {k: tuple(c) for k, c in f["connections"].items()}, f.get("address_map"),
                 f.get("bandwidth"))
-        if "bandwidth" in members:
-            self.bandwidth(members["bandwidth"], path + ("bandwidth",))
-        return self.err(path + ("kind",), "E-TYPE", f"unknown module kind {module_kind!r}: "
+        if "bandwidth" in v:
+            self.bandwidth(v["bandwidth"], at, "bandwidth")
+        return self.err(at + ("kind",), "E-TYPE", f"unknown module kind {module_kind!r}: "
                         "expected initiator, target, or router")
 
-    def instance(self, v, path: tuple) -> Instance | None:
-        f = self.fields(v, path, {"name": self.ident, "module": self.ident, "cpu": self.ident})
-        return None if f is None else Instance(f["name"], f["module"], f["cpu"])
+    # -- the tables of the records above: required converters, then optional ones
 
-    def binding(self, v, path: tuple) -> Binding | None:
-        end = lambda v, p: self.pair(v, p, self.ident, self.int_, "expected [instance, socket]")
-        f = self.fields(v, path, {"from": end, "to": end})
-        return None if f is None else Binding(*f["from"], *f["to"])
-
-    def constraint(self, v, path: tuple) -> TimingConstraint | None:
-        f = self.fields(v, path, {"instance": self.ident, "max_end": self.time_ps})
-        return None if f is None else TimingConstraint(f["instance"], f["max_end"])
-
-    def options(self, v, path: tuple) -> SimOptions | None:
-        f = self.fields(v, path, {}, {
-            "quantum": self.time_ps, "event_limit": self.count, "trace": self.str_})
-        return None if f is None else SimOptions(
-            f.get("quantum", 0), f.get("event_limit", DEFAULT_EVENT_LIMIT), f.get("trace"))
+    TEMPLATE = _table({"command": command, "address": address}, {"socket": int_, "repeat": repeat})
+    STORAGE = _table({"size": length}, {"base": address, "fill": byte})
+    INITIATOR = _table({"delay": time_ps, "sockets": count},
+                       {"workload": _array(template, every=True), "bandwidth": bandwidth})
+    TARGET = _table({"socket_delays": _array(time_ps, 1, "socket_delays must not be empty"),
+                     "storage": storage}, {"dmi": bool_, "bandwidth": bandwidth})
+    ROUTER = _table({"delay": time_ps, "in_sockets": count, "out_sockets": count,
+                     "connections": _by_socket(_array(int_, 1, "connection list must not be empty"),
+                                               "connection")},
+                    {"address_map": _by_socket(_pair(address, address, "expected [base, limit]"),
+                                               "address_map"), "bandwidth": bandwidth})
+    TOP = _table({"cpus": _array(cpu, every=True)}, {
+        "buses": _array(bus, every=True), "modules": _array(module, every=True),
+        "instances": _array(instance, every=True), "bindings": _array(binding, every=True),
+        "constraints": _array(constraint, every=True), "options": options})
 
 
 def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnostic]]:
@@ -449,11 +472,7 @@ def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnos
 
 def _build(root, positions: dict) -> tuple[SystemDescription | None, list[Diagnostic]]:
     b = _Build(positions)
-    section = lambda record: lambda v, p: b.items(v, p, record, every=True)
-    top = b.fields(root, (), {"cpus": section(b.cpu)}, {
-        "buses": section(b.bus), "modules": section(b.module),
-        "instances": section(b.instance), "bindings": section(b.binding),
-        "constraints": section(b.constraint), "options": b.options})
+    top = b.fields(root, (), _Build.TOP)
     if top is None:
         return None, sort_diagnostics(b.diags)
     return SystemDescription(**top), []

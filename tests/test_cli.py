@@ -244,6 +244,22 @@ def test_export_writes_bundle(capsys, abs_path, tmp_path):
     assert names == ["module0.h", "module1.h", "module2.h", "top.cpp"]
 
 
+def test_an_export_past_the_64_bit_literals_exits_3_and_writes_nothing(capsys, abs_text,
+                                                                        tmp_path):
+    """A bandwidth the simulator reads exactly still runs; the export refuses it."""
+    doc = json.loads(abs_text)
+    doc["modules"][2]["bandwidth"] = "100000000000000000001/100000000000000000000"
+    path = write_description(tmp_path, doc)
+    assert invoke(capsys, "run", path)[0] == 0
+    out_dir = tmp_path / "gen"
+    code, out, err = invoke(capsys, "export", path, "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert err == ("error: E-BANDWIDTH-RANGE: module 'Module2': bandwidth "
+                   "100000000000000000001/100000000000000000000 needs a C++ literal past "
+                   "2^64 - 1\n")
+    assert not out_dir.exists()
+
+
 def test_export_twice_is_byte_identical(capsys, abs_path, tmp_path):
     d1, d2 = tmp_path / "g1", tmp_path / "g2"
     invoke(capsys, "export", str(abs_path), "--out", str(d1))

@@ -215,6 +215,39 @@ def test_export_refuses_invalid_description(abs_description):
         export_tlm(abs_description)
 
 
+def with_target_bandwidth(abs_text, bandwidth: str) -> SystemDescription:
+    doc = json.loads(abs_text)
+    doc["modules"][2]["bandwidth"] = bandwidth
+    desc, diags = parse_description(json.dumps(doc))
+    assert diags == []
+    return desc
+
+
+@pytest.mark.parametrize("bandwidth", [
+    "100000000000000000001/100000000000000000000",  # both literals too large
+    "18446744073709551616",                         # a numerator of 2^64
+    "1/18446744073709552",                          # 1000 x the denominator past 2^64 - 1
+])
+def test_a_bandwidth_whose_literals_pass_64_bits_is_refused(abs_text, bandwidth):
+    """The handler writes the numerator and 1000 x the denominator as unsigned long long
+    literals, which hold at most 2^64 - 1."""
+    with pytest.raises(CodegenError) as info:
+        export_tlm(with_target_bandwidth(abs_text, bandwidth))
+    assert info.value.code == "E-BANDWIDTH-RANGE"
+    assert str(info.value) == (f"E-BANDWIDTH-RANGE: module 'Module2': bandwidth {bandwidth} "
+                               "needs a C++ literal past 2^64 - 1")
+
+
+@pytest.mark.parametrize("bandwidth, literals", [
+    ("18446744073709551615", ("1000ull", "18446744073709551614ull) / 18446744073709551615ull")),
+    ("1/18446744073709551", ("18446744073709551000ull", "0ull) / 1ull")),
+])
+def test_the_largest_bandwidth_literals_still_export(abs_text, bandwidth, literals):
+    header = export_tlm(with_target_bandwidth(abs_text, bandwidth))["module2.h"]
+    for literal in literals:
+        assert literal in header
+
+
 def test_bundle_lookup_helpers(abs_description):
     bundle = export_tlm(abs_description)
     assert isinstance(bundle, dict)

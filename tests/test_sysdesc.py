@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import descmut
 import validatecorpus
-from conftest import GOLDEN, REPO
+from conftest import GOLDEN, REPO, calls
 from topogen import random_topology
 
 from tlmforge.components import (
@@ -361,6 +362,70 @@ def test_accepted_descriptions_are_read_once_by_json_loads(monkeypatch, abs_text
     for text in [abs_text] + _workload_texts():
         desc, diags = parse_description(text)
         assert desc is not None and diags == []
+
+
+def wide_map_text(k: int) -> str:
+    """The benchmark's wide_map shape: one initiator READs through a router that
+    address-maps ``k`` targets, each its own module."""
+    reads = [{"command": "READ", "address": f"0x{64 * i + 8:x}", "length": 8, "socket": 0}
+             for i in range(k)]
+    modules = [
+        {"kind": "initiator", "name": "Core", "delay": "3ns", "sockets": 1, "workload": reads},
+        {"kind": "router", "name": "Xbar", "delay": "2ns", "in_sockets": 1, "out_sockets": k,
+         "connections": {"0": list(range(k))},
+         "address_map": {str(i): [f"0x{64 * i:x}", f"0x{64 * i + 64:x}"] for i in range(k)}},
+    ] + [{"kind": "target", "name": f"Mem{i}", "socket_delays": [f"{i + 1}ns"],
+          "storage": {"base": f"0x{64 * i:x}", "size": 64, "fill": i % 256}} for i in range(k)]
+    return json.dumps({
+        "cpus": [{"name": "P0", "frequency": "1GHz"}, {"name": "P1", "frequency": "2GHz"}],
+        "buses": [{"name": "B", "cpus": ["P0", "P1"]}],
+        "modules": modules,
+        "instances": [{"name": "cpu", "module": "Core", "cpu": "P0"},
+                      {"name": "xbar", "module": "Xbar", "cpu": "P0"}]
+                     + [{"name": f"mem{i}", "module": f"Mem{i}", "cpu": "P1"} for i in range(k)],
+        "bindings": [{"from": ["cpu", 0], "to": ["xbar", 0]}]
+                    + [{"from": ["xbar", i], "to": [f"mem{i}", 0]} for i in range(k)],
+        "constraints": [{"instance": "cpu", "max_end": "1ms"}],
+        "options": {"quantum": "0ps"},
+    })
+
+
+def test_the_builder_makes_at_most_124_calls_per_wide_map_target():
+    """Each target of a wide_map-shaped description adds a module, an instance, a binding,
+    a READ and a router connection and range.  The builder reads them in 124 Python and C
+    calls (Python 3.11), where building the converter tables on every record, the member
+    paths on every value and type checks by isinstance took 207.  Unlike a time, a call
+    count does not move with the machine's load."""
+    small, large = wide_map_text(10), wide_map_text(250)
+    desc, diags = parse_description(large)
+    assert diags == [] and validate_description(desc) == []
+    assert len(desc.modules) == 252
+    assert (calls(parse_description, large) - calls(parse_description, small)) / 240 <= 124
+
+
+def test_socket_keys_keep_their_position_and_spelling():
+    """Every converter forms a member's path from its parent's path and key only when it
+    reports, so a key of the wrong type would lose the position (an int key) or spell a
+    socket key as ``.k`` (a plain string) without failing anything else.  Over descmut seeds
+    outside the golden corpus and edits of each router map's keys and values, every
+    E-TYPE and E-MISSING carries a line and column, and names a socket key ``[k]``."""
+    texts = [text for seed in (1, 2, 3) for _, text in descmut.cases(seed, 300)]
+    base = descmut.base_document()
+    m = next(i for i, module in enumerate(base["modules"]) if module.get("address_map"))
+    for section in ("connections", "address_map"):
+        for key in descmut.SOCKET_KEYS:
+            for value in ([], ["x"], [0, "0x10"], "0x0", None, {"0": 1}):
+                doc = json.loads(json.dumps(base))
+                doc["modules"][m][section] = {key: value, "1": doc["modules"][m][section]["1"]}
+                texts.append(json.dumps(doc, indent=2))
+    seen = 0
+    for text in texts:
+        for d in parse_description(text)[1]:
+            if d.code in ("E-TYPE", "E-MISSING"):
+                assert d.line is not None and d.column is not None, str(d)
+                assert not re.search(r"\.(connections|address_map)\.", d.where), str(d)
+                seen += ".connections[" in d.where or ".address_map[" in d.where
+    assert seen > 100
 
 
 # Kernel events per run under the description's quantum and under the other one.

@@ -1,8 +1,7 @@
-import gc
-import sys
-
 import pytest
 from hypothesis import example, given, strategies as st
+
+from conftest import calls
 
 from tlmforge.diagnostics import IDENTIFIER_RE
 from tlmforge import trace
@@ -58,27 +57,6 @@ def test_write_format_is_exact():
 
 def test_parse_inverts_write():
     assert parse_trace(write_trace(ABS_ROWS)) == ABS_ROWS
-
-
-def calls(fn, arg) -> int:
-    """How many Python and C function calls ``fn(arg)`` makes, the calls inside it included.
-    The collector is held off, as the CLI holds it: a collection in between would count
-    the finalizers and gc callbacks it runs."""
-    count = 0
-
-    def profile(frame, event, _):
-        nonlocal count
-        count += event in ("call", "c_call")
-    enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn(arg)
-    finally:
-        sys.setprofile(None)
-        if enabled:
-            gc.enable()
-    return count
 
 
 def rows(n: int) -> list[TraceRecord]:
