@@ -53,7 +53,6 @@ _COMMAND_NAMES = {
     "WRITE": "tlm::TLM_WRITE_COMMAND",
     "IGNORE": "tlm::TLM_IGNORE_COMMAND",
 }
-_BYTE_LITERALS = tuple(f"0x{b:02x}" for b in range(256))
 
 
 class CodegenError(ValueError):
@@ -161,7 +160,7 @@ def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
         body.append("        // no workload declared")
     for k, t in enumerate(spec.workload):
         size = len(t.data)
-        byte_list = ", ".join([_BYTE_LITERALS[b] for b in t.data])
+        byte_list = "0x" + t.data.hex(" ").replace(" ", ", 0x") if size else ""
         wait_ps = transfer_time(size, spec.bandwidth)
         wait_expr = ("m_delay" if wait_ps == 0
                      else f"m_delay + {_sc_time(wait_ps)}")

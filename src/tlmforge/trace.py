@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter, le, lt, sub
+from itertools import compress, repeat
+from operator import eq, itemgetter, le, lt, sub
 from typing import NamedTuple
 
 from .diagnostics import IDENTIFIER_RE
@@ -31,8 +31,8 @@ _STATUSES = {s.value: s for s in ResponseStatus}
 # A row as write_trace writes it: numbers of 1-20 ASCII digits, no sign or leading zero.
 _ROW_RE = re.compile(f"({IDENTIFIER_RE.pattern})" + ",(0|[1-9][0-9]{0,19})" * 4
                      + f",({'|'.join(v for v, s in _STATUSES.items() if s.is_terminal)})")
-# Every row of a body; no line break can match it, so one match is one whole line.
-_BODY_RE = re.compile(f"^{_ROW_RE.pattern}$", re.M)
+# Every body row, group-free so findall makes one string a row; a match is one whole line.
+_BODY_RE = re.compile(f"^{_ROW_RE.pattern.replace('(', '(?:')}$", re.M)
 _HEAD = f"{TRACE_HEADER}\n{TRACE_COLUMNS}\n"
 # Where str.splitlines would also end a line.
 _FOREIGN_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
@@ -125,20 +125,28 @@ def write_trace(records: list[TraceRecord]) -> str:
 
 
 def parse_trace(text: str) -> list[TraceRecord]:
-    """Parse log text back into records; raises TraceSyntaxError on bad input,
-    which is any text write_trace would not write."""
-    if text.startswith(_HEAD) and text.endswith("\n"):
-        rows = _BODY_RE.findall(text, len(_HEAD))
-        if len(rows) == text.count("\n", len(_HEAD)):
-            # The row tuples go as soon as they are transposed, which lowers the peak.
-            names, acts, starts, ends, txns, statuses = list(zip(*rows)) or [()] * 6
-            del rows
-            acts, starts, ends, txns = (list(map(int, c)) for c in (acts, starts, ends, txns))
-            if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
-                    and all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
-                    and len(set(zip(names, acts))) == len(names)):
-                return list(map(tuple.__new__, repeat(TraceRecord), zip(
-                    names, acts, starts, ends, txns, map(_STATUSES.__getitem__, statuses))))
+    """Parse log text back into records, built from read_columns; raises TraceSyntaxError
+    on bad input, which is any text write_trace would not write."""
+    return list(map(tuple.__new__, repeat(TraceRecord), zip(*read_columns(text))))
+
+
+def read_columns(text: str) -> tuple[list, list, list, list, list, list]:
+    """The six columns of a trace text's rows as lists in row order, with one name string
+    per instance; raises TraceSyntaxError on any text write_trace would not write."""
+    if (text.startswith(_HEAD) and text.endswith("\n")
+            and len(_BODY_RE.findall(text, len(_HEAD))) == text.count("\n", len(_HEAD))):
+        # Every line is a row: past the head's 7 fields come strides of 6 and a final "".
+        fields = text.replace("\n", ",").split(",")
+        columns = [fields[k:-1:6] for k in range(7, 13)]
+        del fields  # and each string column goes once converted, which lowers the peak
+        one_name = {name: name for name in columns[0]}.__getitem__
+        for k, convert in enumerate((one_name, int, int, int, int, _STATUSES.__getitem__)):
+            columns[k] = list(map(convert, columns[k]))
+        names, acts, starts, ends, txns, _ = columns
+        if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
+                and all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
+                and len(set(zip(names, acts))) == len(names)):
+            return tuple(columns)
     raise _refusal(text)
 
 
@@ -193,10 +201,10 @@ def _row_problem(line: str) -> str:
 
 def end_to_end_latency(records: list[TraceRecord], instance: str) -> int:
     """Last end minus first start over the instance's activations."""
-    mine = [r for r in records if r.instance == instance]
+    mine = [r for r in records if r[0] == instance]  # by index: a read by name costs more
     if not mine:
         raise UnknownInstanceError(instance)
-    return max(r.end for r in mine) - min(r.start for r in mine)
+    return max(map(itemgetter(3), mine)) - min(map(itemgetter(2), mine))
 
 
 # --------------------------------------------------------------------------
@@ -223,15 +231,18 @@ class ConstraintCheck:
 
 
 def check_constraints(records: list[TraceRecord], constraints) -> list[ConstraintCheck]:
-    """One check per constraint: PASS iff the instance's final end meets its deadline.
+    """check_columns on records, read by index: taking two columns first costs more."""
+    return [ConstraintCheck(c.instance, c.max_end_ps,
+                            max([r[3] for r in records if r[0] == c.instance], default=None))
+            for c in constraints]
 
-    An unknown instance fails its constraint with reason E-NO-INSTANCE.
-    """
-    checks = []
-    for c in constraints:
-        mine = [r.end for r in records if r.instance == c.instance]
-        checks.append(ConstraintCheck(c.instance, c.max_end_ps, max(mine) if mine else None))
-    return checks
+
+def check_columns(names: list[str], ends: list[int], constraints) -> list[ConstraintCheck]:
+    """One check per constraint: PASS iff the instance's final end meets its deadline;
+    an unknown instance fails its constraint with reason E-NO-INSTANCE."""
+    return [ConstraintCheck(c.instance, c.max_end_ps,
+                            max(compress(ends, map(eq, names, repeat(c.instance))), default=None))
+            for c in constraints]
 
 
 # --------------------------------------------------------------------------
@@ -256,13 +267,18 @@ def _tick_step(span_ps: int) -> int:
 
 
 def render_svg(records: list[TraceRecord]) -> str:
-    """Deterministic SVG 1.1 timing diagram.
+    """render_svg_columns on the records' columns, in trace row order."""
+    rows = sorted(records, key=_sort_key)
+    return render_svg_columns(*(list(map(itemgetter(i), rows)) for i in (0, 2, 3)))
+
+
+def render_svg_columns(names: list[str], starts: list[int], ends: list[int]) -> str:
+    """Deterministic SVG 1.1 timing diagram of rows in trace row order.
 
     One lane per instance; per activation a bar, a green start marker and
     a red end marker.  The axis is labeled in nanoseconds.  Identical
     traces produce byte-identical output.
     """
-    names, _, starts, ends, _, _ = list(zip(*sorted(records, key=_sort_key))) or [()] * 6
     # Lanes go by first start, then name: the order in which sorted rows first name them.
     mids = {name: _MARGIN + i * _LANE_H + _LANE_H // 2
             for i, name in enumerate(dict.fromkeys(names))}
@@ -270,9 +286,7 @@ def render_svg(records: list[TraceRecord]) -> str:
 
     width = _LABEL_W + _PLOT_W + _MARGIN
     height = _MARGIN + max(len(mids), 1) * _LANE_H + _AXIS_H
-
-    def x(t: int) -> str:
-        return f"{_LABEL_W + t * _PLOT_W / span:.2f}"
+    ticks = range(0, span + 1, _tick_step(span))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -283,35 +297,38 @@ def render_svg(records: list[TraceRecord]) -> str:
     for name, mid in mids.items():
         out.append(f'<text x="8" y="{mid + 4}" font-family="monospace" font-size="12" '
                    f'fill="black">{name}</text>')
-    # Fan-out arms and back-to-back activations share times: format each one once.
-    xs = {t: x(t) for t in {*starts, *ends}}
+    # Fan-out arms, back-to-back activations and ticks share times: format each one once,
+    # and each lane's y and cy once.
+    xs = {t: f"{_LABEL_W + t * _PLOT_W / span:.2f}" for t in {*starts, *ends, *ticks}}
     widths = {d: f"{d * _PLOT_W / span:.2f}" for d in set(map(sub, ends, starts))}
-    bar_ys = {name: str(mid - _BAR_H // 2) for name, mid in mids.items()}
-    mid_ys = {name: str(mid) for name, mid in mids.items()}
-    out += [f'<rect x="{xs[start]}" y="{bar_ys[name]}" width="{widths[end - start]}" '
-            f'height="{_BAR_H}" fill="#7a9cc6"/>\n'
-            f'<circle cx="{xs[start]}" cy="{mid_ys[name]}" r="3.5" fill="green"/>\n'
-            f'<circle cx="{xs[end]}" cy="{mid_ys[name]}" r="3.5" fill="red"/>'
-            for name, start, end in zip(names, starts, ends)]
+    lanes = {name: (f'" y="{mid - _BAR_H // 2}" width="', f'" cy="{mid}" r="3.5" fill="')
+             for name, mid in mids.items()}
+    out += [f'<rect x="{xs[start]}{y}{widths[end - start]}" height="{_BAR_H}" fill="#7a9cc6"/>\n'
+            f'<circle cx="{xs[start]}{cy}green"/>\n<circle cx="{xs[end]}{cy}red"/>'
+            for (y, cy), start, end in zip(map(lanes.__getitem__, names), starts, ends)]
 
     axis_y = _MARGIN + max(len(mids), 1) * _LANE_H + 12
     out.append(f'<line x1="{_LABEL_W}" y1="{axis_y}" x2="{_LABEL_W + _PLOT_W}" y2="{axis_y}" '
                f'stroke="black" stroke-width="1"/>')
-    step = _tick_step(span)
-    for t in range(0, span + 1, step):
-        out.append(f'<line x1="{x(t)}" y1="{axis_y}" x2="{x(t)}" y2="{axis_y + 5}" '
+    for t in ticks:
+        out.append(f'<line x1="{xs[t]}" y1="{axis_y}" x2="{xs[t]}" y2="{axis_y + 5}" '
                    f'stroke="black" stroke-width="1"/>')
-        out.append(f'<text x="{x(t)}" y="{axis_y + 18}" font-family="monospace" font-size="10" '
+        out.append(f'<text x="{xs[t]}" y="{axis_y + 18}" font-family="monospace" font-size="10" '
                    f'fill="black" text-anchor="middle">{format_ns(t)}</text>')
     out.append(f'<text x="{_LABEL_W + _PLOT_W}" y="{axis_y + 32}" font-family="monospace" '
                f'font-size="10" fill="black" text-anchor="end">time [ns]</text>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out += ['</svg>', '']
+    return "\n".join(out)
 
 
 def render_text(records: list[TraceRecord]) -> str:
-    """Plain-text chart: one line per record, integer-only column math."""
-    names, acts, starts, ends, _, _ = list(zip(*sorted(records, key=_sort_key))) or [()] * 6
+    """render_text_columns on the records' columns, in trace row order."""
+    rows = sorted(records, key=_sort_key)
+    return render_text_columns(*(list(map(itemgetter(i), rows)) for i in range(4)))
+
+
+def render_text_columns(names, acts, starts, ends) -> str:
+    """Plain-text chart of rows in trace row order: one line each, integer-only math."""
     t_max = max(ends, default=0)
     span = max(t_max, 1)
     name_w = max([len(f"{name} #{act}") for name, act in zip(names, acts)], default=8)
@@ -324,4 +341,5 @@ def render_text(records: list[TraceRecord]) -> str:
         label = f"{name} #{act}"
         lines.append(f"{label:<{name_w}} |{' ' * s_col}{bar}{' ' * (_CHART_W - 1 - e_col)}| "
                      f"{ns[start]} .. {ns[end]} ns")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

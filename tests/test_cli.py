@@ -9,13 +9,23 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import descmut
 
 import tlmforge
 from tlmforge import cli
 from tlmforge.cli import run_command
+from tlmforge.payload import ResponseStatus
+from tlmforge.sysdesc import parse_description
+from tlmforge.trace import (
+    TraceRecord,
+    check_constraints,
+    parse_trace,
+    render_svg,
+    render_text,
+    write_trace,
+)
 
 
 def invoke(capsys, *argv):
@@ -234,6 +244,66 @@ def test_render_rejects_a_wrong_column_line_at_line_2(capsys, tmp_path):
     code, out, _ = invoke(capsys, "render", str(bad))
     assert (code, out) == (1, "E-TRACE-SYNTAX line 2: expected column line "
                               "'instance,activation,start_ps,end_ps,txn_id,status'\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["render", "{trace}", "--svg", "{svg}"], ["render", "{trace}"], ["check", "{abs}", "{trace}"],
+], ids=["render --svg", "render --text", "check"])
+@pytest.mark.parametrize("brk", ["\r\n", "\r"])
+def test_a_trace_read_from_a_file_keeps_its_line_ends(capsys, tmp_path, abs_path, command, brk):
+    """The commands once read a trace with universal newlines, which made each "\r\n" and
+    "\r" a "\n" before the reader saw them: they took the text parse_trace refuses."""
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    trace.write_bytes(trace.read_bytes().replace(b"\n", brk.encode()))
+    fields = {"trace": trace, "svg": tmp_path / "d.svg", "abs": abs_path}
+    assert invoke(capsys, *[a.format(**fields) for a in command])[:2] == (
+        1, "E-TRACE-SYNTAX line 1: line break '\\r' where only '\\n' may end a line\n")
+    assert not (tmp_path / "d.svg").exists()
+
+
+ABS_INSTANCES = ["Brake", "Router", "ABSbrake1", "ABSbrake2", "ABSbrake3", "ABSbrake4"]
+abs_records_st = st.lists(st.builds(
+    lambda name, act, start, width, txn, status: TraceRecord(name, act, start, start + width,
+                                                             txn, status),
+    st.sampled_from(ABS_INSTANCES), st.integers(0, 3), st.integers(0, 40_000),
+    st.integers(0, 40_000), st.integers(0, 9),
+    st.sampled_from([s for s in ResponseStatus if s.is_terminal])),
+    max_size=12, unique_by=lambda r: r[:2])
+
+
+@given(records=abs_records_st,
+       deadlines=st.dictionaries(st.sampled_from(ABS_INSTANCES), st.integers(0, 90_000)))
+@example(records=[], deadlines={})
+@example(records=[], deadlines={"Brake": 0, "Router": 5})
+def test_commands_read_a_trace_as_the_record_api_does(tmp_path_factory, abs_text, records,
+                                                      deadlines):
+    """render --svg, render --text and check go from text to columns to output; each
+    prints and exits as render_svg, render_text and check_constraints on parse_trace's
+    records of the same text, for header-only traces and for deadlines of instances
+    the trace never names too."""
+    where = tmp_path_factory.mktemp("columns")
+    text = write_trace(records)
+    trace, svg, desc = where / "t.csv", where / "d.svg", where / "abs.json"
+    trace.write_text(text, encoding="utf-8")
+    doc = json.loads(abs_text)
+    doc["constraints"] = [{"instance": name, "max_end": f"{ps}ps"}
+                          for name, ps in deadlines.items()]
+    desc.write_text(json.dumps(doc), encoding="utf-8")
+
+    def command(*argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            return run_command(list(argv)), out.getvalue()
+
+    parsed = parse_trace(text)
+    checks = check_constraints(parsed, parse_description(desc.read_text(encoding="utf-8"))[0].constraints)
+    passed = all(c.passed for c in checks)
+    assert command("render", str(trace), "--svg", str(svg)) == (0, f"svg written: {svg}\n")
+    assert svg.read_text(encoding="utf-8") == render_svg(parsed)
+    assert command("render", str(trace), "--text") == (0, render_text(parsed))
+    assert command("check", str(desc), str(trace)) == (
+        0 if passed else 1,
+        "".join(f"{c}\n" for c in checks) + f"result: {'PASS' if passed else 'FAIL'}\n")
 
 
 def test_export_writes_bundle(capsys, abs_path, tmp_path):

@@ -79,6 +79,23 @@ def test_minimal_description_exports_top_only():
     assert "sc_main" in bundle["top.cpp"]
 
 
+def test_an_initiators_bytes_export_as_one_literal_each():
+    """Each template's bytes are written as 0x literals, and no bytes as an empty list."""
+    datas = [b"", b"\x00", bytes(range(256)), b"\xff" * 4096]
+    d = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[InitiatorSpec("Core", 1_000, 1, tuple(
+                     TransactionTemplate(Command.WRITE, 0, data) for data in datas)),
+                 TargetSpec("Mem", (1_000,), 0, 4096)],
+        instances=[Instance("core", "Core", "C0"), Instance("mem", "Mem", "C0")],
+        bindings=[Binding("core", 0, "mem", 0)])
+    header = export_tlm(d)["core.h"]
+    assert "kData[0] = {  };" in header
+    for data in datas:
+        literals = ", ".join(f"0x{b:02x}" for b in data)
+        assert f"static const unsigned char kData[{len(data)}] = {{ {literals} }};" in header
+
+
 def test_sanitize_replaces_invalid_characters():
     assert sanitize_identifier("my-brake!") == "my_brake_"
     assert sanitize_identifier("ABSbrake1") == "ABSbrake1"

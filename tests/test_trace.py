@@ -1,3 +1,8 @@
+import contextlib
+import io
+import re
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -5,6 +10,7 @@ from conftest import calls
 
 from tlmforge.diagnostics import IDENTIFIER_RE
 from tlmforge import trace
+from tlmforge.cli import run_command
 from tlmforge.payload import ResponseStatus
 from tlmforge.simtime import U64_MAX
 from tlmforge.sysdesc import TimingConstraint, elaborate
@@ -18,6 +24,7 @@ from tlmforge.trace import (
     check_constraints,
     end_to_end_latency,
     parse_trace,
+    read_columns,
     render_svg,
     render_text,
     write_trace,
@@ -64,15 +71,59 @@ def rows(n: int) -> list[TraceRecord]:
             for i in range(n)]
 
 
-def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10():
+def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10(tmp_path, abs_path):
     """Both check and convert a trace by whole columns and whole texts, with no call per
     row: a reader line by line, as _refusal is, makes 5007 calls on 1000 rows.  Unlike a
     profiled share of the time, a call count does not move with the machine's load.  It
     pins calls per row only: a per-row loop that calls nothing, such as write_trace's own
-    f-string comprehension, makes no call event and passes."""
+    f-string comprehension, makes no call event and passes.  The commands that read a
+    trace go from its text to columns to output with no call per row either.  The text
+    chart formats each distinct time with a call, so only the SVG is pinned; its axis
+    formats each tick with a call, so the times are whole nanoseconds, as its ticks then
+    are on both sizes."""
     small, large = rows(10), rows(5000)
     assert calls(write_trace, small) == calls(write_trace, large)
-    assert calls(parse_trace, write_trace(small)) == calls(parse_trace, write_trace(large))
+    for read in (parse_trace, read_columns):
+        assert calls(read, write_trace(small)) == calls(read, write_trace(large))
+    counts = []
+    for size, records in (("small", small), ("large", large)):
+        path = tmp_path / f"{size}.csv"
+        path.write_text(write_trace([r._replace(start=1000 * r.start, end=1000 * r.end)
+                                     for r in records]), encoding="utf-8")
+        commands = [["render", str(path), "--svg", str(tmp_path / f"{size}.svg")],
+                    ["check", str(abs_path), str(path)]]  # no Brake row: exit 1
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                run_command(argv)  # what a process does once: the parser, regex caches
+            counts.append([calls(run_command, argv) for argv in commands])
+    assert counts[0] == counts[1]
+
+
+def abs_trace(transactions: int) -> str:
+    """The ABS trace of that many Brake WRITEs, one every 16 ns: 6 rows each."""
+    return write_trace([r._replace(activation=k, start=r.start + 16_000 * k,
+                                   end=r.end + 16_000 * k, txn_id=k)
+                        for k in range(transactions) for r in ABS_ROWS])
+
+
+def test_read_columns_peaks_below_a_six_group_findall_and_a_half():
+    """read_columns holds one string per field while it splits the text, and lets each
+    string column go as it converts it.  Its peak stays near that of the six-group
+    findall that parse_trace once began with, measured here as the yardstick: a
+    whole-body fullmatch of (?:row\\n)* measured 8.5 MB against 5.1 MB, since sre keeps
+    backtracking state on every repeat."""
+    text = abs_trace(2000)
+    assert text.count("\n") == 12_002
+    six_groups = re.compile(f"^{trace._ROW_RE.pattern}$", re.M)
+    peaks = []
+    for read in (lambda: six_groups.findall(text, len(ROWS_AT)), lambda: read_columns(text)):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_empty_trace_is_header_only_and_round_trips():
@@ -560,6 +611,27 @@ def test_the_whole_text_check_agrees_with_the_per_line_reader(text):
     records = parse_trace(text)
     assert records == expected
     assert all(type(r) is TraceRecord for r in records)
+
+
+@given(mutated_traces())
+@example(ROWS_AT)
+@example(ROWS_AT + "A,0,0,5,0,OK\nB,0,1,5,0,OK\nA,0,2,5,0,OK\n")
+@example(ROWS_AT + "A,0,0,5,0,OK\nA,1,5,5,0,OK\nB,0,9,9,0,OK\n")
+@example(ROWS_AT + "B,0,0,5,0,OK\nA,0,0,5,0,OK\n")
+@example(ROWS_AT + f"A,0,0,5,0,OK\nA,0,1,5,0,OK\nB,0,2,{2**64},0,OK\n")
+def test_read_columns_is_the_per_line_reader_transposed(text):
+    """The same texts as above: read_columns gives the columns of the records the
+    per-line reader gives, with one name string per instance, or refuses alike."""
+    try:
+        expected = reference_parse(text)
+    except TraceSyntaxError as exc:
+        with pytest.raises(TraceSyntaxError) as info:
+            read_columns(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    columns = read_columns(text)
+    assert columns == (tuple(map(list, zip(*expected))) if expected else ([],) * 6)
+    assert len(set(map(id, columns[0]))) == len(set(columns[0]))
 
 
 @given(record_lists())
