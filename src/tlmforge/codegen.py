@@ -102,9 +102,10 @@ def _handler(spec: TargetSpec | RouterSpec, name: str, delay: str, lines: list[s
     serialize = []
     if spec.bandwidth is not None:
         num, den = spec.bandwidth.numerator, spec.bandwidth.denominator
-        if num > U64_MAX or 1000 * den > U64_MAX:  # the literals below are unsigned long long
+        # The sum below is unsigned long long, and the data length an unsigned int.
+        if (2**32 - 1) * 1000 * den + num - 1 > U64_MAX:
             raise CodegenError("E-BANDWIDTH-RANGE", f"module '{spec.name}': bandwidth "
-                               f"{spec.bandwidth} needs a C++ literal past 2^64 - 1")
+                               f"{spec.bandwidth} needs C++ arithmetic past 2^64 - 1")
         expr = f"trans.get_data_length() * {1000 * den}ull"
         serialize = [f"        t += sc_core::sc_time(({expr} + {num - 1}ull) / {num}ull, "
                      "sc_core::SC_PS);  // bandwidth serialization"]

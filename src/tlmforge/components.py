@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator
@@ -330,20 +329,13 @@ class _Responder:
                                 txn if isinstance(txn, int) else 0, p.response_status)))
 
 
-class DmiAccess(Enum):
-    READ = "READ"
-    WRITE = "WRITE"
-    READ_WRITE = "READ_WRITE"
-
-
 @dataclass
 class DmiDescriptor:
-    """A direct-memory grant (or refusal) for an inclusive address range."""
+    """A direct-memory grant of reads and writes (or a refusal) for an inclusive address range."""
 
     granted: bool
     start_address: int
     end_address: int
-    access: DmiAccess = DmiAccess.READ_WRITE
     read_latency_ps: int = 0
     write_latency_ps: int = 0
     storage: object = None
@@ -390,8 +382,7 @@ class TargetModel(_Responder):
         beat = self.delays_ps[0]
         if self.spec.dmi_allowed and self.storage.contains(address):
             return DmiDescriptor(
-                granted=True, start_address=self.storage.base,
-                end_address=self.storage.end - 1, access=DmiAccess.READ_WRITE,
+                granted=True, start_address=self.storage.base, end_address=self.storage.end - 1,
                 read_latency_ps=beat, write_latency_ps=beat, storage=self.storage)
         return DmiDescriptor(
             granted=False, start_address=self.storage.base, end_address=self.storage.end - 1)

@@ -38,15 +38,11 @@ class Scheduler:
     """Single-threaded event queue ordered by (time, insertion sequence)."""
 
     def __init__(self, event_limit: int = DEFAULT_EVENT_LIMIT):
-        self._now = 0
+        self.now = 0  # the time of the event being dispatched, or of the last one
         self._queue: list[tuple[int, int, Activity]] = []
         self._seq = 0
         self._dispatched = 0
         self.event_limit = event_limit
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     @property
     def dispatched(self) -> int:
@@ -55,7 +51,7 @@ class Scheduler:
 
     def schedule(self, activity: Activity, delay: int = 0) -> None:
         """Queue a fresh activity to start after ``delay``."""
-        self._push(time_add(self._now, check_time(delay)), activity)
+        self._push(time_add(self.now, check_time(delay)), activity)
 
     def _push(self, at: int, activity: Activity) -> None:
         heapq.heappush(self._queue, (at, self._seq, activity))
@@ -72,13 +68,13 @@ class Scheduler:
                     f"exceeded {self.event_limit} dispatched events at {at} ps; "
                     "the model is likely non-terminating",
                 )
-            self._now = at
+            self.now = at
             try:
                 delay = next(activity)
             except StopIteration:
                 continue
-            self._push(time_add(self._now, check_time(delay)), activity)
-        return self._now
+            self._push(time_add(self.now, check_time(delay)), activity)
+        return self.now
 
 
 class QuantumKeeper:
@@ -94,9 +90,8 @@ class QuantumKeeper:
         self.global_quantum = check_time(global_quantum)
         self.local_offset = 0
 
-    def advance(self, t: int) -> "QuantumKeeper":
+    def advance(self, t: int) -> None:
         self.local_offset = time_add(self.local_offset, check_time(t))
-        return self
 
     def need_sync(self) -> bool:
         return self.local_offset >= self.global_quantum

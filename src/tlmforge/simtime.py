@@ -77,11 +77,6 @@ def parse_time(text: str) -> int:
     return check_time(ps)
 
 
-def format_time(ps: int) -> str:
-    """Canonical text form, always in picoseconds (round-trips exactly)."""
-    return f"{ps}ps"
-
-
 def format_ns(ps: int) -> str:
     """Display form in nanoseconds with up to three decimal places."""
     whole, frac = divmod(ps, 1000)
@@ -111,19 +106,9 @@ def parse_frequency_ghz(text: str) -> Fraction:
     return value
 
 
-def format_frequency_ghz(f: Fraction) -> str:
-    return format_rational(f) + "GHz"
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a plain rational like "512", "0.5" or "1/3" (used for bandwidth)."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"bad rational {text!r}")
     return _parse_rational(m.group(1).replace(" ", ""))
-
-
-def format_rational(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"

@@ -58,9 +58,6 @@ from .payload import Command
 from .simtime import (
     TIME_UNITS_PS,
     U64_MAX,
-    format_frequency_ghz,
-    format_rational,
-    format_time,
     parse_frequency_ghz,
     parse_rational,
     parse_time,
@@ -111,6 +108,7 @@ _WHOLE_TIME_RE = re.compile(r"([0-9]{1,6})(ps|ns|us|ms|s)")  # at most 10**18 ps
 _COMMANDS = {c.value: c for c in Command}
 _HEX_DIGITS = b"0123456789ABCDEFabcdef"
 _MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
+_MAX_SOCKETS = 2**18  # the export writes code per socket; over 1000x wide_map's 250 outs
 
 
 class _SocketKey(str):
@@ -237,7 +235,7 @@ class _Build:
     returns None; None is never a value.  A leaf forms its own path, ``path +
     (key,)``, only to report; a container forms it once, for its children.  A
     diagnostic takes its line and column from ``positions`` (path -> (line,
-    column), empty when the text was read without positions).  The first lines of
+    column)), which the first diagnostic reads from ``text``.  The first lines of
     a converter accept the common case by the value's exact JSON type; anything
     else falls through to the checks.  A record's converters by key are a table
     read by ``fields``, of plain functions built once, with the class: ``_record``
@@ -246,11 +244,14 @@ class _Build:
     each builder to itself in a reference cycle.
     """
 
-    def __init__(self, positions: dict[tuple, tuple[int, int]]) -> None:
-        self.positions = positions
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.positions: dict[tuple, tuple[int, int]] | None = None
         self.diags: list[Diagnostic] = []
 
     def err(self, at: tuple, code: str, message: str, where: str | None = None) -> None:
+        if self.positions is None:  # an accepted text is never read for positions
+            self.positions = parse_json(self.text)[1]
         line, column = self.positions.get(at, (None, None))
         self.diags.append(Diagnostic(code, message, where=_spell(at) if where is None else where,
                                      line=line, column=column))
@@ -266,6 +267,7 @@ class _Build:
     any_time = _parsed(parse_time)
     int_ = _integer()
     count = _integer(1)
+    sockets = _integer(1, _MAX_SOCKETS)
     byte = _integer(0, 255)
     repeat = _integer(0, _MAX_LENGTH)
     length = _integer(1, _MAX_LENGTH)  # a template's length or a storage's size
@@ -440,11 +442,11 @@ class _Build:
 
     TEMPLATE = _table({"command": command, "address": address}, {"socket": int_, "repeat": repeat})
     STORAGE = _table({"size": length}, {"base": address, "fill": byte})
-    INITIATOR = _table({"delay": time_ps, "sockets": count},
+    INITIATOR = _table({"delay": time_ps, "sockets": sockets},
                        {"workload": _array(template, every=True), "bandwidth": bandwidth})
     TARGET = _table({"socket_delays": _array(time_ps, 1, "socket_delays must not be empty"),
                      "storage": storage}, {"dmi": bool_, "bandwidth": bandwidth})
-    ROUTER = _table({"delay": time_ps, "in_sockets": count, "out_sockets": count,
+    ROUTER = _table({"delay": time_ps, "in_sockets": sockets, "out_sockets": sockets,
                      "connections": _by_socket(_array(int_, 1, "connection list must not be empty"),
                                                "connection")},
                     {"address_map": _by_socket(_pair(address, address, "expected [base, limit]"),
@@ -457,22 +459,15 @@ class _Build:
 
 def parse_description(text: str) -> tuple[SystemDescription | None, list[Diagnostic]]:
     """Parse description text; returns (description, []) or (None, diagnostics)."""
+    b = _Build(text)
     try:
-        desc, diags = _build(load_json(text), {})
-    except ValueError:  # json.loads or jsontext's rules refuse the text
-        desc = None
-    if desc is None:  # read again, with the positions every diagnostic carries
         try:
-            root, positions = parse_json(text)
-        except JsonSyntaxError as exc:
-            return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
-        desc, diags = _build(root, positions)
-    return desc, diags
-
-
-def _build(root, positions: dict) -> tuple[SystemDescription | None, list[Diagnostic]]:
-    b = _Build(positions)
-    top = b.fields(root, (), _Build.TOP)
+            root = load_json(text)
+        except ValueError:  # json.loads or jsontext's rules refuse the text
+            root, b.positions = parse_json(text)
+        top = b.fields(root, (), _Build.TOP)
+    except JsonSyntaxError as exc:  # from parse_json here or in the first diagnostic
+        return None, [Diagnostic("E-SYNTAX", exc.reason, line=exc.line, column=exc.column)]
     if top is None:
         return None, sort_diagnostics(b.diags)
     return SystemDescription(**top), []
@@ -708,41 +703,40 @@ def require_valid(d: SystemDescription) -> None:
 
 def serialize_description(d: SystemDescription) -> str:
     """Emit canonical description text; parsing it back yields an equal value."""
-    doc: dict = {"cpus": [{"name": c.name, "frequency": format_frequency_ghz(c.frequency_ghz)}
-                          for c in d.cpus]}
+    doc: dict = {"cpus": [{"name": c.name, "frequency": f"{c.frequency_ghz}GHz"} for c in d.cpus]}
     doc["buses"] = [{"name": bus.name, "cpus": list(bus.cpus)} for bus in d.buses]
     modules = []
     for spec in d.modules:
         if isinstance(spec, InitiatorSpec):
             entry = {"kind": "initiator", "name": spec.name,
-                     "delay": format_time(spec.delay_ps), "sockets": spec.socket_count,
+                     "delay": f"{spec.delay_ps}ps", "sockets": spec.socket_count,
                      "workload": [{"command": t.command.value, "address": f"0x{t.address:x}",
                                    "data": t.data.hex(), "socket": t.socket, "repeat": t.repeat}
                                   for t in spec.workload]}
         elif isinstance(spec, TargetSpec):
             entry = {"kind": "target", "name": spec.name,
-                     "socket_delays": [format_time(t) for t in spec.socket_delays_ps],
+                     "socket_delays": [f"{t}ps" for t in spec.socket_delays_ps],
                      "storage": {"base": f"0x{spec.storage_base:x}", "size": spec.storage_size,
                                  "fill": spec.storage_fill},
                      "dmi": spec.dmi_allowed}
         else:
-            entry = {"kind": "router", "name": spec.name, "delay": format_time(spec.delay_ps),
+            entry = {"kind": "router", "name": spec.name, "delay": f"{spec.delay_ps}ps",
                      "in_sockets": spec.in_socket_count, "out_sockets": spec.out_socket_count,
                      "connections": {str(k): list(v) for k, v in spec.connections.items()}}
             if spec.address_map is not None:
                 entry["address_map"] = {str(k): [f"0x{v[0]:x}", f"0x{v[1]:x}"]
                                         for k, v in spec.address_map.items()}
         if spec.bandwidth is not None:
-            entry["bandwidth"] = format_rational(spec.bandwidth)
+            entry["bandwidth"] = str(spec.bandwidth)
         modules.append(entry)
     doc["modules"] = modules
     doc["instances"] = [{"name": i.name, "module": i.module, "cpu": i.cpu}
                         for i in d.instances]
     doc["bindings"] = [{"from": [bi.from_instance, bi.from_socket],
                         "to": [bi.to_instance, bi.to_socket]} for bi in d.bindings]
-    doc["constraints"] = [{"instance": c.instance, "max_end": format_time(c.max_end_ps)}
+    doc["constraints"] = [{"instance": c.instance, "max_end": f"{c.max_end_ps}ps"}
                           for c in d.constraints]
-    options: dict = {"quantum": format_time(d.options.quantum_ps),
+    options: dict = {"quantum": f"{d.options.quantum_ps}ps",
                      "event_limit": d.options.event_limit}
     if d.options.trace_path is not None:
         options["trace"] = d.options.trace_path

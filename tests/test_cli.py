@@ -325,7 +325,7 @@ def test_an_export_past_the_64_bit_literals_exits_3_and_writes_nothing(capsys, a
     code, out, err = invoke(capsys, "export", path, "--out", str(out_dir))
     assert (code, out) == (3, "")
     assert err == ("error: E-BANDWIDTH-RANGE: module 'Module2': bandwidth "
-                   "100000000000000000001/100000000000000000000 needs a C++ literal past "
+                   "100000000000000000001/100000000000000000000 needs C++ arithmetic past "
                    "2^64 - 1\n")
     assert not out_dir.exists()
 

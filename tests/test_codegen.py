@@ -244,20 +244,25 @@ def with_target_bandwidth(abs_text, bandwidth: str) -> SystemDescription:
     "100000000000000000001/100000000000000000000",  # both literals too large
     "18446744073709551616",                         # a numerator of 2^64
     "1/18446744073709552",                          # 1000 x the denominator past 2^64 - 1
+    "10000000000000001/10000000000000000",          # g++ gave 311 ps for 4 bytes, not 4000
+    "18446744073709551615",                         # g++ gave 0 ps for 4 bytes, not 1
+    "1/18446744073709551",                          # g++ wrapped 73786976294838204000 ps
+    "1/4294968",                                    # the smallest denominator past the bound
+    "18446739778742256617",                         # the smallest numerator past the bound
 ])
 def test_a_bandwidth_whose_literals_pass_64_bits_is_refused(abs_text, bandwidth):
-    """The handler writes the numerator and 1000 x the denominator as unsigned long long
-    literals, which hold at most 2^64 - 1."""
+    """The handler computes (length * 1000 x the denominator + numerator - 1) in unsigned
+    long long for a data length of up to 2^32 - 1, which must stay at most 2^64 - 1."""
     with pytest.raises(CodegenError) as info:
         export_tlm(with_target_bandwidth(abs_text, bandwidth))
     assert info.value.code == "E-BANDWIDTH-RANGE"
     assert str(info.value) == (f"E-BANDWIDTH-RANGE: module 'Module2': bandwidth {bandwidth} "
-                               "needs a C++ literal past 2^64 - 1")
+                               "needs C++ arithmetic past 2^64 - 1")
 
 
 @pytest.mark.parametrize("bandwidth, literals", [
-    ("18446744073709551615", ("1000ull", "18446744073709551614ull) / 18446744073709551615ull")),
-    ("1/18446744073709551", ("18446744073709551000ull", "0ull) / 1ull")),
+    ("18446739778742256616", ("1000ull", "18446739778742256615ull) / 18446739778742256616ull")),
+    ("1/4294967", ("4294967000ull", "0ull) / 1ull")),
 ])
 def test_the_largest_bandwidth_literals_still_export(abs_text, bandwidth, literals):
     header = export_tlm(with_target_bandwidth(abs_text, bandwidth))["module2.h"]

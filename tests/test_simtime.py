@@ -8,9 +8,7 @@ from tlmforge.simtime import (
     U64_MAX,
     TimeOverflowError,
     check_time,
-    format_frequency_ghz,
     format_ns,
-    format_time,
     parse_frequency_ghz,
     parse_rational,
     parse_time,
@@ -88,12 +86,12 @@ def test_parse_rational():
 
 @given(st.integers(0, U64_MAX))
 def test_time_round_trip(ps):
-    assert parse_time(format_time(ps)) == ps
+    assert parse_time(f"{ps}ps") == ps
 
 
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000)))
 def test_frequency_round_trip(f):
-    assert parse_frequency_ghz(format_frequency_ghz(f)) == f
+    assert parse_frequency_ghz(f"{f}GHz") == f
 
 
 @pytest.mark.parametrize("parse,text", [

@@ -364,6 +364,45 @@ def test_accepted_descriptions_are_read_once_by_json_loads(monkeypatch, abs_text
         assert desc is not None and diags == []
 
 
+def test_a_refused_description_is_built_once_and_read_for_positions_once(monkeypatch, abs_text):
+    """The builder walks a refused text once; its first diagnostic reads the positions."""
+    roots, reads = [], []
+    fields, read = sysdesc._Build.fields, sysdesc.parse_json
+
+    def counted_fields(self, v, at, *rest):
+        if at == ():
+            roots.append(v)
+        return fields(self, v, at, *rest)
+
+    def counted_read(text):
+        reads.append(text)
+        return read(text)
+    monkeypatch.setattr(sysdesc._Build, "fields", counted_fields)
+    monkeypatch.setattr(sysdesc, "parse_json", counted_read)
+    desc, diags = parse_description(abs_text.replace('"sockets": 1', '"sockets": 0', 1))
+    assert desc is None
+    assert [str(d) for d in diags] == [
+        "E-TYPE modules[0].sockets (19:18): expected an integer >= 1, got 0"]
+    assert (len(roots), len(reads)) == (1, 1)
+
+
+@pytest.mark.parametrize("key, old, where", [
+    ("sockets", "1", "modules[0].sockets (19:18)"),
+    ("in_sockets", "1", "modules[1].in_sockets (28:21)"),
+    ("out_sockets", "4", "modules[1].out_sockets (29:22)"),
+])
+def test_socket_counts_are_at_most_2_to_the_18(abs_text, key, old, where):
+    """The export writes code per socket, so a count is bounded; 2^18 is parsed only."""
+    def with_count(n: int):
+        return parse_description(abs_text.replace(f'"{key}": {old}', f'"{key}": {n}', 1))
+    desc, diags = with_count(2**18)
+    assert desc is not None and diags == []
+    desc, diags = with_count(2**18 + 1)
+    assert desc is None
+    assert [str(d) for d in diags] == [
+        f"E-TYPE {where}: expected an integer <= 262144, got 262145"]
+
+
 def wide_map_text(k: int) -> str:
     """The benchmark's wide_map shape: one initiator READs through a router that
     address-maps ``k`` targets, each its own module."""
