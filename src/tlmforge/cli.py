@@ -3,8 +3,8 @@
 Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
 error (including a file that cannot be read as UTF-8 or written, and an
 --event-limit below 1), 3 runtime error (event limit, 64-bit time
-overflow).  Commands raise their refusals;
-``run_command`` alone prints them and picks the exit code.
+overflow, an export the C++ cannot hold, out of memory).  Commands raise
+their refusals; ``run_command`` alone prints them and picks the exit code.
 A command runs with the cyclic collector held off; test_cli's safety fence pins why.
 Set TLMFORGE_COLOR=0 to force plain output.
 """
@@ -219,8 +219,8 @@ def run_command(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SimulationError, CodegenError, TimeOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SimulationError, CodegenError, TimeOverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
         if enabled:

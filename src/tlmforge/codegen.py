@@ -25,7 +25,7 @@ from .components import (
     transfer_time,
 )
 from .simtime import U64_MAX
-from .sysdesc import require_valid
+from .sysdesc import MAX_LENGTH, require_valid
 
 BANNER = "// Generated by tlmforge"  # how every exported file starts
 
@@ -103,7 +103,7 @@ def _handler(spec: TargetSpec | RouterSpec, name: str, delay: str, lines: list[s
     if spec.bandwidth is not None:
         num, den = spec.bandwidth.numerator, spec.bandwidth.denominator
         # The sum below is unsigned long long, and the data length an unsigned int.
-        if (2**32 - 1) * 1000 * den + num - 1 > U64_MAX:
+        if MAX_LENGTH * 1000 * den + num - 1 > U64_MAX:
             raise CodegenError("E-BANDWIDTH-RANGE", f"module '{spec.name}': bandwidth "
                                f"{spec.bandwidth} needs C++ arithmetic past 2^64 - 1")
         expr = f"trans.get_data_length() * {1000 * den}ull"

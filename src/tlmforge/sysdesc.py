@@ -107,7 +107,7 @@ _SOCKET_KEY_RE = re.compile(r"[0-9]+")
 _WHOLE_TIME_RE = re.compile(r"([0-9]{1,6})(ps|ns|us|ms|s)")  # at most 10**18 ps: in range
 _COMMANDS = {c.value: c for c in Command}
 _HEX_DIGITS = b"0123456789ABCDEFabcdef"
-_MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
+MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
 _MAX_SOCKETS = 2**18  # the export writes code per socket; over 1000x wide_map's 250 outs
 
 
@@ -147,15 +147,13 @@ def _parsed(parse):
 def _integer(minimum: int | None = None, maximum: int | None = None):
     """A converter of integers within the bounds given."""
     def convert(self: _Build, v, path: tuple, key) -> int | None:
-        if type(v) is int and (minimum is None or v >= minimum) and (
-                maximum is None or v <= maximum):
-            return v
-        at = path + (key,)
         if type(v) is not int:  # a JSON boolean is no integer
-            return self.expected("an integer", v, at)
+            return self.expected("an integer", v, path + (key,))
         if minimum is not None and v < minimum:
-            return self.err(at, "E-TYPE", f"expected an integer >= {minimum}, got {v}")
-        return self.err(at, "E-TYPE", f"expected an integer <= {maximum}, got {v}")
+            return self.err(path + (key,), "E-TYPE", f"expected an integer >= {minimum}, got {v}")
+        if maximum is not None and v > maximum:
+            return self.err(path + (key,), "E-TYPE", f"expected an integer <= {maximum}, got {v}")
+        return v
     return convert
 
 
@@ -235,9 +233,9 @@ class _Build:
     returns None; None is never a value.  A leaf forms its own path, ``path +
     (key,)``, only to report; a container forms it once, for its children.  A
     diagnostic takes its line and column from ``positions`` (path -> (line,
-    column)), which the first diagnostic reads from ``text``.  The first lines of
-    a converter accept the common case by the value's exact JSON type; anything
-    else falls through to the checks.  A record's converters by key are a table
+    column)), which the first diagnostic reads from ``text``.  A converter tests
+    the value's exact JSON type once, then each bound or pattern once, in the
+    order its messages need.  A record's converters by key are a table
     read by ``fields``, of plain functions built once, with the class: ``_record``
     keeps its table in the converter it makes, a record with rules of its own in
     a class attribute.  A table of bound methods would be built per parse and tie
@@ -269,8 +267,8 @@ class _Build:
     count = _integer(1)
     sockets = _integer(1, _MAX_SOCKETS)
     byte = _integer(0, 255)
-    repeat = _integer(0, _MAX_LENGTH)
-    length = _integer(1, _MAX_LENGTH)  # a template's length or a storage's size
+    repeat = _integer(0, MAX_LENGTH)
+    length = _integer(1, MAX_LENGTH)  # a template's length or a storage's size
 
     def time_ps(self, v, path: tuple, key) -> int | None:
         if type(v) is str and (m := _WHOLE_TIME_RE.fullmatch(v)):
@@ -278,29 +276,28 @@ class _Build:
         return self.any_time(v, path, key)
 
     def ident(self, v, path: tuple, key) -> str | None:
-        if type(v) is str and IDENTIFIER_RE.fullmatch(v):
-            return v
-        s = self.str_(v, path, key)
-        return None if s is None else self.err(
-            path + (key,), "E-TYPE", f"bad identifier {s!r}: use letters, digits, '_', '.', '-'")
+        if type(v) is not str:
+            return self.expected("a string", v, path + (key,))
+        return v if IDENTIFIER_RE.fullmatch(v) else self.err(
+            path + (key,), "E-TYPE", f"bad identifier {v!r}: use letters, digits, '_', '.', '-'")
 
     def command(self, v, path: tuple, key) -> Command | None:
-        if type(v) is str and v in _COMMANDS:
-            return _COMMANDS[v]
-        s = self.str_(v, path, key)
-        return None if s is None else self.err(path + (key,), "E-TYPE", f"unknown command {s!r}")
+        if type(v) is not str:
+            return self.expected("a string", v, path + (key,))
+        return _COMMANDS[v] if v in _COMMANDS else self.err(
+            path + (key,), "E-TYPE", f"unknown command {v!r}")
 
     def address(self, v, path: tuple, key) -> int | None:
-        if type(v) is str and _ADDRESS_RE.fullmatch(v) and (n := int(v, 16)) <= U64_MAX:
-            return n
-        if type(v) is int and 0 <= v <= U64_MAX:
-            return v
-        at = path + (key,)
-        if isinstance(v, int) and not isinstance(v, bool):
-            return self.err(at, "E-TYPE", f"address {v} outside the unsigned 64-bit range")
-        if isinstance(v, str):
-            return self.err(at, "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex")
-        return self.err(at, "E-TYPE", f"expected an address, got {kind(v)}")
+        if type(v) is str:
+            if _ADDRESS_RE.fullmatch(v) and (n := int(v, 16)) <= U64_MAX:
+                return n
+            return self.err(path + (key,), "E-TYPE", f"bad address {v!r}: expected 0x-prefixed hex")
+        if type(v) is not int:  # a JSON boolean is no address
+            return self.expected("an address", v, path + (key,))
+        if not 0 <= v <= U64_MAX:
+            return self.err(path + (key,), "E-TYPE",
+                            f"address {v} outside the unsigned 64-bit range")
+        return v
 
     def bandwidth(self, v, path: tuple, key) -> Fraction | None:
         try:

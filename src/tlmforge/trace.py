@@ -96,6 +96,12 @@ def _record_problem(r: TraceRecord) -> str | None:
     return None
 
 
+def _shared_rules(names, acts, starts, ends, txns) -> bool:
+    """start <= end, 64-bit bounds, no repeat: the rules write_trace and read_columns share."""
+    return (all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
+            and len(set(zip(names, acts))) == len(names))
+
+
 def _writable(records: list[TraceRecord]) -> bool:
     """Whether all records pass _record_problem and none repeats, checked by column."""
     names, acts, starts, ends, txns, statuses = list(zip(*records)) or [()] * 6
@@ -104,15 +110,14 @@ def _writable(records: list[TraceRecord]) -> bool:
             and ResponseStatus.INCOMPLETE not in statuses
             and all(map(IDENTIFIER_RE.fullmatch, set(names)))
             and min(acts + starts + txns, default=0) >= 0
-            and max(acts + ends + txns, default=0) <= U64_MAX and all(map(le, starts, ends))
-            and len(set(zip(names, acts))) == len(records))
+            and _shared_rules(names, acts, starts, ends, txns))
 
 
 def write_trace(records: list[TraceRecord]) -> str:
     """Serialize records to the canonical log text (sorted, LF line endings)."""
     if not _writable(records):
         seen: set[tuple[str, int]] = set()
-        for r in records:
+        for r in map(TraceRecord._make, records):  # a plain 6-tuple is read by field too
             problem = _record_problem(r)
             if problem:
                 raise ValueError(problem)
@@ -144,8 +149,7 @@ def read_columns(text: str) -> tuple[list, list, list, list, list, list]:
             columns[k] = list(map(convert, columns[k]))
         names, acts, starts, ends, txns, _ = columns
         if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
-                and all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
-                and len(set(zip(names, acts))) == len(names)):
+                and _shared_rules(names, acts, starts, ends, txns)):
             return tuple(columns)
     raise _refusal(text)
 
@@ -166,9 +170,8 @@ def _refusal(text: str) -> TraceSyntaxError:
     for lineno, line in enumerate(lines[2:-1], start=3):
         m = _ROW_RE.fullmatch(line)
         r = m and TraceRecord(m[1], int(m[2]), int(m[3]), int(m[4]), int(m[5]), _STATUSES[m[6]])
-        # _ROW_RE proves every rule of _record_problem but start <= end and the 64-bit bounds
-        if r is None or r.start > r.end or max(r.activation, r.end, r.txn_id) > U64_MAX:
-            return TraceSyntaxError(_row_problem(line), lineno)
+        if problem := (_record_problem(r) if r else _row_problem(line)):
+            return TraceSyntaxError(problem, lineno)
         key = (r.instance, r.activation)
         if key in seen:
             return TraceSyntaxError(f"duplicate record for {key}", lineno)
@@ -182,7 +185,7 @@ def _refusal(text: str) -> TraceSyntaxError:
 
 
 def _row_problem(line: str) -> str:
-    """Why a row is refused: the first problem an ``int()``-based reading
+    """Why _ROW_RE refuses a row: the first problem an ``int()``-based reading
     finds, else a number spelled unlike write_trace's (``+0``, ``16_000``)."""
     fields = line.split(",")
     if len(fields) != 6:
@@ -331,15 +334,11 @@ def render_text_columns(names, acts, starts, ends) -> str:
     """Plain-text chart of rows in trace row order: one line each, integer-only math."""
     t_max = max(ends, default=0)
     span = max(t_max, 1)
-    name_w = max([len(f"{name} #{act}") for name, act in zip(names, acts)], default=8)
-    ns = {t: format_ns(t) for t in {*starts, *ends}}
-    lines = [f"# timing 0 .. {format_ns(t_max)} ns"]
-    for name, act, start, end in zip(names, acts, starts, ends):
-        s_col = start * (_CHART_W - 1) // span
-        e_col = end * (_CHART_W - 1) // span
-        bar = "#" if s_col == e_col else "o" + "=" * (e_col - s_col - 1) + "x"
-        label = f"{name} #{act}"
-        lines.append(f"{label:<{name_w}} |{' ' * s_col}{bar}{' ' * (_CHART_W - 1 - e_col)}| "
-                     f"{ns[start]} .. {ns[end]} ns")
-    lines.append("")
-    return "\n".join(lines)
+    labels = [f"{name} #{act}" for name, act in zip(names, acts)]
+    name_w = max(map(len, labels), default=8)
+    ns = {t: format_ns(t) for t in {*starts, *ends}}  # as in the SVG, each time formatted once
+    return f"# timing 0 .. {format_ns(t_max)} ns\n" + "".join([
+        f"{label:<{name_w}} |{' ' * s}{'#' if s == e else 'o' + '=' * (e - s - 1) + 'x'}"
+        f"{' ' * (_CHART_W - 1 - e)}| {ns[start]} .. {ns[end]} ns\n"
+        for label, start, end in zip(labels, starts, ends)
+        for s, e in [(start * (_CHART_W - 1) // span, end * (_CHART_W - 1) // span)]])

@@ -609,6 +609,40 @@ def test_run_reports_the_final_time_under_any_quantum(capsys, abs_path, tmp_path
     assert out.splitlines()[-1] == "final time: 16 ns"
 
 
+# Two initiators on one CPU, each writing three times into its own in-socket of one target.
+TWO_WRITERS = {
+    "cpus": CPU,
+    "modules": [
+        {**WRITER, "name": "A", "delay": "10ns",
+         "workload": [{"command": "WRITE", "address": 0, "length": 1, "repeat": 3}]},
+        {**WRITER, "name": "B", "delay": "7ns",
+         "workload": [{"command": "WRITE", "address": 0, "length": 1, "repeat": 3}]},
+        {"kind": "target", "name": "T", "socket_delays": ["1ns", "1ns"], "storage": {"size": 16}},
+    ],
+    "instances": [{"name": "a", "module": "A", "cpu": "Cpu0"},
+                  {"name": "b", "module": "B", "cpu": "Cpu0"},
+                  {"name": "t", "module": "T", "cpu": "Cpu0"}],
+    "bindings": [{"from": ["a", 0], "to": ["t", 0]}, {"from": ["b", 0], "to": ["t", 1]}],
+}
+
+
+def test_the_quantum_keeps_every_row_time_and_the_final_time_of_two_initiators(capsys,
+                                                                                 tmp_path):
+    """The quantum changes when the kernel runs each initiator, so it may renumber the
+    target's activations and the txn_ids (README, Temporal decoupling); each row's
+    instance, start, end and status and the final time stay."""
+    path = write_description(tmp_path, TWO_WRITERS)
+    runs = []
+    for quantum in ("0ps", "1us", "1s"):
+        code, out, _ = invoke(capsys, "run", path, "--quantum", quantum,
+                              "--trace", str(tmp_path / "t.csv"))
+        assert (code, out.splitlines()[-1]) == (0, "final time: 33 ns")
+        runs.append(sorted((r.instance, r.start, r.end, r.status) for r in
+                           parse_trace((tmp_path / "t.csv").read_text(encoding="utf-8"))))
+    assert len(runs[0]) == 12
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_binding_cycle_is_a_validation_failure(capsys, tmp_path):
     path = write_description(tmp_path, LOOPED)
     for command in ("validate", "run"):
@@ -947,6 +981,27 @@ def test_an_initiator_transfer_past_64_bits_is_a_runtime_error(capsys, tmp_path,
     path = write_description(tmp_path, doc)
     assert invoke(capsys, "run", path) == (
         3, "", "error: transfer time 4294967295000000000000000 ps exceeds the 64-bit range\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux only")
+def test_a_template_past_the_memory_left_is_a_runtime_error(tmp_path, abs_text):
+    """A 4 GiB template is allocated while the description is read (ROADMAP item 5).  In
+    a child whose address space is capped at 600 MB, as by ``ulimit -v 614400``, validate
+    ends in exit 3 and one line instead of a MemoryError traceback.  A host whose hard
+    limit is already lower refuses the cap, and the child exits 77 to skip."""
+    path = tmp_path / "big.json"
+    path.write_text(abs_text.replace('"data": "deadbeef"', '"length": 4294967295'),
+                    encoding="utf-8")
+    capped = ("import resource, sys\n"
+              "try: resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+              "except ValueError: sys.exit(77)\n"
+              "from tlmforge.cli import main; main()")
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", capped, "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    if done.returncode == 77:
+        pytest.skip("the host's hard RLIMIT_AS is below 600 MB")
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "error: out of memory\n")
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,

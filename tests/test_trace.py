@@ -77,10 +77,9 @@ def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10(tmp_path, abs_
     profiled share of the time, a call count does not move with the machine's load.  It
     pins calls per row only: a per-row loop that calls nothing, such as write_trace's own
     f-string comprehension, makes no call event and passes.  The commands that read a
-    trace go from its text to columns to output with no call per row either.  The text
-    chart formats each distinct time with a call, so only the SVG is pinned; its axis
-    formats each tick with a call, so the times are whole nanoseconds, as its ticks then
-    are on both sizes."""
+    trace go from its text to columns to output with no call per row either.  The SVG's
+    axis formats each tick with a call, so the times are whole nanoseconds, as its ticks
+    then are on both sizes; the text chart has its own pin below."""
     small, large = rows(10), rows(5000)
     assert calls(write_trace, small) == calls(write_trace, large)
     for read in (parse_trace, read_columns):
@@ -96,6 +95,23 @@ def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10(tmp_path, abs_
             for argv in commands:
                 run_command(argv)  # what a process does once: the parser, regex caches
             counts.append([calls(run_command, argv) for argv in commands])
+    assert counts[0] == counts[1]
+
+
+def test_the_text_chart_makes_as_many_calls_on_5000_rows_as_on_10(tmp_path):
+    """render --text places and formats each distinct time once and draws the rows in one
+    comprehension, as the SVG does, so rows that share their six times cost no call each.
+    With a call to len and to append per row it made 259 calls on 10 rows and 10 239 on
+    5000."""
+    counts = []
+    for n in (10, 5000):
+        path = tmp_path / f"{n}.csv"
+        path.write_text(write_trace([TraceRecord(f"I{i % 7}", i, 1000 * (i % 3),
+                                                 1000 * (i % 3 + 5), i, ResponseStatus.OK)
+                                     for i in range(n)]), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_command(["render", str(path), "--text"])  # the parser, regex caches
+            counts.append(calls(run_command, ["render", str(path), "--text"]))
     assert counts[0] == counts[1]
 
 
@@ -198,6 +214,23 @@ def test_write_rejects_invalid_records():
     with pytest.raises(ValueError, match=r"^duplicate record for \('A', 0\)$"):
         write_trace([TraceRecord("A", 0, 0, 5, 0, ResponseStatus.OK),
                      TraceRecord("A", 0, 6, 9, 1, ResponseStatus.OK)])
+
+
+@pytest.mark.parametrize("record", [
+    TraceRecord("A", 0, 5, 1, 0, ResponseStatus.OK),
+    TraceRecord("A", 0, 0, 5, 2**64, ResponseStatus.OK),
+    TraceRecord("A", 0, 0, 5, 0, ResponseStatus.INCOMPLETE),
+])
+def test_write_refuses_a_plain_tuple_as_it_refuses_the_record(record):
+    """A record equals the plain 6-tuple of its fields, and write_trace reads each one by
+    field: an invalid tuple is a ValueError, not an AttributeError on ``.instance``."""
+    with pytest.raises(ValueError) as as_record:
+        write_trace([record])
+    with pytest.raises(ValueError) as as_tuple:
+        write_trace([tuple(record)])
+    assert str(as_tuple.value) == str(as_record.value)
+    if record.start > record.end:
+        assert str(as_tuple.value) == "start 5 exceeds end 1 for 'A'"
 
 
 @pytest.mark.parametrize("record", [
