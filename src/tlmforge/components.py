@@ -12,10 +12,11 @@ delays once, when it is built.
 
 An initiator charges its own effective delay plus transfer time before
 issuing (compute, then send).  A 1-to-N socket binding or a router
-broadcast deep-copies the payload per destination; all arms proceed
-concurrently in simulated time and the transaction completes at the
-slowest arm.  Statuses merge as: OK iff every arm is OK, otherwise the
-first non-OK in ascending destination order.
+broadcast hands every destination the one payload, as a TLM-2.0
+interconnect forwards the initiator's transaction by reference; arms run
+one after another but proceed concurrently in simulated time, and the
+transaction completes at the slowest arm.  Statuses merge as: OK iff every
+arm is OK, otherwise the first non-OK in ascending destination order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .kernel import Activity, QuantumKeeper, Scheduler
-from .payload import Command, GenericPayload, ResponseStatus, deep_copy_payload, validate_payload
+from .payload import Command, GenericPayload, ResponseStatus, validate_payload
 from .simtime import U64_MAX, TimeOverflowError, time_add
 from .trace import TraceRecord
 
@@ -36,7 +37,8 @@ from .trace import TraceRecord
 TXN_ID_EXTENSION = "tlmforge.txn-id"
 
 # Bound once: on Python 3.11 a member lookup on an Enum class costs about 9x a global read.
-_OK, _READ, _WRITE = ResponseStatus.OK, Command.READ, Command.WRITE
+_OK, _INCOMPLETE = ResponseStatus.OK, ResponseStatus.INCOMPLETE
+_READ, _WRITE = Command.READ, Command.WRITE
 
 
 # --------------------------------------------------------------------------
@@ -276,24 +278,28 @@ _INVALID_STATUS = {
 
 
 def deliver(destinations: list[Destination], p: GenericPayload, t: int) -> int:
-    """Send a payload to every destination; returns the slowest arm's time.
+    """Send ``p`` itself to every destination; returns the slowest arm's time.
 
-    A single destination gets the original payload; with several, each arm gets a
-    storage-disjoint deep copy and the merged status is written back into ``p``.
-    Validation guarantees at least one destination (E010), one for a READ (E004).
+    With several destinations each arm enters with the status reset to INCOMPLETE,
+    and afterwards ``p`` holds the merged status and no arm's DMI hint
+    (``dmi_allowed`` is False).  A target writes ``p.data`` only for a READ, which
+    validation sends to one destination (E004), so the arms never see each other's
+    bytes; a direct call with a READ fan-out leaves the last arm's bytes.
+    Validation guarantees at least one destination (E010).
     """
     if len(destinations) == 1:
         model, in_socket = destinations[0]
         return model.b_transport(in_socket, p, t)
     end, status = 0, _OK
     for model, in_socket in destinations:
-        arm = deep_copy_payload(p)
-        arm_end = model.b_transport(in_socket, arm, t)
+        p.response_status = _INCOMPLETE
+        arm_end = model.b_transport(in_socket, p, t)
         if arm_end > end:
             end = arm_end
         if status is _OK:
-            status = arm.response_status
+            status = p.response_status
     p.response_status = status
+    p.dmi_allowed = False
     return end
 
 

@@ -6,10 +6,9 @@ an open-ended extension map.  Extensions are keyed by string identifiers;
 built-in components carry unknown extensions along untouched, so custom
 protocols can ride on the same object without breaking interoperability.
 
-``GenericPayload`` is a slotted dataclass.  A fan-out copy gives every arm
-its own data and enable buffers, so arms stay storage-disjoint; immutable
-extension values (``int``, ``str``, ``bytes``, ``float``, ``bool``, ``None``)
-are shared, not copied, and any other value is deep-copied.
+``GenericPayload`` is a slotted dataclass.  A fan-out hands every arm this one
+object, buffers and extension values included, as a TLM-2.0 interconnect
+forwards a transaction by reference; nothing here copies a payload.
 
 Validation codes
 ----------------
@@ -22,7 +21,6 @@ E-ENABLE-LEN     byte_enable_length is 0 or exceeds the enable buffer
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -125,34 +123,3 @@ def validate_payload(p: GenericPayload) -> list[Diagnostic]:
                 f"byte_enable_length {p.byte_enable_length} outside 1..{len(p.byte_enables)}",
                 where="byte_enable_length"))
     return diags
-
-
-# Copies share extension values of these immutable types.  The member is bound once,
-# since on Python 3.11 a member lookup on an Enum class costs about 9x a global read.
-_SHARED_TYPES = frozenset({int, str, bytes, float, bool, type(None)})
-_INCOMPLETE = ResponseStatus.INCOMPLETE
-
-
-def deep_copy_payload(p: GenericPayload) -> GenericPayload:
-    """Storage-disjoint copy with the response status reset to INCOMPLETE.
-
-    Routers use this for fan-out: every destination gets its own buffer,
-    so mutations on one arm can never leak into another.  An immutable
-    extension value is shared; any other is deep-copied.  ``p`` is whole, so
-    the copy is made field by field, without ``__post_init__``.
-    """
-    c = object.__new__(GenericPayload)
-    c.command = p.command
-    c.address = p.address
-    c.data = bytearray(p.data)
-    c.data_length = p.data_length
-    c.byte_enables = None if p.byte_enables is None else bytes(p.byte_enables)
-    c.byte_enable_length = p.byte_enable_length
-    c.streaming_width = p.streaming_width
-    c.dmi_allowed = p.dmi_allowed
-    c.response_status = _INCOMPLETE
-    c.extensions = extensions = p.extensions.copy()
-    for key, value in extensions.items():
-        if type(value) not in _SHARED_TYPES:
-            extensions[key] = copy.deepcopy(value)
-    return c

@@ -13,6 +13,7 @@ from tlmforge.components import (
     InitiatorSpec,
     Instance,
     ModelContext,
+    RouterModel,
     RouterSpec,
     Storage,
     TargetModel,
@@ -380,12 +381,14 @@ def test_fanout_status_merge_order():
 
 
 class FixedStatus:
-    """A destination that answers every transaction with one status, after ``delay``."""
+    """A destination that answers every transaction with one status, after ``delay``.
+    It keeps each payload object it is entered with and the status that payload held."""
 
     def __init__(self, status, delay=0):
-        self.status, self.delay = status, delay
+        self.status, self.delay, self.seen = status, delay, []
 
     def b_transport(self, in_socket, p, t):
+        self.seen.append((p, p.response_status))
         p.response_status = self.status
         return t + self.delay
 
@@ -396,6 +399,62 @@ def test_fanout_status_is_the_first_non_ok_arm_and_time_the_slowest():
     p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
     assert deliver([(arm, 0) for arm in arms], p, 100) == 109
     assert p.response_status is ResponseStatus.BURST_ERROR
+
+
+def entered_with(arm, p):
+    """Whether ``arm`` was entered once, with ``p`` itself, and found it INCOMPLETE."""
+    [(got, status)] = arm.seen
+    return got is p and status is ResponseStatus.INCOMPLETE
+
+
+def test_every_fanout_arm_gets_the_payload_itself_and_enters_incomplete():
+    arms = [FixedStatus(ResponseStatus.OK), FixedStatus(ResponseStatus.ADDRESS_ERROR),
+            FixedStatus(ResponseStatus.OK), FixedStatus(ResponseStatus.BURST_ERROR)]
+    p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
+    deliver([(arm, 0) for arm in arms], p, 0)
+    assert all(entered_with(arm, p) for arm in arms)
+    assert p.response_status is ResponseStatus.ADDRESS_ERROR
+
+
+def test_a_nested_broadcast_hands_its_merged_status_to_the_outer_merge():
+    """The inner router's last arm is OK, so only its merged status (the earlier arm's
+    BURST_ERROR) makes the outer merge differ from the arm after it."""
+    ctx = ModelContext(scheduler=Scheduler())
+    inner_arms = [FixedStatus(ResponseStatus.BURST_ERROR), FixedStatus(ResponseStatus.OK)]
+    router = RouterModel("r", RouterSpec("R", 0, 1, 2, {0: (0, 1)}), Fraction(1), ctx)
+    router.connect(0, {out: [(arm, 0)] for out, arm in enumerate(inner_arms)})
+    first, last = FixedStatus(ResponseStatus.OK), FixedStatus(ResponseStatus.COMMAND_ERROR)
+    p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
+    deliver([(first, 0), (router, 0), (last, 0)], p, 0)
+    assert all(entered_with(arm, p) for arm in [first, *inner_arms, last])
+    assert [r.status for r in ctx.records] == [ResponseStatus.BURST_ERROR]
+    assert p.response_status is ResponseStatus.BURST_ERROR
+
+
+def test_a_fanout_leaves_no_arms_dmi_hint_on_the_payload():
+    """One target's DMI hint is not every arm's, so a fan-out clears it, as the
+    exported router leaves the initiator's own ``set_dmi_allowed(false)``."""
+    ctx = ModelContext(scheduler=Scheduler())
+    spec = TargetSpec("M", (0,), 0, 64, 0, dmi_allowed=True)
+    a, b = TargetModel("a", spec, Fraction(1), ctx), TargetModel("b", spec, Fraction(1), ctx)
+    one, both = (GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
+                 for _ in range(2))
+    deliver([(a, 0)], one, 0)
+    deliver([(a, 0), (b, 0)], both, 0)
+    assert one.dmi_allowed is True and both.dmi_allowed is False
+    assert both.response_status is ResponseStatus.OK
+
+
+def test_a_direct_read_fanout_leaves_the_last_arms_bytes():
+    """E004 refuses such a READ in a description; a library call of deliver with one
+    shares the payload, so each arm reads over the one before."""
+    ctx = ModelContext(scheduler=Scheduler())
+    a = TargetModel("a", TargetSpec("A", (0,), 0, 64, 0x11), Fraction(1), ctx)
+    b = TargetModel("b", TargetSpec("B", (0,), 0, 64, 0x22), Fraction(1), ctx)
+    p = GenericPayload(command=Command.READ, address=0, data=bytearray(2))
+    deliver([(a, 0), (b, 0)], p, 0)
+    assert bytes(p.data) == b"\x22\x22"
+    assert p.response_status is ResponseStatus.OK
 
 
 def test_a_hop_whose_end_passes_64_bits_raises_there():

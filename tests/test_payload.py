@@ -4,7 +4,6 @@ from tlmforge.payload import (
     Command,
     GenericPayload,
     ResponseStatus,
-    deep_copy_payload,
     validate_payload,
 )
 
@@ -69,29 +68,6 @@ def test_defaults():
     assert p.response_status is ResponseStatus.INCOMPLETE
 
 
-def test_deep_copy_equal_except_status():
-    p = GenericPayload(command=Command.WRITE, address=0x10, data=bytearray(b"ab"),
-                       extensions={"vendor.tag": [1, 2]})
-    p.response_status = ResponseStatus.OK
-    c = deep_copy_payload(p)
-    assert c is not p
-    assert c.response_status is ResponseStatus.INCOMPLETE
-    assert (c.command, c.address, bytes(c.data)) == (p.command, p.address, bytes(p.data))
-    assert c.extensions == {"vendor.tag": [1, 2]}
-
-
-def test_deep_copy_is_storage_disjoint():
-    p = GenericPayload(command=Command.WRITE, data=bytearray(b"\x00\x00"),
-                       extensions={"vendor.tag": [1]})
-    c = deep_copy_payload(p)
-    c.data[0] = 0xAA
-    c.extensions["vendor.tag"].append(2)
-    assert p.data[0] == 0x00
-    assert p.extensions["vendor.tag"] == [1]
-    p.data[1] = 0xBB
-    assert c.data[1] == 0x00
-
-
 @st.composite
 def valid_payloads(draw):
     width = draw(st.integers(1, 4))
@@ -116,19 +92,6 @@ def valid_payloads(draw):
 @given(valid_payloads())
 def test_valid_payloads_validate_clean(p):
     assert validate_payload(p) == []
-
-
-@given(valid_payloads())
-def test_deep_copy_round_trip(p):
-    c = deep_copy_payload(p)
-    assert bytes(c.data) == bytes(p.data)
-    assert c.byte_enables == p.byte_enables
-    assert (c.data_length, c.streaming_width, c.byte_enable_length) == (
-        p.data_length, p.streaming_width, p.byte_enable_length)
-    assert c.extensions == p.extensions
-    if p.data:
-        c.data[0] ^= 0xFF
-        assert bytes(c.data) != bytes(p.data)
 
 
 def test_data_becomes_a_bytearray_and_enables_become_bytes():
