@@ -21,7 +21,7 @@ SWEEP = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4), Fraction(5), Fra
 
 
 def main() -> None:
-    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text())
+    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text(encoding="utf-8"))
     assert desc is not None, diags
 
     print(f"{'Cpu0 [GHz]':>12} | {'Brake latency [ns]':>20}")

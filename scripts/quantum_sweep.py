@@ -45,7 +45,7 @@ def timed_run(desc, quantum_ps: int):
 
 
 def main() -> None:
-    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text())
+    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text(encoding="utf-8"))
     assert desc is not None, diags
     templates = desc.modules[0].workload  # the Brake initiator's
     for template in templates:

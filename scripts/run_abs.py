@@ -18,23 +18,28 @@ from tlmforge.trace import (                                 # noqa: E402
     check_constraints, end_to_end_latency, render_svg, render_text, write_trace)
 
 
+def save(path: Path, text: str) -> None:
+    """Write UTF-8 with "\\n" line ends on every platform, as the CLI does."""
+    path.write_text(text, encoding="utf-8", newline="")
+
+
 def main() -> None:
     out = REPO / "out"
     out.mkdir(exist_ok=True)
 
-    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text())
+    desc, diags = parse_description((REPO / "fixtures" / "abs.json").read_text(encoding="utf-8"))
     assert desc is not None, diags
     model = elaborate(desc)
     model.run()
 
-    (out / "abs_trace.csv").write_text(write_trace(model.records))
-    (out / "abs_diagram.svg").write_text(render_svg(model.records))
+    save(out / "abs_trace.csv", write_trace(model.records))
+    save(out / "abs_diagram.svg", render_svg(model.records))
     chart = render_text(model.records)
-    (out / "abs_diagram.txt").write_text(chart)
+    save(out / "abs_diagram.txt", chart)
     gen = out / "abs_tlm"
     gen.mkdir(exist_ok=True)
     for name, text in export_tlm(desc).items():
-        (gen / name).write_text(text)
+        save(gen / name, text)
 
     print(chart)
     latency = end_to_end_latency(model.records, "Brake")

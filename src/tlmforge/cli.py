@@ -204,7 +204,7 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+        return exc.code  # argparse exits with 0 (--help, --version) or 2
     enabled = gc.isenabled()
     gc.disable()  # the young generation fills with records and rows, and each scan frees nothing
     try:

@@ -29,7 +29,6 @@ from .sysdesc import MAX_LENGTH, require_valid
 
 BANNER = "// Generated by tlmforge"  # how every exported file starts
 
-_IDENT_CHARS = set(string.ascii_letters + string.digits + "_")
 # C++20 keywords and alternative tokens; a name equal to one gets a "_" suffix.
 _CPP_KEYWORDS = frozenset("""
     alignas alignof and and_eq asm auto bitand bitor bool break case catch char char8_t char16_t
@@ -66,7 +65,7 @@ class CodegenError(ValueError):
 
 def sanitize_identifier(name: str) -> str:
     """Map a name into C++ identifier grammar (bad chars become '_', a reserved name gets '_')."""
-    out = "".join(ch if ch in _IDENT_CHARS else "_" for ch in name)
+    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
     if not out:
         raise CodegenError("E-NAME-UNSANITIZABLE", f"name {name!r} sanitizes to nothing")
     if out[0] in string.digits:

@@ -17,6 +17,7 @@ interconnect forwards the initiator's transaction by reference; arms run
 one after another but proceed concurrently in simulated time, and the
 transaction completes at the slowest arm.  Statuses merge as: OK iff every
 arm is OK, otherwise the first non-OK in ascending destination order.
+Initiators and routers alike send through ``out_bindings``, filled at elaboration.
 """
 
 from __future__ import annotations
@@ -400,15 +401,17 @@ class RouterModel(_Responder):
     def __init__(self, name: str, spec: RouterSpec, frequency_ghz: Fraction, ctx: ModelContext):
         super().__init__(name, spec, ctx)
         self.delay_ps = effective_delay(spec.delay_ps, frequency_ghz)
+        # out-socket index -> ordered destination list, filled in at elaboration
+        self.out_bindings: dict[int, list[Destination]] = {}
         # bound in-socket -> ((base, limit, destinations), ...) by base, built by connect()
         self.routes: dict[int, tuple[tuple[int, int, list[Destination]], ...]] = {}
 
-    def connect(self, in_socket: int, bound: dict[int, list[Destination]]) -> None:
+    def connect(self, in_socket: int) -> None:
         """Build ``in_socket``'s route table from :meth:`RouterSpec.routes`, each out
-        replaced by its bound destinations, sorted by base.  E006 makes the ranges disjoint
+        replaced by its ``out_bindings``, sorted by base.  E006 makes the ranges disjoint
         and non-empty, so an address's route is the last whose base is at most the address."""
         self.routes[in_socket] = tuple(sorted(
-            ((base, limit, [dest for out in outs for dest in bound[out]])
+            ((base, limit, [dest for out in outs for dest in self.out_bindings[out]])
              for base, limit, outs in self.spec.routes(in_socket)), key=_route_base))
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:

@@ -3,7 +3,8 @@
 All simulated time is an unsigned 64-bit count of picoseconds.  Arithmetic
 that would leave that range raises instead of wrapping.  Text forms carry
 explicit units ("10ns", "500ps", "4GHz") so nanosecond/picosecond confusion
-cannot silently creep into a description file.
+cannot silently creep into a description file.  A rational ("1/3GHz", a
+bandwidth) is matched by pattern and then read by ``Fraction``.
 """
 
 from __future__ import annotations
@@ -86,13 +87,10 @@ def format_ns(ps: int) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        den_i = int(den)
-        if den_i == 0:
-            raise ValueError("zero denominator")
-        return Fraction(int(num), den_i)
-    return Fraction(text)
+    try:  # the patterns let whitespace through around "/", where Fraction refuses it
+        return Fraction("".join(text.split()))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def parse_frequency_ghz(text: str) -> Fraction:
@@ -100,7 +98,7 @@ def parse_frequency_ghz(text: str) -> Fraction:
     m = _FREQ_RE.match(text)
     if m is None:
         raise ValueError(f"bad frequency {text!r}: expected <number><GHz|MHz|kHz|Hz>")
-    value = _parse_rational(m.group(1).replace(" ", "")) * _FREQ_UNITS_GHZ[m.group(2)]
+    value = _parse_rational(m.group(1)) * _FREQ_UNITS_GHZ[m.group(2)]
     if value <= 0:
         raise ValueError(f"bad frequency {text!r}: must be positive")
     return value
@@ -111,4 +109,4 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"bad rational {text!r}")
-    return _parse_rational(m.group(1).replace(" ", ""))
+    return _parse_rational(m.group(1))

@@ -36,7 +36,6 @@ from .components import (
     Binding,
     BusSpec,
     CpuSpec,
-    Destination,
     ExecutableModel,
     InitiatorModel,
     InitiatorSpec,
@@ -779,14 +778,10 @@ def elaborate(
 
     # Each out-socket's destinations, ordered by in-socket index, then declaration
     # order (the sort is stable), which fixes the fan-out status-merge order.
-    wiring: dict[str, dict[int, list[Destination]]] = {name: {} for name in models}
     for b in sorted(d.bindings, key=lambda b: b.to_socket):
-        wiring[b.from_instance].setdefault(b.from_socket, []).append(
+        models[b.from_instance].out_bindings.setdefault(b.from_socket, []).append(
             (models[b.to_instance], b.to_socket))
-    for name, model in models.items():
-        if isinstance(model, InitiatorModel):
-            model.out_bindings = wiring[name]
     for b in d.bindings:
         if isinstance(router := models[b.to_instance], RouterModel):
-            router.connect(b.to_socket, wiring[b.to_instance])
+            router.connect(b.to_socket)
     return ExecutableModel(ctx, models)

@@ -35,7 +35,7 @@ _ROW_RE = re.compile(f"({IDENTIFIER_RE.pattern})" + ",(0|[1-9][0-9]{0,19})" * 4
 _BODY_RE = re.compile(f"^{_ROW_RE.pattern.replace('(', '(?:')}$", re.M)
 _HEAD = f"{TRACE_HEADER}\n{TRACE_COLUMNS}\n"
 # Where str.splitlines would also end a line.
-_FOREIGN_BREAKS = "\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_FOREIGN_BREAK_RE = re.compile("[\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class TraceSyntaxError(ValueError):
@@ -156,8 +156,8 @@ def read_columns(text: str) -> tuple[list, list, list, list, list, list]:
 
 def _refusal(text: str) -> TraceSyntaxError:
     """The first problem of a text parse_trace refused, read line by line."""
-    if found := [text.index(c) for c in _FOREIGN_BREAKS if c in text]:
-        at = min(found)
+    if found := _FOREIGN_BREAK_RE.search(text):
+        at = found.start()
         return TraceSyntaxError(f"line break {text[at]!r} where only '\\n' may end a line",
                                 text.count("\n", 0, at) + 1)
     lines = text.split("\n")

@@ -64,10 +64,10 @@ _STEPS = {
 class ProtocolError:
     """An illegal (state, direction, phase) step; code E-PROTO."""
 
+    code = "E-PROTO"
     state: ProtocolState
     direction: Direction
     phase: Phase
-    code: str = "E-PROTO"
 
     def __str__(self) -> str:
         return (f"{self.code}: {self.direction.value} {self.phase.value} illegal "

@@ -591,6 +591,16 @@ def test_color_disabled_without_tty(capsys, abs_path, tmp_path, monkeypatch):
     assert "\x1b[" not in out
 
 
+def test_color_disabled_on_a_terminal(capsys, abs_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("TLMFORGE_COLOR", "0")
+    trace = tmp_path / "t.csv"
+    invoke(capsys, "run", str(abs_path), "--trace", str(trace))
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = invoke(capsys, "check", str(abs_path), str(trace))
+    assert code == 0 and "PASS" in out
+    assert "\x1b[" not in out
+
+
 def test_check_colours_the_verdict_on_a_terminal(capsys, abs_path, tmp_path, monkeypatch):
     monkeypatch.delenv("TLMFORGE_COLOR", raising=False)
     trace = tmp_path / "t.csv"
@@ -802,12 +812,19 @@ def test_a_path_through_more_routers_is_refused(capsys, tmp_path, n):
         assert invoke(capsys, *argv) == (1, expected, "")
 
 
-def test_module_entry_point_runs_the_command(broken_path):
+def test_module_entry_point_runs_the_command(broken_path, abs_path, tmp_path):
+    """Every exit code, argparse's own 0 and 2 among them, leaves the real entry
+    point as the process's exit status, with no traceback."""
     env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "tlmforge.cli", "validate", str(broken_path)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 1
-    assert "E003" in done.stdout
+    for expected, *argv in [(0, "validate", abs_path), (0, "--version"),
+                            (1, "validate", broken_path), (2, "validate", abs_path, "--frobnicate"),
+                            (2, "validate", tmp_path / "missing.json"),
+                            (3, "run", abs_path, "--event-limit", "1")]:
+        done = subprocess.run([sys.executable, "-m", "tlmforge.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, argv) == (expected, argv)
+        assert "Traceback" not in done.stderr
+        assert expected != 1 or "E003" in done.stdout
 
 
 def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):

@@ -271,6 +271,30 @@ def test_router_repeated_out_delivers_once():
     assert routed({0: (1, 1, 0)}) == [("t0", "OK"), ("t1", "OK"), ("r0", "OK"), ("i0", "OK")]
 
 
+def test_a_router_out_socket_fans_out_in_the_order_an_initiators_does():
+    """Each out-socket lists its targets by in-socket index, then in declaration order,
+    whether an initiator or a router owns it; the two owners' bindings interleave."""
+    template = TransactionTemplate(Command.WRITE, 0, b"\x00")
+    desc = SystemDescription(
+        cpus=[CpuSpec("C0", Fraction(1))],
+        modules=[InitiatorSpec("I", 1_000, 1, (template,)),
+                 RouterSpec("R", 1_000, 1, 1, {0: (0,)}),
+                 TargetSpec("T", (1_000, 1_000), 0, 0x1000)],
+        instances=[Instance("i0", "I", "C0"), Instance("i1", "I", "C0"),
+                   Instance("r0", "R", "C0")] + [Instance(f"t{k}", "T", "C0") for k in range(6)],
+        bindings=[Binding("i1", 0, "r0", 0),
+                  Binding("i0", 0, "t0", 1), Binding("r0", 0, "t3", 1),
+                  Binding("i0", 0, "t1", 0), Binding("r0", 0, "t4", 0),
+                  Binding("i0", 0, "t2", 0), Binding("r0", 0, "t5", 0)])
+    model = elaborate(desc)
+    [(_, _, routed_to)] = model.instances["r0"].routes[0]
+
+    def named(destinations):
+        return [(target.name, in_socket) for target, in_socket in destinations]
+    assert named(model.instances["i0"].out_bindings[0]) == [("t1", 0), ("t2", 0), ("t0", 1)]
+    assert named(routed_to) == [("t4", 0), ("t5", 0), ("t3", 1)]
+
+
 def reference_route(spec: RouterSpec, in_socket: int, address: int) -> list[int] | None:
     """The router's decode as a linear scan of ``spec.routes``: the outs of the first
     route that holds ``address``, or None when none does (an ADDRESS_ERROR)."""
@@ -422,7 +446,8 @@ def test_a_nested_broadcast_hands_its_merged_status_to_the_outer_merge():
     ctx = ModelContext(scheduler=Scheduler())
     inner_arms = [FixedStatus(ResponseStatus.BURST_ERROR), FixedStatus(ResponseStatus.OK)]
     router = RouterModel("r", RouterSpec("R", 0, 1, 2, {0: (0, 1)}), Fraction(1), ctx)
-    router.connect(0, {out: [(arm, 0)] for out, arm in enumerate(inner_arms)})
+    router.out_bindings = {out: [(arm, 0)] for out, arm in enumerate(inner_arms)}
+    router.connect(0)
     first, last = FixedStatus(ResponseStatus.OK), FixedStatus(ResponseStatus.COMMAND_ERROR)
     p = GenericPayload(command=Command.WRITE, address=0, data=bytearray(1))
     deliver([(first, 0), (router, 0), (last, 0)], p, 0)

@@ -155,3 +155,65 @@ def test_parse_time_refuses_what_the_reference_refuses(text):
 ])
 def test_parse_time_matches_exact_fractions_at_the_edges(text):
     assert outcome(parse_time, text) == outcome(reference_parse_time, text)
+
+
+_REFERENCE_NUMBER = r"\s*([0-9]+)(?:\.([0-9]+)|\s*/\s*([0-9]+))?\s*"
+_REFERENCE_UNITS_GHZ = {"GHz": 1, "MHz": Fraction(1, 10**3), "kHz": Fraction(1, 10**6),
+                        "Hz": Fraction(1, 10**9)}
+
+
+def reference_number(whole: str, frac: str | None, den: str | None) -> Fraction:
+    """The parts read left to right by int(), which refuses a part past its digit limit."""
+    value = Fraction(int(whole))
+    if frac is not None:
+        return value + Fraction(int(frac), 10 ** len(frac))
+    if den is not None:
+        if int(den) == 0:
+            raise ValueError("zero denominator")
+        return value / int(den)
+    return value
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    m = re.fullmatch(_REFERENCE_NUMBER, text)
+    if m is None:
+        raise ValueError(f"bad rational {text!r}")
+    return reference_number(*m.groups())
+
+
+def reference_parse_frequency_ghz(text: str) -> Fraction:
+    m = re.fullmatch(_REFERENCE_NUMBER + r"(GHz|MHz|kHz|Hz)\s*", text)
+    if m is None:
+        raise ValueError(f"bad frequency {text!r}: expected <number><GHz|MHz|kHz|Hz>")
+    value = reference_number(*m.groups()[:3]) * _REFERENCE_UNITS_GHZ[m[4]]
+    if value <= 0:
+        raise ValueError(f"bad frequency {text!r}: must be positive")
+    return value
+
+
+# Short parts, and parts on either side of int()'s default 4300-digit limit.
+parts = digits | st.builds(str.__mul__, st.sampled_from("019"), st.integers(4299, 4302))
+
+
+@given(blanks, parts, st.sampled_from(["", ".", "/"]), blanks, blanks, parts, blanks,
+       st.sampled_from(sorted(_REFERENCE_UNITS_GHZ)), blanks)
+def test_rationals_read_as_fraction_reads_them(lead, whole, sep, before, after, part, gap,
+                                               unit, tail):
+    """Plain, decimal and n/d numbers, with any whitespace around the number, the
+    slash and the unit, zero denominators and overlong parts, as the reference reads them."""
+    number = {"": whole, ".": f"{whole}.{part}", "/": f"{whole}{before}/{after}{part}"}[sep]
+    text = f"{lead}{number}{gap}"
+    assert outcome(parse_rational, text) == outcome(reference_parse_rational, text)
+    text = f"{lead}{number}{gap}{unit}{tail}"
+    assert outcome(parse_frequency_ghz, text) == outcome(reference_parse_frequency_ghz, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "1 / 0", "0/0", "1\t/\t3", "1\x1c/\x1c3", "1　/\r3", " 007 / 21 ", "1 . 5", "1/-3",
+    # the numerator is read first, so it is the part whose overlong digits are named
+    "9" * 4301 + "/0", "9" * 4301 + "/" + "1" * 5000, "1/" + "0" * 4301, "1." + "5" * 4301,
+])
+def test_rationals_read_as_fraction_reads_them_at_the_edges(text):
+    assert outcome(parse_rational, text) == outcome(reference_parse_rational, text)
+    text += "MHz"
+    assert outcome(parse_frequency_ghz, text) == outcome(reference_parse_frequency_ghz, text)

@@ -163,7 +163,8 @@ def test_a_negative_data_length_moves_no_byte_through_a_bandwidth_limited_router
     router = RouterModel("r0", RouterSpec("R", 1_000, 1, 1, {0: (0,)}, bandwidth=Fraction(1)),
                          Fraction(1), ctx)
     target = TargetModel("t0", TargetSpec("T", (1_000,), 0, 8, 0x5A), Fraction(1), ctx)
-    router.connect(0, {0: [(target, 0)]})
+    router.out_bindings = {0: [(target, 0)]}
+    router.connect(0)
     p = GenericPayload(command=Command.READ, address=0, data=bytearray(b"abcdefgh"),
                        data_length=data_length, streaming_width=2)
     assert router.b_transport(0, p, 0) == 2_000
