@@ -386,13 +386,11 @@ class TargetModel(_Responder):
 
     def get_dmi(self, address: int) -> DmiDescriptor:
         """Grant direct access to the whole storage when allowed and in range."""
-        beat = self.delays_ps[0]
-        if self.spec.dmi_allowed and self.storage.contains(address):
-            return DmiDescriptor(
-                granted=True, start_address=self.storage.base, end_address=self.storage.end - 1,
-                read_latency_ps=beat, write_latency_ps=beat, storage=self.storage)
+        granted = self.spec.dmi_allowed and self.storage.contains(address)
+        beat = self.delays_ps[0] if granted else 0
         return DmiDescriptor(
-            granted=False, start_address=self.storage.base, end_address=self.storage.end - 1)
+            granted=granted, start_address=self.storage.base, end_address=self.storage.end - 1,
+            read_latency_ps=beat, write_latency_ps=beat, storage=self.storage if granted else None)
 
 
 class RouterModel(_Responder):

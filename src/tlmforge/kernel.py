@@ -50,11 +50,8 @@ class Scheduler:
         return self._dispatched
 
     def schedule(self, activity: Activity, delay: int = 0) -> None:
-        """Queue a fresh activity to start after ``delay``."""
-        self._push(time_add(self.now, check_time(delay)), activity)
-
-    def _push(self, at: int, activity: Activity) -> None:
-        heapq.heappush(self._queue, (at, self._seq, activity))
+        """Queue an activity to resume after ``delay``: a fresh one, or one that yielded it."""
+        heapq.heappush(self._queue, (time_add(self.now, check_time(delay)), self._seq, activity))
         self._seq += 1
 
     def run(self) -> int:
@@ -73,7 +70,7 @@ class Scheduler:
                 delay = next(activity)
             except StopIteration:
                 continue
-            self._push(time_add(self.now, check_time(delay)), activity)
+            self.schedule(activity, delay)
         return self.now
 
 

@@ -190,7 +190,8 @@ def _pair(first, second, message: str):
 
 
 def _by_socket(entry, label: str):
-    """A converter of an object keyed by socket index; every entry is converted."""
+    """A converter of an object keyed by socket index, each index named once; the entry
+    of each such key is converted.  One that reports is held as None, as is the map."""
     def convert(self: _Build, v, path: tuple, key) -> dict | None:
         at = path + (key,)
         if type(v) is not dict:
@@ -198,11 +199,15 @@ def _by_socket(entry, label: str):
         start = len(self.diags)
         values = {}
         for k, child in v.items():
-            if not _SOCKET_KEY_RE.fullmatch(k):
-                self.err(at + (_SocketKey(k),), "E-TYPE",
-                         f"{label} key {k!r} must be a socket index")
-            elif (value := entry(self, child, at, _SocketKey(k))) is not None:
-                values[int(k)] = value
+            try:
+                i = int(k) if _SOCKET_KEY_RE.fullmatch(k) else None
+            except ValueError:  # more digits than int() reads
+                i = None
+            if i is None or i in values:
+                self.err(at + (_SocketKey(k),), "E-TYPE", f"{label} key {k!r} must be a socket index"
+                         if i is None else f"{label} key {k!r} names socket {i} a second time")
+            else:
+                values[i] = entry(self, child, at, _SocketKey(k))
         return values if len(self.diags) == start else None
     return convert
 

@@ -234,10 +234,8 @@ class ConstraintCheck:
 
 
 def check_constraints(records: list[TraceRecord], constraints) -> list[ConstraintCheck]:
-    """check_columns on records, read by index: taking two columns first costs more."""
-    return [ConstraintCheck(c.instance, c.max_end_ps,
-                            max([r[3] for r in records if r[0] == c.instance], default=None))
-            for c in constraints]
+    """check_columns on the records' instance and end columns."""
+    return check_columns(*(list(map(itemgetter(i), records)) for i in (0, 3)), constraints)
 
 
 def check_columns(names: list[str], ends: list[int], constraints) -> list[ConstraintCheck]:

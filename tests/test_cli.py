@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import descmut
+import exportcorpus
+import validatecorpus
 
 import tlmforge
 from tlmforge import cli
 from tlmforge.cli import run_command
 from tlmforge.payload import ResponseStatus
-from tlmforge.sysdesc import parse_description
+from tlmforge.sysdesc import parse_description, serialize_description
 from tlmforge.trace import (
     TraceRecord,
     check_constraints,
@@ -1055,6 +1058,58 @@ def test_a_float_past_the_exponent_decimal_holds_is_a_syntax_error(capsys, tmp_p
     assert (code, out, err) == (1, "E-SYNTAX 19:18: number out of range\n", "")
 
 
+# The ABS router's connections, and the same with an address map beside them.
+ABS_CONNECTIONS = '"connections": {"0": [0, 1, 2, 3]}'
+SOCKET_KEYED = {
+    "connections": '"connections": {"0": [0, 1, 2, 3], "%s": [1]}',
+    "address_map": ABS_CONNECTIONS
+    + ', "address_map": {"0": ["0x0", "0x3f"], "%s": ["0x0", "0x3f"]}',
+}
+# A socket key with more digits than int() reads, and a second spelling of socket 0.
+LONG_SOCKET_KEYS = ["1" * 5000, "0" * 4301 + "1"]
+
+
+def socket_keyed_abs(abs_text: str, section: str, key: str) -> str:
+    """abs.json whose router names a second socket by ``key`` in ``section``."""
+    return abs_text.replace(ABS_CONNECTIONS, SOCKET_KEYED[section] % key)
+
+
+def key_position(text: str, key: str) -> str:
+    """The line and column of the value of the last ``"key": `` in ``text``, where a
+    diagnostic on a socket key points."""
+    offset = text.rindex(f'"{key}": ') + len(key) + 4
+    return f"{text.count(chr(10), 0, offset) + 1}:{offset - text.rfind(chr(10), 0, offset)}"
+
+
+# int() refuses a key of more digits than sys.get_int_max_str_digits(): that ValueError
+# escaped every command as a traceback.  "0" and "00" both name socket 0: the later
+# entry replaced the earlier, and run wrote 3 rows per Brake WRITE instead of 6.
+LONG_KEY = pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4302,
+                              reason="int() takes a 4302-digit key on this interpreter")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "check", "export"])
+@pytest.mark.parametrize("section", ["connections", "address_map"])
+@pytest.mark.parametrize("key, message", [
+    pytest.param(LONG_SOCKET_KEYS[0], "must be a socket index", marks=LONG_KEY, id="5000 ones"),
+    pytest.param(LONG_SOCKET_KEYS[1], "must be a socket index", marks=LONG_KEY, id="4302 digits"),
+    pytest.param("00", "names socket 0 a second time", id="00"),
+])
+def test_a_socket_key_int_cannot_read_or_named_twice_is_a_type_error(
+        capsys, tmp_path, abs_path, abs_text, command, section, key, message):
+    path = tmp_path / "desc.json"
+    path.write_text(text := socket_keyed_abs(abs_text, section, key), encoding="utf-8")
+    trace = tmp_path / "t.csv"
+    assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
+    argv = {"validate": [path], "run": [path, "--trace", tmp_path / "r.csv"],
+            "check": [path, trace], "export": [path, "--out", tmp_path / "gen"]}[command]
+    label = {"connections": "connection", "address_map": "address_map"}[section]
+    assert invoke(capsys, command, *map(str, argv)) == (
+        1, f"E-TYPE modules[1].{section}[{key}] ({key_position(text, key)}): "
+           f"{label} key {key!r} {message}\n", "")
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize("char", ["\t", "\x00", "\x1f"])
 def test_a_raw_control_character_in_a_string_is_a_syntax_error(capsys, tmp_path, abs_text, char):
     """RFC 8259 section 7: a control character in a string must be escaped."""
@@ -1072,12 +1127,13 @@ def test_non_ascii_digit_in_a_number_is_a_syntax_error(capsys, tmp_path, abs_tex
 
 
 # Values and keys that int(), bytes.fromhex() or \d would take but a description must not.
+# The edits also draw a socket key past int()'s digit limit and a second spelling of socket 0.
 NOT_ASCII_DIGITS = ["²", "١", "٣٠", "0x١٠", "0x1_0", "0x10 ", "١٠ns", "1/٣GHz", "٣", "de  ad"]
 
 
 @given(seed=st.integers(0, 2**32), edits=st.lists(st.tuples(
     st.sampled_from(["value", "key", "socket_key"]), st.integers(0, 10**6),
-    st.sampled_from(NOT_ASCII_DIGITS)), max_size=3))
+    st.sampled_from(NOT_ASCII_DIGITS + LONG_SOCKET_KEYS + ["00"])), max_size=3))
 def test_validate_never_raises(seed, edits):
     """``validate`` ends in exit 0 or 1 on any mutated description, never in a traceback.
 
@@ -1103,6 +1159,51 @@ def test_validate_never_raises(seed, edits):
         path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run_command(["validate", str(path)]) in (0, 1)
+
+
+def corpus_texts(abs_text: str):
+    """(label, text) of every corpus description: the descmut cases, the validatecorpus
+    and exportcorpus descriptions serialized, and the refused socket keys above."""
+    for i, (_, text) in enumerate(descmut.cases()):
+        yield f"descmut {i}", text
+    for corpus, pairs in (("validatecorpus", validatecorpus.cases()),
+                          ("exportcorpus", exportcorpus.descriptions())):
+        for label, d in pairs:
+            yield f"{corpus} {label}", serialize_description(d)
+    for section in SOCKET_KEYED:
+        for key in ["00", *LONG_SOCKET_KEYS]:
+            yield f"{section} key {key[:8]}", socket_keyed_abs(abs_text, section, key)
+
+
+# A refusal's stdout line starts with its code: E001..E011, or E- and a name.
+DIAGNOSTIC_LINE = re.compile(r"E(\d{3}|(-[A-Z]+)+)[ :]")
+
+
+def test_every_corpus_description_ends_each_command_with_its_exit_code(capsys, tmp_path,
+                                                                        abs_text):
+    """Each command ends in exit 0, 1 (every stdout line a diagnostic, or for check a
+    verdict) or 3, never in an exception: validate; run, and on its trace render --svg,
+    render and check; and export of what validates."""
+    desc, trace, svg, gen = (str(tmp_path / name) for name in ("d.json", "t.csv", "d.svg", "gen"))
+    seen = set()
+    for label, text in corpus_texts(abs_text):
+        Path(desc).write_text(text, encoding="utf-8")
+        commands = [["validate", desc]]
+        for argv in commands:  # a command that passes queues the ones that follow it
+            code, out, err = invoke(capsys, *argv)
+            seen.add((argv[0], code))
+            assert code in (0, 1, 3), (label, argv, out, err)
+            lines = out.splitlines()
+            if code == 1 and argv[0] == "check" and out.endswith("result: FAIL\n"):
+                assert all(line.startswith(("PASS ", "FAIL ", "result: ")) for line in lines)
+            elif code == 1:
+                assert all(map(DIAGNOSTIC_LINE.match, lines)), (label, argv, out)
+            if code == 0 and argv[0] == "validate":
+                commands += [["run", desc, "--trace", trace], ["export", desc, "--out", gen]]
+            elif code == 0 and argv[0] == "run":
+                commands += [["render", trace, "--svg", svg], ["render", trace],
+                             ["check", desc, trace]]
+    assert {("validate", 0), ("validate", 1), ("run", 0), ("check", 0), ("export", 0)} <= seen
 
 
 def test_a_parser_kept_across_calls_answers_as_a_fresh_process(capsys, monkeypatch, abs_path):
