@@ -17,6 +17,10 @@ interconnect forwards the initiator's transaction by reference; arms run
 one after another but proceed concurrently in simulated time, and the
 transaction completes at the slowest arm.  Statuses merge as: OK iff every
 arm is OK, otherwise the first non-OK in ascending destination order.
+A template's activations reuse one payload, as TLM-2.0 lets an initiator do once
+``b_transport`` returns: each resets the address, status, ``dmi_allowed`` and
+``extensions`` (its txn id only), and a READ gets a fresh copy of the template
+bytes, while other commands share one buffer, which a target must not write.
 Initiators and routers alike send through ``out_bindings``, filled at elaboration.
 """
 
@@ -199,58 +203,42 @@ class Storage:
         return self.base <= address < self.end
 
 
-def _first_chunk(storage: Storage, p: GenericPayload) -> tuple[int, int, int, ResponseStatus]:
-    """``(offset, beats, width, status)`` to move after the one range check:
-    a first chunk that runs off the storage shrinks to its in-range prefix."""
-    n, w, off, size = p.data_length, p.streaming_width, p.address - storage.base, len(storage.data)
-    if n == 0 or 0 <= off <= size - w:
-        return off, n, w, _OK
-    inside = 0 if off < 0 else max(0, size - off)
-    return off, inside, inside, ResponseStatus.ADDRESS_ERROR
-
-
-def _enabled_beats(storage: Storage, p: GenericPayload, off: int, beats: int, width: int,
-                   write: bool) -> None:
-    """Move beats 0..beats-1 one at a time, skipping those whose enable is 0x00."""
-    enables, enable_length, data = p.byte_enables, p.byte_enable_length, storage.data
-    for i in range(beats):
-        if enables[i % enable_length] == 0xFF:
-            if write:
-                data[off + i % width] = p.data[i]
-            else:
-                p.data[i] = data[off + i % width]
+def _move_bytes(storage: Storage, p: GenericPayload, write: bool) -> ResponseStatus:
+    """Move ``p``'s beats into storage if ``write``, else out of it.  Beat i lands at
+    ``address + (i mod streaming_width)``, so one range check on the first chunk covers
+    every chunk; a first chunk that runs off the storage shrinks to its in-range prefix,
+    which still moves, and the result is ADDRESS_ERROR.  A beat whose enable is 0x00
+    moves nothing.  Without enables a write stores the last chunk, as later beats
+    overwrite earlier ones, and a read repeats one storage slice per chunk.  A zero-length
+    payload is OK and touches nothing.  ``p`` must pass :func:`validate_payload`."""
+    n, w, off, data = p.data_length, p.streaming_width, p.address - storage.base, storage.data
+    status = _OK
+    if n and not 0 <= off <= len(data) - w:
+        n = w = 0 if off < 0 else max(0, len(data) - off)
+        status = ResponseStatus.ADDRESS_ERROR
+    if p.byte_enables is not None:
+        enables, enable_length = p.byte_enables, p.byte_enable_length
+        for i in range(n):
+            if enables[i % enable_length] == 0xFF:
+                if write:
+                    data[off + i % w] = p.data[i]
+                else:
+                    p.data[i] = data[off + i % w]
+    elif n and write:
+        data[off:off + w] = p.data[n - w:n]
+    elif n:
+        p.data[:n] = data[off:off + w] * (n // w)
+    return status
 
 
 def apply_write(storage: Storage, p: GenericPayload) -> ResponseStatus:
-    """Write beats into storage per streaming width and byte enables.
-
-    Beat i lands at ``address + (i mod streaming_width)``, so every chunk of
-    ``streaming_width`` beats covers the same addresses, and one range check
-    on the first chunk covers them all.  If that chunk runs off the storage,
-    its beats before the first address outside stay applied and the result
-    is ADDRESS_ERROR.  Later beats overwrite earlier ones, so without byte
-    enables only the last chunk is written, as one slice.  A zero-length
-    payload is OK and touches nothing.  ``p`` must pass
-    :func:`validate_payload`, as :meth:`TargetModel.b_transport` ensures.
-    """
-    off, n, w, status = _first_chunk(storage, p)
-    if p.byte_enables is not None:
-        _enabled_beats(storage, p, off, n, w, write=True)
-    elif n:
-        storage.data[off:off + w] = p.data[n - w:n]
-    return status
+    """Write ``p``'s beats into storage, as :func:`_move_bytes` describes."""
+    return _move_bytes(storage, p, True)
 
 
 def apply_read(storage: Storage, p: GenericPayload) -> ResponseStatus:
-    """Mirror of :func:`apply_write` with bytes flowing storage -> payload:
-    without byte enables, one storage slice repeated once per chunk.
-    Disabled bytes in the payload are left unchanged."""
-    off, n, w, status = _first_chunk(storage, p)
-    if p.byte_enables is not None:
-        _enabled_beats(storage, p, off, n, w, write=False)
-    elif n:
-        p.data[:n] = storage.data[off:off + w] * (n // w)
-    return status
+    """Read storage into ``p``'s beats, as :func:`_move_bytes` describes."""
+    return _move_bytes(storage, p, False)
 
 
 # --------------------------------------------------------------------------
@@ -311,6 +299,7 @@ class _Responder:
         self.name = name
         self.spec = spec
         self.ctx = ctx
+        self._append_record = ctx.records.append
         self._activations = itertools.count()
         # transfer_time's ceil(bytes * 1000 * den / num) as (1000 * den, num); None is unlimited
         bw = spec.bandwidth
@@ -332,8 +321,8 @@ class _Responder:
 
     def _record(self, activation: int, start: int, end: int, p: GenericPayload) -> None:
         txn = p.extensions.get(TXN_ID_EXTENSION, 0)
-        self.ctx.records.append(_new_record(TraceRecord, (self.name, activation, start, end,
-                                txn if isinstance(txn, int) else 0, p.response_status)))
+        self._append_record(_new_record(TraceRecord, (self.name, activation, start, end,
+                            txn if isinstance(txn, int) else 0, p.response_status)))
 
 
 @dataclass
@@ -358,13 +347,11 @@ class TargetModel(_Responder):
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
         activation, now, end = self._arrive(self.delays_ps[in_socket], p, t)
-        problems = validate_payload(p)
+        problems, command = validate_payload(p), p.command
         if problems:
             p.response_status = _INVALID_STATUS[problems[0].code]
-        elif p.command is _WRITE:
-            p.response_status = apply_write(self.storage, p)
-        elif p.command is _READ:
-            p.response_status = apply_read(self.storage, p)
+        elif command is _WRITE or command is _READ:
+            p.response_status = _move_bytes(self.storage, p, command is _WRITE)
         else:
             p.response_status = _OK
         p.dmi_allowed = self.spec.dmi_allowed
@@ -447,29 +434,37 @@ class InitiatorModel:
             yield from self.quantum_keeper.sync()
 
     def issue(self, template: TransactionTemplate) -> Activity:
-        """The template's activations, back to back.  Each waits the own latency (module
-        delay plus send time, summed once per template), transports, syncs, records."""
+        """The template's activations, back to back, on one payload.  Each waits the own
+        latency (module delay plus send time), transports, syncs and records."""
         if not template.repeat:  # it adds no time, so its own latency cannot overflow
             return
         qk = self.quantum_keeper
         sched = self.ctx.scheduler
+        txn_ids, append_record = self.ctx.txn_ids, self.ctx.records.append
         destinations = self.out_bindings[template.socket]
         own = time_add(self.delay_ps, transfer_time(len(template.data), self.spec.bandwidth))
+        address, read = template.address, template.command is _READ
+        p = GenericPayload(command=template.command, address=address,
+                           data=bytearray(template.data))
         for _ in range(template.repeat):
             start = sched.now + qk.local_offset  # the previous activation's checked end
             qk.advance(own)
-            if qk.need_sync():
-                yield from qk.sync()
+            if qk.local_offset >= qk.global_quantum:  # sync as QuantumKeeper.sync does
+                yield qk.local_offset
+                qk.local_offset = 0
 
-            txn = next(self.ctx.txn_ids)
-            p = GenericPayload(command=template.command, address=template.address,
-                               data=bytearray(template.data), extensions={TXN_ID_EXTENSION: txn})
+            txn = next(txn_ids)
+            p.address, p.response_status, p.dmi_allowed = address, _INCOMPLETE, False
+            p.extensions = {TXN_ID_EXTENSION: txn}
+            if read:
+                p.data = bytearray(template.data)
             qk.local_offset = deliver(destinations, p, qk.local_offset)
-            if qk.need_sync():
-                yield from qk.sync()
+            if qk.local_offset >= qk.global_quantum:
+                yield qk.local_offset
+                qk.local_offset = 0
             end = time_add(sched.now, qk.local_offset)
 
-            self.ctx.records.append(_new_record(TraceRecord, (
+            append_record(_new_record(TraceRecord, (
                 self.name, next(self._activations), start, end, txn, p.response_status)))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator
 
-from .simtime import check_time, time_add
+from .simtime import U64_MAX, check_time, time_add
 
 DEFAULT_EVENT_LIMIT = 10_000_000
 
@@ -51,7 +51,9 @@ class Scheduler:
 
     def schedule(self, activity: Activity, delay: int = 0) -> None:
         """Queue an activity to resume after ``delay``: a fresh one, or one that yielded it."""
-        heapq.heappush(self._queue, (time_add(self.now, check_time(delay)), self._seq, activity))
+        if type(delay) is not int or delay < 0 or (at := self.now + delay) > U64_MAX:
+            at = time_add(self.now, check_time(delay))  # check_time and time_add raise any refusal
+        heapq.heappush(self._queue, (at, self._seq, activity))
         self._seq += 1
 
     def run(self) -> int:
@@ -88,7 +90,9 @@ class QuantumKeeper:
         self.local_offset = 0
 
     def advance(self, t: int) -> None:
-        self.local_offset = time_add(self.local_offset, check_time(t))
+        if type(t) is not int or t < 0 or (total := self.local_offset + t) > U64_MAX:
+            total = time_add(self.local_offset, check_time(t))  # as in Scheduler.schedule
+        self.local_offset = total
 
     def need_sync(self) -> bool:
         return self.local_offset >= self.global_quantum

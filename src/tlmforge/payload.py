@@ -6,9 +6,10 @@ an open-ended extension map.  Extensions are keyed by string identifiers;
 built-in components carry unknown extensions along untouched, so custom
 protocols can ride on the same object without breaking interoperability.
 
-``GenericPayload`` is a slotted dataclass.  A fan-out hands every arm this one
-object, buffers and extension values included, as a TLM-2.0 interconnect
-forwards a transaction by reference; nothing here copies a payload.
+``GenericPayload`` is a slotted dataclass, and nothing here copies one: a fan-out
+hands every arm the one object, as a TLM-2.0 interconnect forwards by reference,
+and an initiator reuses one per template, resetting address, status, DMI hint and
+extensions and giving a READ fresh bytes before each activation.
 
 Validation codes
 ----------------

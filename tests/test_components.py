@@ -1,14 +1,18 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import calls
 from topogen import max_path_latency, random_topology
 
 from tlmforge.components import (
     Binding,
     CpuSpec,
+    ExecutableModel,
     InitiatorModel,
     InitiatorSpec,
     Instance,
@@ -25,11 +29,12 @@ from tlmforge.components import (
     effective_delay,
     transfer_time,
 )
+from tlmforge.cli import run_command
 from tlmforge.kernel import Scheduler
 from tlmforge.components import TXN_ID_EXTENSION
 from tlmforge.payload import Command, GenericPayload, ResponseStatus, validate_payload
 from tlmforge.simtime import U64_MAX, TimeOverflowError
-from tlmforge.sysdesc import SystemDescription, elaborate
+from tlmforge.sysdesc import SystemDescription, elaborate, parse_description
 from tlmforge.trace import end_to_end_latency
 
 
@@ -625,3 +630,123 @@ def test_doubling_frequencies_halves_divisible_traces():
         for key, r in slow.items():
             assert (fast[key].start, fast[key].end) == (r.start // 2, r.end // 2)
             assert r.start % 2 == 0 and r.end % 2 == 0
+
+
+# -- per-activation cost and payload reuse -------------------------------------
+
+
+def abs_model(abs_text, repeat):
+    doc = json.loads(abs_text)
+    doc["modules"][0]["workload"][0]["repeat"] = repeat
+    desc, diags = parse_description(json.dumps(doc))
+    assert diags == []
+    return elaborate(desc, quantum_ps=0)
+
+
+def test_one_abs_activation_makes_at_most_79_calls(abs_text):
+    """The Brake WRITE at quantum 0: two kernel events, a router hop fanning out to four
+    targets and six trace rows per activation, on the initiator's one payload, with time
+    checks inline and one storage call per arm."""
+    per_activation = (calls(ExecutableModel.run, abs_model(abs_text, 50))
+                      - calls(ExecutableModel.run, abs_model(abs_text, 10))) / 40
+    assert per_activation <= 79
+
+
+class Scribbler:
+    """A destination that notes how each payload enters, then changes what a careless
+    target could: the address, the status, the DMI hint, the extensions and, for a READ,
+    the data."""
+
+    def __init__(self):
+        self.seen = []
+
+    def b_transport(self, in_socket, p, t):
+        self.seen.append((p, p.data, bytes(p.data), p.address, p.response_status,
+                          p.dmi_allowed, dict(p.extensions)))
+        p.address += 4
+        p.response_status = ResponseStatus.OK
+        p.dmi_allowed = True
+        p.extensions["vendor.note"] = "left behind"
+        if p.command is Command.READ:
+            p.data[:] = bytes(len(p.data))
+        return t + 1_000
+
+
+def scribbled(*templates):
+    """What a Scribbler bound to one initiator's socket 0 saw of ``templates``' activations."""
+    ctx = ModelContext(scheduler=Scheduler())
+    init = InitiatorModel("i0", InitiatorSpec("I", 2_000, 1, templates), Fraction(1), ctx)
+    dest = Scribbler()
+    init.out_bindings[0] = [(dest, 0)]
+    ctx.scheduler.schedule(init.activity())
+    ctx.scheduler.run()
+    assert [r.status for r in ctx.records] == [ResponseStatus.OK] * len(dest.seen)
+    return dest.seen
+
+
+def entered_fresh(seen, address, data, first_txn):
+    """Each activation entered with the template's address and bytes, INCOMPLETE, no DMI
+    hint, and extensions holding only its own txn id."""
+    return [entry[2:] for entry in seen] == [
+        (data, address, ResponseStatus.INCOMPLETE, False, {TXN_ID_EXTENSION: first_txn + i})
+        for i in range(len(seen))]
+
+
+def test_a_repeated_write_hands_over_one_payload_and_one_buffer():
+    seen = scribbled(TransactionTemplate(Command.WRITE, 8, b"\x01\x02\x03", 0, 3),
+                     TransactionTemplate(Command.WRITE, 16, b"\x04", 0, 2))
+    assert entered_fresh(seen[:3], 8, b"\x01\x02\x03", 0)
+    assert entered_fresh(seen[3:], 16, b"\x04", 3)
+    for group in (seen[:3], seen[3:]):
+        assert all(p is group[0][0] and data is group[0][1] for p, data, *_ in group)
+    assert seen[0][0] is not seen[3][0]
+
+
+def test_a_repeated_read_gets_a_fresh_buffer_holding_the_template_bytes():
+    seen = scribbled(TransactionTemplate(Command.READ, 8, b"\x0a\x0b", 0, 3))
+    assert entered_fresh(seen, 8, b"\x0a\x0b", 0)
+    assert all(p is seen[0][0] for p, *_ in seen)
+    assert len({id(data) for _, data, *_ in seen}) == 3
+    assert all(bytes(data) == b"\x00\x00" for _, data, *_ in seen)  # each one written
+
+
+# -- dispatch order of several initiators ----------------------------------------
+
+# Three initiators with equal delays, each on its own in-socket of one router, share one
+# target, so their events tie at every activation and only the kernel's FIFO order
+# separates them.
+THREE_INITIATORS = {
+    "cpus": [{"name": "C0", "frequency": "1GHz"}],
+    "modules": [
+        {"kind": "initiator", "name": "Writer", "delay": "2ns", "sockets": 1, "workload": [
+            {"command": "WRITE", "address": "0x0", "data": "deadbeef", "repeat": 3},
+            {"command": "READ", "address": "0x0", "length": 4, "repeat": 2}]},
+        {"kind": "initiator", "name": "Edge", "delay": "2ns", "sockets": 1, "workload": [
+            {"command": "WRITE", "address": "0x3c", "data": "0102030405", "repeat": 2},
+            {"command": "READ", "address": "0x8", "length": 4, "repeat": 2}]},
+        {"kind": "router", "name": "Bus", "delay": "1ns", "in_sockets": 3, "out_sockets": 1,
+         "connections": {"0": [0], "1": [0], "2": [0]}},
+        {"kind": "target", "name": "Mem", "socket_delays": ["3ns"],
+         "storage": {"base": "0x0", "size": 64}},
+    ],
+    "instances": [{"name": "I0", "module": "Writer", "cpu": "C0"},
+                  {"name": "I1", "module": "Edge", "cpu": "C0"},
+                  {"name": "I2", "module": "Writer", "cpu": "C0"},
+                  {"name": "B", "module": "Bus", "cpu": "C0"},
+                  {"name": "M", "module": "Mem", "cpu": "C0"}],
+    "bindings": [{"from": ["I0", 0], "to": ["B", 0]}, {"from": ["I1", 0], "to": ["B", 1]},
+                 {"from": ["I2", 0], "to": ["B", 2]}, {"from": ["B", 0], "to": ["M", 0]}],
+}
+
+
+@pytest.mark.parametrize("quantum,digest", [
+    ("0ps", "04f97afd8d0877619c746261aa5b1b49a2653ecff3ee08de3202f964dd96ed65"),
+    ("16ns", "7402c034442bc794e6d79d2d3afad39650650b85a10944e6aa9f3adcaf55f66f"),
+    ("1us", "05bba011eabe4202c77179e805d438a760721da62570bbb84976f7d023a8e616"),
+])
+def test_three_tying_initiators_keep_their_dispatch_order(tmp_path, quantum, digest):
+    """Pins txn ids and activation numbers, which the kernel's order of tying events fixes."""
+    desc, trace = tmp_path / "three.json", tmp_path / "three.csv"
+    desc.write_text(json.dumps(THREE_INITIATORS), encoding="utf-8")
+    assert run_command(["run", str(desc), "--quantum", quantum, "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

@@ -9,7 +9,7 @@ from tlmforge.kernel import (
     Scheduler,
     SimulationError,
 )
-from tlmforge.simtime import TimeOverflowError, U64_MAX
+from tlmforge.simtime import TimeOverflowError, U64_MAX, check_time, time_add
 from tlmforge.sysdesc import elaborate, parse_description
 from tlmforge.trace import write_trace
 
@@ -170,6 +170,35 @@ def test_dispatch_times_never_decrease(delays):
     s.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
+
+
+def refusal(fn, *args):
+    """The type and message of what ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("value", [True, 5.0, -1, 2**64])
+def test_schedule_and_advance_refuse_a_bad_time_as_check_time_does(value):
+    s, qk = Scheduler(), QuantumKeeper()
+    want = refusal(check_time, value)
+    assert refusal(s.schedule, note([], "A"), value) == want
+    assert refusal(qk.advance, value) == want
+    assert (s.run(), s.dispatched, qk.local_offset) == (0, 0, 0)
+
+
+def test_schedule_and_advance_refuse_a_sum_past_64_bits_as_time_add_does():
+    s, qk = Scheduler(), QuantumKeeper()
+    s.now = 10
+    qk.advance(10)
+    want = refusal(time_add, 10, U64_MAX - 5)
+    assert refusal(s.schedule, note([], "A"), U64_MAX - 5) == want
+    assert refusal(qk.advance, U64_MAX - 5) == want
+    assert (s.run(), s.dispatched, qk.local_offset) == (10, 0, 10)
+    s.schedule(note([], "B"), U64_MAX - 10)  # the largest sum that fits
+    qk.advance(U64_MAX - 10)
+    assert (s.run(), qk.local_offset) == (U64_MAX, U64_MAX)
 
 
 # -- quantum keeper -----------------------------------------------------------
