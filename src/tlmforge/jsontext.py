@@ -5,7 +5,8 @@ Both return plain JSON values: ``dict``, ``list``, ``str``, ``int``, ``Decimal``
 ``json.JSONDecoder``.  ``parse_json`` owns the rest: the structure, the duplicate
 key and depth rules, the positions and every syntax message.  Beside the value it
 returns a table from each value's path (the object keys and array indices from the
-root; ``()`` is the root) to the 1-based line and column where that value starts.
+root; ``()`` is the root) to the 1-based line and column where that value starts, and
+in its ``key_at`` where each object member's key starts, by the member's path.
 It tracks only a character offset, and turns one into a line and column through
 the offsets where lines start.  Stricter than the RFC: a duplicate object key,
 nesting deeper than ``MAX_DEPTH`` (RFC 8259 section 9 allows such a bound) and a
@@ -42,13 +43,18 @@ class JsonSyntaxError(ValueError):
         self.column = column
 
 
+class Positions(dict):
+    """(line, column) by path where each value starts; ``key_at``: where each key starts."""
+    key_at: dict[tuple, tuple[int, int]]
+
+
 class _Reader:
     def __init__(self, text: str):
         self.text = text
-        self.n = len(text)
         self.pos = 0
         self.path: list[str | int] = []  # keys and indices from the root to the current value
-        self.positions: dict[tuple, tuple[int, int]] = {}
+        self.positions = Positions()
+        self.positions.key_at = {}
         self.starts = [0] + [m.end() for m in re.finditer("\n", text)]  # offset of each line
 
     def _where(self, pos: int) -> tuple[int, int]:
@@ -58,24 +64,21 @@ class _Reader:
     def _error(self, message: str, pos: int | None = None):
         raise JsonSyntaxError(message, *self._where(self.pos if pos is None else pos))
 
-    def _skip_ws(self) -> None:
+    def _skip_ws(self) -> str:
+        """Moves past blanks; returns the next character, "" at the end."""
         self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.n else ""
+        return self.text[self.pos:self.pos + 1]
 
     def parse(self) -> object:
-        self._skip_ws()
-        if self.pos >= self.n:
+        if not self._skip_ws():
             self._error("empty document")
         value = self._value()
-        self._skip_ws()
-        if self.pos < self.n:
+        if self._skip_ws():
             self._error("trailing data after the document")
         return value
 
     def _value(self) -> object:
-        ch = self._peek()
+        ch = self._skip_ws()
         self.positions[tuple(self.path)] = self._where(self.pos)
         if ch == "{" or ch == "[":
             if len(self.path) == MAX_DEPTH:  # one path step per open container
@@ -86,28 +89,24 @@ class _Reader:
     def _object(self) -> dict:
         members: dict[str, object] = {}
         self.pos += 1  # '{'
-        self._skip_ws()
-        if self._peek() == "}":
+        if self._skip_ws() == "}":
             self.pos += 1
             return members
         while True:
-            self._skip_ws()
-            if self._peek() != '"':
+            if self._skip_ws() != '"':
                 self._error("expected a string key")
             key_pos = self.pos
             key = self._scalar()
             if key in members:
                 self._error(f"duplicate key {key!r}", key_pos)
-            self._skip_ws()
-            if self._peek() != ":":
+            if self._skip_ws() != ":":
                 self._error("expected ':' after key")
             self.pos += 1
-            self._skip_ws()
             self.path.append(key)
+            self.positions.key_at[tuple(self.path)] = self._where(key_pos)
             members[key] = self._value()
             self.path.pop()
-            self._skip_ws()
-            ch = self._peek()
+            ch = self._skip_ws()
             if ch == ",":
                 self.pos += 1
                 continue
@@ -119,17 +118,14 @@ class _Reader:
     def _array(self) -> list:
         items: list[object] = []
         self.pos += 1  # '['
-        self._skip_ws()
-        if self._peek() == "]":
+        if self._skip_ws() == "]":
             self.pos += 1
             return items
         while True:
-            self._skip_ws()
             self.path.append(len(items))
             items.append(self._value())
             self.path.pop()
-            self._skip_ws()
-            ch = self._peek()
+            ch = self._skip_ws()
             if ch == ",":
                 self.pos += 1
                 continue
@@ -146,7 +142,7 @@ class _Reader:
             return value
         except (ValueError, ArithmeticError):  # int() refused the digits or Decimal the exponent
             pass
-        ch = self._peek()
+        ch = self.text[self.pos:self.pos + 1]
         if ch == '"':
             end = _STRING_RE.match(self.text, self.pos + 1).end()  # the first refused character
             ch = self.text[end:end + 1]
@@ -159,7 +155,7 @@ class _Reader:
             esc = self.text[end + 1:end + 2]
             if esc != "u":
                 self._error(f"bad escape \\{esc}", end + 1)
-            if end + 6 > self.n:
+            if end + 6 > len(self.text):
                 self._error("truncated \\u escape", end + 2)
             self._error(f"bad \\u escape {self.text[end + 2:end + 6]!r}", end + 2)
         if ch == "-" or ch.isdigit():
@@ -170,9 +166,9 @@ class _Reader:
         self._error(f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
-def parse_json(text: str) -> tuple[object, dict[tuple, tuple[int, int]]]:
+def parse_json(text: str) -> tuple[object, Positions]:
     """Parse a JSON document into its plain value and the (line, column) where
-    the value at each path starts."""
+    the value, and an object member's key, at each path starts."""
     reader = _Reader(text)
     return reader.parse(), reader.positions
 

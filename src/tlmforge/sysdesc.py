@@ -51,7 +51,7 @@ from .components import (
     out_socket_count,
 )
 from .diagnostics import IDENTIFIER_RE, Diagnostic, sort_diagnostics
-from .jsontext import JsonSyntaxError, kind, load_json, parse_json
+from .jsontext import JsonSyntaxError, Positions, kind, load_json, parse_json
 from .kernel import DEFAULT_EVENT_LIMIT, Scheduler
 from .payload import Command
 from .simtime import (
@@ -205,7 +205,8 @@ def _by_socket(entry, label: str):
                 i = None
             if i is None or i in values:
                 self.err(at + (_SocketKey(k),), "E-TYPE", f"{label} key {k!r} must be a socket index"
-                         if i is None else f"{label} key {k!r} names socket {i} a second time")
+                         if i is None else f"{label} key {k!r} names socket {i} a second time",
+                         at_key=True)
             else:
                 values[i] = entry(self, child, at, _SocketKey(k))
         return values if len(self.diags) == start else None
@@ -237,7 +238,8 @@ class _Build:
     returns None; None is never a value.  A leaf forms its own path, ``path +
     (key,)``, only to report; a container forms it once, for its children.  A
     diagnostic takes its line and column from ``positions`` (path -> (line,
-    column)), which the first diagnostic reads from ``text``.  A converter tests
+    column)), or from its ``key_at`` for a bad key, which the first diagnostic
+    reads from ``text``.  A converter tests
     the value's exact JSON type once, then each bound or pattern once, in the
     order its messages need.  A record's converters by key are a table
     read by ``fields``, of plain functions built once, with the class: ``_record``
@@ -248,13 +250,14 @@ class _Build:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.positions: dict[tuple, tuple[int, int]] | None = None
+        self.positions: Positions | None = None
         self.diags: list[Diagnostic] = []
 
-    def err(self, at: tuple, code: str, message: str, where: str | None = None) -> None:
+    def err(self, at: tuple, code: str, message: str, where: str | None = None,
+            at_key: bool = False) -> None:
         if self.positions is None:  # an accepted text is never read for positions
             self.positions = parse_json(self.text)[1]
-        line, column = self.positions.get(at, (None, None))
+        line, column = (self.positions.key_at if at_key else self.positions).get(at, (None, None))
         self.diags.append(Diagnostic(code, message, where=_spell(at) if where is None else where,
                                      line=line, column=column))
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import validatecorpus
 import tlmforge
 from tlmforge import cli
 from tlmforge.cli import run_command
+from tlmforge.codegen import export_tlm
 from tlmforge.payload import ResponseStatus
 from tlmforge.sysdesc import parse_description, serialize_description
 from tlmforge.trace import (
@@ -317,6 +319,19 @@ def test_export_writes_bundle(capsys, abs_path, tmp_path):
     assert names == ["module0.h", "module1.h", "module2.h", "top.cpp"]
 
 
+@pytest.mark.parametrize("out, prefix", [
+    (".", ""), ("gen", "gen/"), ("gen/", "gen/"), ("./gen", "gen/"), ("gen//./", "gen/"),
+    ("{tmp}/gen", "{tmp}/gen/"), ("{tmp}/./gen/", "{tmp}/gen/")])
+def test_export_prints_each_written_path_as_pathlib_joins_it(
+        capsys, monkeypatch, tmp_path, abs_path, abs_description, out, prefix):
+    """``--out .`` prints ``top.cpp``, not ``./top.cpp``; a trailing or doubled slash
+    and a ``.`` step are dropped."""
+    monkeypatch.chdir(tmp_path)
+    out, prefix = out.format(tmp=tmp_path), prefix.format(tmp=tmp_path)
+    assert invoke(capsys, "export", str(abs_path), "--out", out) == (
+        0, "".join(f"written: {prefix}{name}\n" for name in export_tlm(abs_description)), "")
+
+
 def test_an_export_past_the_64_bit_literals_exits_3_and_writes_nothing(capsys, abs_text,
                                                                         tmp_path):
     """A bandwidth the simulator reads exactly still runs; the export refuses it."""
@@ -524,6 +539,50 @@ def test_an_output_to_the_null_device_succeeds(capsys, tmp_path, abs_path):
     assert invoke(capsys, "run", str(abs_path), "--trace", os.devnull)[0] == 0
     assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
     assert invoke(capsys, "render", str(trace), "--svg", os.devnull)[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_an_svg_written_into_a_fifo_is_the_bytes_written_into_a_file(capsys, tmp_path, abs_text):
+    """The SVG of 200 ABS WRITEs is larger than a pipe holds, so its write waits on the
+    reader; a FIFO is written but never cut."""
+    desc, trace, svg, fifo = (tmp_path / n for n in ("d.json", "t.csv", "d.svg", "fifo.svg"))
+    desc.write_text(abs_text.replace('"repeat": 1}', '"repeat": 200}', 1), encoding="utf-8")
+    assert invoke(capsys, "run", str(desc), "--trace", str(trace))[0] == 0
+    assert invoke(capsys, "render", str(trace), "--svg", str(svg))[0] == 0
+    assert svg.stat().st_size > 1 << 16
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as f:
+            got.append(f.read())
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert invoke(capsys, "render", str(trace), "--svg", str(fifo)) == (
+        0, f"svg written: {fifo}\n", "")
+    reader.join(timeout=60)
+    assert got == [svg.read_bytes()]
+
+
+def test_a_rewrite_cuts_a_file_only_where_the_old_one_was_longer(capsys, monkeypatch, tmp_path,
+                                                                  abs_path):
+    """Re-exporting an identical bundle cuts nothing; over longer old files, one cut each."""
+    gen = tmp_path / "gen"
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    fresh = _tree(gen)
+    cuts = []
+    ftruncate = os.ftruncate
+
+    def counted(fd, length):
+        cuts.append(length)
+        return ftruncate(fd, length)
+    monkeypatch.setattr(os, "ftruncate", counted)
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    assert (cuts, _tree(gen)) == ([], fresh)
+    for name, data in fresh.items():
+        (gen / name).write_bytes(data + PADDING.encode())
+    assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
+    assert (sorted(cuts), _tree(gen)) == (sorted(map(len, fresh.values())), fresh)
 
 
 def test_an_output_through_a_symlink_rewrites_its_target(capsys, tmp_path, abs_path):
@@ -830,6 +889,34 @@ def test_module_entry_point_runs_the_command(broken_path, abs_path, tmp_path):
         assert expected != 1 or "E003" in done.stdout
 
 
+@pytest.mark.parametrize("command", ["run", "render", "export"])
+def test_a_closed_stdout_ends_the_command_with_exit_2_and_no_traceback(
+        capsys, tmp_path, abs_path, abs_text, command):
+    """As ``tlmforge ... | head -n 1`` does, the reader closes the pipe after one line.
+    The trace and the chart of 1000 ABS WRITEs are larger than a pipe holds, so they
+    are still being written then.  The export prints a few lines at exit, after the
+    reader would have read them all, so its pipe is closed before the child starts."""
+    desc, trace = tmp_path / "stream.json", tmp_path / "t.csv"
+    desc.write_text(abs_text.replace('"repeat": 1}', '"repeat": 1000}', 1), encoding="utf-8")
+    assert invoke(capsys, "run", str(desc), "--trace", str(trace))[0] == 0
+    argv, first = {"run": (["run", desc], b"# tlm-forge-trace v1\n"),
+                   "render": (["render", trace, "--text"], b"# timing 0 .. 16000 ns\n"),
+                   "export": (["export", abs_path, "--out", tmp_path / "gen"], None)}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a text stream drops a partial write unseen
+    read_end, write_end = os.pipe()
+    if first is None:
+        os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "tlmforge.cli", *map(str, argv)],
+                          stdout=write_end, stderr=subprocess.PIPE, env=env) as child:
+        os.close(write_end)
+        if first is not None:
+            with open(read_end, "rb") as reader:
+                assert reader.readline() == first
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (2, b"")
+
+
 def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):
     desc = edited_abs(tmp_path, abs_text, ("modules", 1, "connections"), {"²": [0, 1, 2, 3]})
     env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1]),
@@ -837,7 +924,7 @@ def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):
     done = subprocess.run([sys.executable, "-m", "tlmforge.cli", "validate", desc],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (
-        1, "E-TYPE modules[1].connections[\\xb2] (70:14): "
+        1, "E-TYPE modules[1].connections[\\xb2] (70:9): "
            "connection key '\\xb2' must be a socket index\n", "")
 
 
@@ -912,11 +999,11 @@ def test_bad_quantum_is_reported_before_the_description(capsys, broken_path):
 # separator or blank that int() and bytes.fromhex() would skip.
 @pytest.mark.parametrize("path,value,expected", [
     (("modules", 1, "connections"), {"²": [0, 1, 2, 3]},
-     "E-TYPE modules[1].connections[²] (70:14): connection key '²' must be a socket index"),
+     "E-TYPE modules[1].connections[²] (70:9): connection key '²' must be a socket index"),
     (("modules", 1, "connections"), {"١": [0, 1, 2, 3]},
-     "E-TYPE modules[1].connections[١] (70:14): connection key '١' must be a socket index"),
+     "E-TYPE modules[1].connections[١] (70:9): connection key '١' must be a socket index"),
     (("modules", 1, "address_map"), {"²": ["0x0", "0x40"]},
-     "E-TYPE modules[1].address_map[²] (78:14): address_map key '²' must be a socket index"),
+     "E-TYPE modules[1].address_map[²] (78:9): address_map key '²' must be a socket index"),
     (("modules", 0, "workload", 0, "address"), "0x١٠",
      "E-TYPE modules[0].workload[0].address (56:22): bad address '0x١٠': expected 0x-prefixed hex"),
     (("modules", 0, "workload", 0, "address"), "0x1_0",
@@ -1075,9 +1162,9 @@ def socket_keyed_abs(abs_text: str, section: str, key: str) -> str:
 
 
 def key_position(text: str, key: str) -> str:
-    """The line and column of the value of the last ``"key": `` in ``text``, where a
-    diagnostic on a socket key points."""
-    offset = text.rindex(f'"{key}": ') + len(key) + 4
+    """The line and column of the last ``"key": `` in ``text``, where a diagnostic on a
+    socket key points."""
+    offset = text.rindex(f'"{key}": ')
     return f"{text.count(chr(10), 0, offset) + 1}:{offset - text.rfind(chr(10), 0, offset)}"
 
 

@@ -467,6 +467,20 @@ def test_socket_keys_keep_their_position_and_spelling():
     assert seen > 100
 
 
+@pytest.mark.parametrize("old, new, where, message", [
+    ('{"0": [0', '{"0x": [0', "connections[0x] (30:23)", "connection key '0x' must be a socket index"),
+    ('[0, 1, 2, 3]}', '[0, 1, 2, 3],\n  "00":\n  [1]}', "connections[00] (31:3)",
+     "connection key '00' names socket 0 a second time"),
+    ('[0, 1, 2, 3]}', '[0, 1, 2, 3]}, "address_map": {"0": ["0x0", "0x3f"], "x": ["0x0", "0x3f"]}',
+     "address_map[x] (30:81)", "address_map key 'x' must be a socket index"),
+])
+def test_a_bad_socket_key_is_reported_at_its_opening_quote(abs_text, old, new, where, message):
+    """The key is what is wrong, so the diagnostic points at it, not at its value."""
+    text = abs_text.replace(old, new, 1)
+    assert [str(d) for d in parse_description(text)[1]] == [
+        f"E-TYPE modules[1].{where}: {message}"]
+
+
 # Kernel events per run under the description's quantum and under the other one.
 BENCH_EVENTS = {"abs_stream": (4001, 33), "bulk_mirror": (25, 129), "wide_map": (501, 7)}
 
