@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import os
 import stat
 import sys
@@ -28,10 +29,10 @@ from .sysdesc import InvalidDescriptionError, elaborate, parse_description, requ
 from .trace import (
     TraceSyntaxError,
     check_columns,
+    format_trace,
     read_columns,
     render_svg_columns,
     render_text_columns,
-    write_trace,
 )
 
 EXIT_OK = 0
@@ -108,7 +109,7 @@ def _cmd_run(args) -> int:
     desc = _load_description(args.description)
     model = elaborate(desc, quantum_ps=quantum, event_limit=args.event_limit)
     final = model.run()
-    text = write_trace(model.records)
+    text = format_trace(model.records)  # an elaborated model's rows are valid
     out_path = desc.options.trace_path if args.trace is None else args.trace
     if out_path is None:
         sys.stdout.write(text)
@@ -150,8 +151,9 @@ def _cmd_export(args) -> int:
     for name, text in bundle.items():
         _write(path := out_dir / name, text, "export")
         print(f"written: {path}")
-    # Then remove what an earlier export left: a regular *.h or *.cpp directly in --out,
-    # outside the bundle (whose names are lower case), that starts with the banner.
+    # Then remove what an earlier export left (a regular *.h or *.cpp directly in --out, outside
+    # the bundle, whose names are lower case, that starts with the banner), and only then print.
+    removed = []
     with _file_access("write export"), os.scandir(out_dir) as entries:
         for entry in entries:
             if (entry.name.endswith((".h", ".cpp")) and entry.name.lower() not in bundle
@@ -160,7 +162,8 @@ def _cmd_export(args) -> int:
                     stale = f.read(len(BANNER)) == BANNER.encode()  # the banner is ASCII
                 if stale:
                     os.remove(entry.path)
-                    print(f"removed: {entry.path}")
+                    removed.append(f"removed: {entry.path}\n")
+    sys.stdout.write("".join(removed))
     return EXIT_OK
 
 
@@ -233,6 +236,8 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if isinstance(sys.stdout.buffer, io.RawIOBase):  # -u: a write cut short drops the rest unseen
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding)
     # a diagnostic quotes the description's text, which the terminal may not encode
     sys.stdout.reconfigure(errors="backslashreplace")
     try:

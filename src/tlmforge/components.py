@@ -210,7 +210,8 @@ def _move_bytes(storage: Storage, p: GenericPayload, write: bool) -> ResponseSta
     which still moves, and the result is ADDRESS_ERROR.  A beat whose enable is 0x00
     moves nothing.  Without enables a write stores the last chunk, as later beats
     overwrite earlier ones, and a read repeats one storage slice per chunk.  A zero-length
-    payload is OK and touches nothing.  ``p`` must pass :func:`validate_payload`."""
+    payload is OK and touches nothing.  ``p`` must pass :func:`validate_payload`, as an
+    initiator's always does."""
     n, w, off, data = p.data_length, p.streaming_width, p.address - storage.base, storage.data
     status = _OK
     if n and not 0 <= off <= len(data) - w:
@@ -293,7 +294,7 @@ def deliver(destinations: list[Destination], p: GenericPayload, t: int) -> int:
 
 
 class _Responder:
-    """The transport prologue and trace row that targets and routers share."""
+    """The transport prologue and trace row of targets and routers; a txn id that is no int is 0."""
 
     def __init__(self, name: str, spec: TargetSpec | RouterSpec, ctx: ModelContext):
         self.name = name
@@ -320,9 +321,10 @@ class _Responder:
         return next(self._activations), now, end
 
     def _record(self, activation: int, start: int, end: int, p: GenericPayload) -> None:
-        txn = p.extensions.get(TXN_ID_EXTENSION, 0)
+        txn = p.extensions[TXN_ID_EXTENSION] if TXN_ID_EXTENSION in p.extensions else 0
         self._append_record(_new_record(TraceRecord, (self.name, activation, start, end,
-                            txn if isinstance(txn, int) else 0, p.response_status)))
+                            txn if type(txn) is int or isinstance(txn, int) else 0,
+                            p.response_status)))
 
 
 @dataclass
@@ -347,8 +349,10 @@ class TargetModel(_Responder):
 
     def b_transport(self, in_socket: int, p: GenericPayload, t: int) -> int:
         activation, now, end = self._arrive(self.delays_ps[in_socket], p, t)
-        problems, command = validate_payload(p), p.command
-        if problems:
+        command, n = p.command, p.data_length
+        # validate_payload passes the shape every initiator builds, and decides any other
+        if ((p.byte_enables is not None or not 0 < n == p.streaming_width <= len(p.data))
+                and (problems := validate_payload(p))):
             p.response_status = _INVALID_STATUS[problems[0].code]
         elif command is _WRITE or command is _READ:
             p.response_status = _move_bytes(self.storage, p, command is _WRITE)

@@ -363,7 +363,8 @@ class _Build:
             if (convert := converters.get(key)) is not None:
                 values[key] = convert(self, child, at, key)
             elif key not in other_keys:
-                self.err(at + (key,), "E-TYPE", f"unknown key '{key}'", None if at else f"$.{key}")
+                self.err(at + (key,), "E-TYPE", f"unknown key '{key}'", None if at else f"$.{key}",
+                         at_key=True)
         if not v.keys() >= required:
             self.absent(v, required, at)
         return values if len(self.diags) == start else None

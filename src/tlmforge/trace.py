@@ -113,20 +113,23 @@ def _writable(records: list[TraceRecord]) -> bool:
             and _shared_rules(names, acts, starts, ends, txns))
 
 
+def format_trace(records: list[TraceRecord]) -> str:
+    """The canonical log text (sorted, LF line ends) of records known valid, unchecked."""
+    return _HEAD + "".join([f"{name},{act},{start},{end},{txn},{status._value_}\n" for
+                            name, act, start, end, txn, status in sorted(records, key=_sort_key)])
+
+
 def write_trace(records: list[TraceRecord]) -> str:
-    """Serialize records to the canonical log text (sorted, LF line endings)."""
+    """:func:`format_trace` after checking that every record can be a row (a ValueError)."""
     if not _writable(records):
         seen: set[tuple[str, int]] = set()
         for r in map(TraceRecord._make, records):  # a plain 6-tuple is read by field too
-            problem = _record_problem(r)
-            if problem:
+            if problem := _record_problem(r):
                 raise ValueError(problem)
-            key = (r.instance, r.activation)
-            if key in seen:
+            if (key := (r.instance, r.activation)) in seen:
                 raise ValueError(f"duplicate record for {key}")
             seen.add(key)
-    return _HEAD + "".join([f"{name},{act},{start},{end},{txn},{status._value_}\n" for
-                            name, act, start, end, txn, status in sorted(records, key=_sort_key)])
+    return format_trace(records)
 
 
 def parse_trace(text: str) -> list[TraceRecord]:

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,15 +18,18 @@ from hypothesis import example, given, strategies as st
 import descmut
 import exportcorpus
 import validatecorpus
+from topogen import random_topology
 
 import tlmforge
 from tlmforge import cli
 from tlmforge.cli import run_command
 from tlmforge.codegen import export_tlm
 from tlmforge.payload import ResponseStatus
-from tlmforge.sysdesc import parse_description, serialize_description
+from tlmforge.simtime import parse_time
+from tlmforge.sysdesc import elaborate, parse_description, serialize_description
 from tlmforge.trace import (
     TraceRecord,
+    _writable,
     check_constraints,
     parse_trace,
     render_svg,
@@ -715,6 +720,38 @@ def test_the_quantum_keeps_every_row_time_and_the_final_time_of_two_initiators(c
     assert runs[0] == runs[1] == runs[2]
 
 
+@st.composite
+def runnable_descriptions(draw):
+    """A topogen description, or two initiators writing into one target, each with its
+    own drawn delay and repeat."""
+    if draw(st.booleans()):
+        return serialize_description(random_topology(random.Random(draw(st.integers(0, 2**32)))))
+    doc = copy.deepcopy(TWO_WRITERS)
+    for module in doc["modules"][:2]:
+        module["delay"] = f"{draw(st.integers(0, 12))}ns"
+        module["workload"][0]["repeat"] = draw(st.integers(0, 4))
+    return json.dumps(doc)
+
+
+@given(runnable_descriptions(), st.sampled_from(["0ps", "1us", "1s"]))
+def test_run_prints_write_trace_of_the_records_elaboration_makes_writable(
+        tmp_path_factory, text, quantum):
+    """run formats its model's records without write_trace's check: an elaborated model
+    builds every row valid (names pass the identifier rule, one counter numbers each
+    instance's activations, every time is bounded and every status terminal).  This
+    holds that proof, and holds run's text to what write_trace writes."""
+    desc, diags = parse_description(text)
+    assert diags == []
+    model = elaborate(desc, quantum_ps=parse_time(quantum))
+    model.run()
+    assert _writable(model.records)
+    path = tmp_path_factory.mktemp("run") / "desc.json"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run_command(["run", str(path), "--quantum", quantum]) == 0
+    assert out.getvalue() == write_trace(model.records)
+
+
 def test_binding_cycle_is_a_validation_failure(capsys, tmp_path):
     path = write_description(tmp_path, LOOPED)
     for command in ("validate", "run"):
@@ -889,32 +926,62 @@ def test_module_entry_point_runs_the_command(broken_path, abs_path, tmp_path):
         assert expected != 1 or "E003" in done.stdout
 
 
+def child_env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a ``python -m tlmforge.cli`` child, with stdout buffered or not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["run", "render", "export"])
 def test_a_closed_stdout_ends_the_command_with_exit_2_and_no_traceback(
-        capsys, tmp_path, abs_path, abs_text, command):
+        capsys, tmp_path, abs_path, abs_text, command, unbuffered):
     """As ``tlmforge ... | head -n 1`` does, the reader closes the pipe after one line.
     The trace and the chart of 1000 ABS WRITEs are larger than a pipe holds, so they
     are still being written then.  The export prints a few lines at exit, after the
-    reader would have read them all, so its pipe is closed before the child starts."""
+    reader would have read them all, so its pipe is closed before the child starts.
+    Unbuffered, a raw stdout takes the short count of the write the closed pipe cut
+    off and drops the rest unseen, so main() writes through a buffered layer then too."""
     desc, trace = tmp_path / "stream.json", tmp_path / "t.csv"
     desc.write_text(abs_text.replace('"repeat": 1}', '"repeat": 1000}', 1), encoding="utf-8")
     assert invoke(capsys, "run", str(desc), "--trace", str(trace))[0] == 0
     argv, first = {"run": (["run", desc], b"# tlm-forge-trace v1\n"),
                    "render": (["render", trace, "--text"], b"# timing 0 .. 16000 ns\n"),
                    "export": (["export", abs_path, "--out", tmp_path / "gen"], None)}[command]
-    env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1])}
-    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a text stream drops a partial write unseen
     read_end, write_end = os.pipe()
     if first is None:
         os.close(read_end)
     with subprocess.Popen([sys.executable, "-m", "tlmforge.cli", *map(str, argv)],
-                          stdout=write_end, stderr=subprocess.PIPE, env=env) as child:
+                          stdout=write_end, stderr=subprocess.PIPE,
+                          env=child_env(unbuffered)) as child:
         os.close(write_end)
         if first is not None:
             with open(read_end, "rb") as reader:
                 assert reader.readline() == first
         err = child.stderr.read()
         assert (child.wait(timeout=60), err) == (2, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_export_into_a_closed_stdout_removes_every_stale_file(tmp_path, abs_path, unbuffered):
+    """The export removes every stale file before it prints a line, so a stdout closed
+    before it starts stops only the printing: exit 2 with nothing on stderr, as for any
+    closed stdout, and no stale file left.  400 ``removed:`` lines outgrow stdout's 8 KiB
+    buffer, so a print inside the removal would meet the closed pipe part way through."""
+    gen = tmp_path / "gen"
+    gen.mkdir()
+    for k in range(400):
+        (gen / f"stale{k:03}.h").write_text(MARKER + " 0.1.0.\n", encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "tlmforge.cli", "export", str(abs_path),
+                           "--out", str(gen)], stdout=write_end, stderr=subprocess.PIPE,
+                          env=child_env(unbuffered)) as child:
+        os.close(write_end)
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (2, b"")
+    assert sorted(_tree(gen)) == ["module0.h", "module1.h", "module2.h", "top.cpp"]
 
 
 def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 from hypothesis import given, strategies as st
 
+from tlmforge.components import _INVALID_STATUS, ModelContext, TargetModel, TargetSpec
+from tlmforge.kernel import Scheduler
 from tlmforge.payload import (
     Command,
     GenericPayload,
@@ -92,6 +96,38 @@ def valid_payloads(draw):
 @given(valid_payloads())
 def test_valid_payloads_validate_clean(p):
     assert validate_payload(p) == []
+
+
+@st.composite
+def any_payloads(draw):
+    """A payload of up to 8 data bytes whose every length and enable may break its rule."""
+    return GenericPayload(
+        command=draw(st.sampled_from(list(Command))),
+        address=draw(st.integers(0, 16)),
+        data=draw(st.binary(max_size=8)),
+        data_length=draw(st.none() | st.integers(-2, 10)),
+        streaming_width=draw(st.none() | st.integers(-1, 9)),
+        byte_enables=draw(st.none() | st.binary(max_size=4)),
+        byte_enable_length=draw(st.none() | st.integers(0, 5)),
+    )
+
+
+@given(valid_payloads() | any_payloads())
+def test_a_target_answers_the_status_validate_payload_decides(p):
+    """A target tests the shape every initiator builds inline and asks validate_payload
+    about any other, so each payload gets the status of validate_payload's first code,
+    with neither buffer touched, or a valid payload OK or ADDRESS_ERROR from storage."""
+    target = TargetModel("t0", TargetSpec("T", (1_000,), 0, 8, 0x5A), Fraction(1),
+                         ModelContext(scheduler=Scheduler()))
+    problems, data = validate_payload(p), bytes(p.data)
+    target.b_transport(0, p, 0)
+    if problems:
+        assert p.response_status is _INVALID_STATUS[problems[0].code]
+        assert (bytes(target.storage.data), bytes(p.data)) == (b"\x5a" * 8, data)
+    elif p.command is Command.IGNORE:
+        assert p.response_status is ResponseStatus.OK
+    else:
+        assert p.response_status in (ResponseStatus.OK, ResponseStatus.ADDRESS_ERROR)
 
 
 def test_data_becomes_a_bytearray_and_enables_become_bytes():

@@ -481,6 +481,18 @@ def test_a_bad_socket_key_is_reported_at_its_opening_quote(abs_text, old, new, w
         f"E-TYPE modules[1].{where}: {message}"]
 
 
+@pytest.mark.parametrize("old, new, where", [
+    ('"sockets": 1,', '"sockets": 1, "bogus":    [1],', "modules[0].bogus (19:21)"),
+    ('{\n  "cpus"', '{\n  "bogus": {}, "cpus"', "$.bogus (2:3)"),
+    ('{"name": "Brake",', '{"name": "Brake", "bogus": null,', "instances[0].bogus (41:23)"),
+])
+def test_an_unknown_key_is_reported_at_its_opening_quote(abs_text, old, new, where):
+    """As for a bad socket key: the key is what is wrong, not its value."""
+    text = abs_text.replace(old, new, 1)
+    assert [str(d) for d in parse_description(text)[1]] == [
+        f"E-TYPE {where}: unknown key 'bogus'"]
+
+
 # Kernel events per run under the description's quantum and under the other one.
 BENCH_EVENTS = {"abs_stream": (4001, 33), "bulk_mirror": (25, 129), "wide_map": (501, 7)}
 

@@ -23,6 +23,7 @@ from tlmforge.trace import (
     _sort_key,
     check_constraints,
     end_to_end_latency,
+    format_trace,
     parse_trace,
     read_columns,
     render_svg,
@@ -75,13 +76,14 @@ def test_write_and_parse_make_as_many_calls_on_5000_rows_as_on_10(tmp_path, abs_
     """Both check and convert a trace by whole columns and whole texts, with no call per
     row: a reader line by line, as _refusal is, makes 5007 calls on 1000 rows.  Unlike a
     profiled share of the time, a call count does not move with the machine's load.  It
-    pins calls per row only: a per-row loop that calls nothing, such as write_trace's own
+    pins calls per row only: a per-row loop that calls nothing, such as format_trace's
     f-string comprehension, makes no call event and passes.  The commands that read a
     trace go from its text to columns to output with no call per row either.  The SVG's
     axis formats each tick with a call, so the times are whole nanoseconds, as its ticks
     then are on both sizes; the text chart has its own pin below."""
     small, large = rows(10), rows(5000)
-    assert calls(write_trace, small) == calls(write_trace, large)
+    for write in (write_trace, format_trace):  # with the check, and as run formats
+        assert calls(write, small) == calls(write, large)
     for read in (parse_trace, read_columns):
         assert calls(read, write_trace(small)) == calls(read, write_trace(large))
     counts = []
