@@ -225,17 +225,23 @@ def run_command(argv: list[str]) -> int:
         print(str(exc))
         return EXIT_FAIL
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = str(exc), EXIT_USAGE
     except (SimulationError, CodegenError, TimeOverflowError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_RUNTIME
+        error, code = str(exc) or "out of memory", EXIT_RUNTIME
     finally:
         if enabled:
             gc.enable()
+    try:  # a stderr that cannot be written (2</dev/null) drops the message, not the exit code,
+        print(f"error: {error}", file=sys.stderr)
+    except OSError:  # and keeps no buffer for the interpreter to flush, and fail, at exit
+        sys.stderr = None
+    return code
 
 
 def main() -> None:
+    if sys.stdout is None:  # started with fd 1 closed: exit 2 unheard, as on a closed pipe
+        sys.exit(EXIT_USAGE)
+    sys.stderr = sys.stderr or open(os.devnull, "w", encoding="utf-8")  # fd 2 closed: not stdout
     if isinstance(sys.stdout.buffer, io.RawIOBase):  # -u: a write cut short drops the rest unseen
         sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding)
     # a diagnostic quotes the description's text, which the terminal may not encode

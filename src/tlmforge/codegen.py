@@ -6,9 +6,9 @@ style (generic payload, initiator/target sockets, b_transport).  Delays
 in the emitted text are pre-scaled by each instance's CPU frequency, so
 the generated system carries the same timing the simulator executes.
 
-The bundle is a dict from file name to file text, ``top.cpp`` first; it is
-never compiled here.  Emission is template-based and byte-deterministic:
-equal descriptions produce equal bundles.
+The bundle maps each file name to its text, ``top.cpp`` first; it is never compiled
+here.  Emission is template-based and byte-deterministic: equal descriptions produce
+equal bundles, and each distinct template byte string is spelled once per bundle.
 """
 
 from __future__ import annotations
@@ -154,13 +154,21 @@ def _header(cls: str, guard: str, std: str, comment: str, sockets: dict[str, lis
     return "\n".join(lines)
 
 
-def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
+def _kdata(data: bytes) -> str:
+    """The ``kData`` line of ``data``; two strided slices fill its ``0x??, `` literals."""
+    out, digits = bytearray(b"0x??, " * len(data)), data.hex().encode()
+    out[2::6], out[3::6] = digits[0::2], digits[1::2]
+    return f"            static const unsigned char kData[{len(data)}] = {{ {out[:-2].decode()} }};"
+
+
+def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str, spelled: dict[bytes, str]) -> str:
     body = ["    void run() {"]
     if not spec.workload:
         body.append("        // no workload declared")
     for k, t in enumerate(spec.workload):
         size = len(t.data)
-        byte_list = "0x" + t.data.hex(" ").replace(" ", ", 0x") if size else ""
+        if (kdata := spelled.get(t.data)) is None:
+            kdata = spelled[t.data] = _kdata(t.data)
         wait_ps = transfer_time(size, spec.bandwidth)
         wait_expr = ("m_delay" if wait_ps == 0
                      else f"m_delay + {_sc_time(wait_ps)}")
@@ -168,7 +176,7 @@ def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str) -> str:
             f"        // workload[{k}]: {t.command.value} {size} byte(s) at 0x{t.address:x} "
             f"via socket {t.socket}, repeat {t.repeat}",
             "        {",
-            f"            static const unsigned char kData[{size}] = {{ {byte_list} }};",
+            kdata,
             f"            for (unsigned rep = 0; rep < {t.repeat}u; ++rep) {{",
             f"                unsigned char data[{size}];",
             f"                std::memcpy(data, kData, {size});",
@@ -340,13 +348,14 @@ def export_tlm(description) -> dict[str, str]:
     class_namer = _Namer()
     classes: dict[str, str] = {}
     headers: dict[str, str] = {}
+    spelled: dict[bytes, str] = {}  # template bytes -> its kData line, spelled once
     for spec in description.modules:
         cls = class_namer.unique(spec.name)
         classes[spec.name] = cls
         stem = file_namer.unique(spec.name).lower()
         file_name, guard = f"{stem}.h", f"TLMFORGE_{stem.upper()}_H"
         if isinstance(spec, InitiatorSpec):
-            text = _emit_initiator(spec, cls, guard)
+            text = _emit_initiator(spec, cls, guard, spelled)
         elif isinstance(spec, TargetSpec):
             text = _emit_target(spec, cls, guard)
         else:

@@ -984,6 +984,26 @@ def test_an_export_into_a_closed_stdout_removes_every_stale_file(tmp_path, abs_p
     assert sorted(_tree(gen)) == ["module0.h", "module1.h", "module2.h", "top.cpp"]
 
 
+@pytest.mark.parametrize("redirect, argv, code", [
+    ("1>&-", ["validate"], 2),
+    ("2</dev/null", ["run", "--event-limit", "1"], 3),
+    ("2</dev/null", ["run", "--quantum", "fast"], 2),
+    ("2>&-", ["run", "--event-limit", "1"], 3),
+    ("2>&-", ["run", "--quantum", "fast"], 2),
+    ("2>&-", ["validate", "--frobnicate"], 2),
+])
+def test_a_standard_stream_that_cannot_be_written_keeps_the_exit_code(
+        abs_path, redirect, argv, code):
+    """Started with stdout closed, a command ends in exit 2 with nothing on stderr, as on a
+    closed pipe.  An error that stderr cannot take, read-only or closed, is dropped: the exit
+    code stays the command's, and the message never goes to stdout in stderr's place."""
+    command, *options = argv
+    done = subprocess.run(["/bin/sh", "-c", f'exec "$0" -m tlmforge.cli "$@" {redirect}',
+                           sys.executable, command, str(abs_path), *options],
+                          capture_output=True, text=True, env=child_env(False), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+
 def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):
     desc = edited_abs(tmp_path, abs_text, ("modules", 1, "connections"), {"²": [0, 1, 2, 3]})
     env = {**os.environ, "PYTHONPATH": str(Path(tlmforge.__file__).parents[1]),

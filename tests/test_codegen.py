@@ -4,10 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import exportcorpus
 from conftest import GOLDEN
 
+from tlmforge import codegen
 from tlmforge.codegen import CodegenError, export_tlm, sanitize_identifier
 from tlmforge.components import (
     Binding,
@@ -94,6 +96,72 @@ def test_an_initiators_bytes_export_as_one_literal_each():
     for data in datas:
         literals = ", ".join(f"0x{b:02x}" for b in data)
         assert f"static const unsigned char kData[{len(data)}] = {{ {literals} }};" in header
+
+
+@given(st.binary(max_size=8192))
+@example(bytes(range(256)) * 32)
+def test_an_initializer_spells_each_byte_as_the_hex_join_does(data):
+    reference = "0x" + data.hex(" ").replace(" ", ", 0x") if data else ""
+    assert codegen._kdata(data) == (
+        f"            static const unsigned char kData[{len(data)}] = {{ {reference} }};")
+
+
+def bulk_mirror_shaped() -> SystemDescription:
+    """As perfbench's bulk_mirror: 4 KiB WRITEs of distinct data broadcast to two
+    mirrors, and 4 KiB zero-filled ``length`` READs from mirror 0's second socket;
+    a second initiator WRITEs the first block's bytes again and READs 4 KiB."""
+    rng, n = random.Random(32), 4096
+    blocks = [rng.randbytes(n) for _ in range(3)]
+    dma = [t for k, data in enumerate(blocks) for t in (
+        {"command": "WRITE", "address": hex(k * n), "data": data.hex(), "repeat": 2},
+        {"command": "READ", "address": hex(k * n), "length": n, "socket": 1, "repeat": 2})]
+    cpu = [{"command": "WRITE", "address": hex(3 * n), "data": blocks[0].hex()},
+           {"command": "READ", "address": "0x0", "length": n}]
+    doc = {
+        "cpus": [{"name": "C0", "frequency": "1GHz"}, {"name": "C1", "frequency": "2/3GHz"}],
+        "buses": [{"name": "fabric", "cpus": ["C0", "C1"]}],
+        "modules": [
+            {"kind": "initiator", "name": "Dma", "delay": "5ns", "sockets": 2,
+             "workload": dma, "bandwidth": "3/2"},
+            {"kind": "initiator", "name": "Cpu", "delay": "2ns", "sockets": 1, "workload": cpu},
+            {"kind": "router", "name": "Bcast", "delay": "1ns", "in_sockets": 2,
+             "out_sockets": 2, "connections": {"0": [0, 1], "1": [0]}, "bandwidth": "4"},
+            {"kind": "target", "name": "MirrorMem", "socket_delays": ["10ns", "20ns"],
+             "storage": {"base": "0x0", "size": 4 * n, "fill": 165}, "bandwidth": "8"}],
+        "instances": [{"name": "dma", "module": "Dma", "cpu": "C0"},
+                      {"name": "cpu", "module": "Cpu", "cpu": "C1"},
+                      {"name": "bcast", "module": "Bcast", "cpu": "C1"},
+                      {"name": "mirror0", "module": "MirrorMem", "cpu": "C0"},
+                      {"name": "mirror1", "module": "MirrorMem", "cpu": "C1"}],
+        "bindings": [{"from": ["dma", 0], "to": ["bcast", 0]},
+                     {"from": ["dma", 1], "to": ["mirror0", 1]},
+                     {"from": ["cpu", 0], "to": ["bcast", 1]},
+                     {"from": ["bcast", 0], "to": ["mirror0", 0]},
+                     {"from": ["bcast", 1], "to": ["mirror1", 0]}],
+        "constraints": [], "options": {"quantum": "10us"}}
+    d, diags = parse_description(json.dumps(doc))
+    assert d is not None, diags
+    return d
+
+
+# Computed with the hex-join spelling the property test keeps as its reference.
+BULK_MIRROR_SHAPED_SHA256 = "723cd43161ea2afb7b08754e001f71af2f7295be377da29653e6ce62402f10c3"
+
+
+def test_long_and_repeated_arrays_export_the_pinned_bundle():
+    assert exportcorpus.bundle_digest(bulk_mirror_shaped()) == BULK_MIRROR_SHAPED_SHA256
+
+
+def test_a_bundle_spells_each_distinct_byte_string_once(monkeypatch):
+    """Eight templates in two initiators carry four distinct byte strings."""
+    d = bulk_mirror_shaped()
+    spelled = []
+    spell = codegen._kdata
+    monkeypatch.setattr(codegen, "_kdata", lambda data: spelled.append(data) or spell(data))
+    export_tlm(d)
+    datas = [t.data for m in d.modules if isinstance(m, InitiatorSpec) for t in m.workload]
+    assert (len(datas), len(spelled)) == (8, 4)
+    assert spelled == list(dict.fromkeys(datas))
 
 
 def test_sanitize_replaces_invalid_characters():
