@@ -70,7 +70,7 @@ def _read(path: str, what: str) -> str:
 def _write(path: str | Path, text: str, what: str) -> None:
     """Write the UTF-8 bytes over the old ones (README: why not O_TRUNC; O_BINARY keeps
     Windows from writing CRLF), then cut a regular file that was longer, never a device or FIFO."""
-    with _file_access(f"write {what}"):
+    try:  # as _file_access does, without entering a generator for each exported file
         data = text.encode()
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         try:
@@ -82,6 +82,8 @@ def _write(path: str | Path, text: str, what: str) -> None:
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot write {what}: {exc}") from None
 
 
 def _load_description(path: str):
@@ -211,8 +213,12 @@ def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code  # argparse exits with 0 (--help, --version) or 2
+    except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
+        try:  # its message may still sit in a buffer that stderr cannot take; drop it, as below
+            sys.stderr.flush()
+        except (AttributeError, OSError):  # AttributeError: no stderr, as argparse allows
+            sys.stderr = None
+        return exc.code
     enabled = gc.isenabled()
     gc.disable()  # the young generation fills with records and rows, and each scan frees nothing
     try:

@@ -8,13 +8,15 @@ the generated system carries the same timing the simulator executes.
 
 The bundle maps each file name to its text, ``top.cpp`` first; it is never compiled
 here.  Emission is template-based and byte-deterministic: equal descriptions produce
-equal bundles, and each distinct template byte string is spelled once per bundle.
+equal bundles.  Each distinct template byte string and each target shape (in-socket
+count, bandwidth and DMI flag) is spelled once per bundle: a target's header is its
+shape's with six values filled in, its name, class, guard and storage base, size and fill.
 """
 
 from __future__ import annotations
 
 import re
-import string
+from operator import itemgetter
 
 from . import __version__
 from .components import (
@@ -42,6 +44,7 @@ _CPP_KEYWORDS = frozenset("""
 # Names the bundle already spells: namespaces, sc_main, and members of a module's own class.
 _RESERVED = _CPP_KEYWORDS | frozenset("""std sc_core sc_dt tlm tlm_utils sc_main run execute
     forward wait kBase kSize m_delay m_storage""".split())
+_NOT_IDENTIFIER_RE = re.compile(r"[^A-Za-z0-9_]")
 # Numbered members, and the shapes of macros that would rewrite a name: include guards and
 # SystemC's macros (SC_MODULE, SC_THREAD, SC_CURRENT_USER_MODULE, ...).
 _RESERVED_RE = re.compile(r"(?:socket|in|out|b_transport|b_transport_in|m_delay)[0-9]+"
@@ -65,10 +68,10 @@ class CodegenError(ValueError):
 
 def sanitize_identifier(name: str) -> str:
     """Map a name into C++ identifier grammar (bad chars become '_', a reserved name gets '_')."""
-    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    out = _NOT_IDENTIFIER_RE.sub("_", name)
     if not out:
         raise CodegenError("E-NAME-UNSANITIZABLE", f"name {name!r} sanitizes to nothing")
-    if out[0] in string.digits:
+    if out[0].isdigit():  # an ASCII digit: only those are left
         out = "_" + out
     return out + "_" if out in _RESERVED or _RESERVED_RE.fullmatch(out) else out
 
@@ -78,16 +81,15 @@ class _Namer:
 
     def __init__(self, case_insensitive: bool = False):
         self._used: set[str] = set()
-        self._fold = (lambda s: s.lower()) if case_insensitive else (lambda s: s)
+        self._fold = str.lower if case_insensitive else str
 
     def unique(self, name: str) -> str:
-        base = sanitize_identifier(name)
-        candidate = base
+        candidate = base = sanitize_identifier(name)
         counter = 2
-        while self._fold(candidate) in self._used:
+        while (key := self._fold(candidate)) in self._used:
             candidate = f"{base}_{counter}"
             counter += 1
-        self._used.add(self._fold(candidate))
+        self._used.add(key)
         return candidate
 
 
@@ -210,15 +212,17 @@ def _emit_initiator(spec: InitiatorSpec, cls: str, guard: str, spelled: dict[byt
         ["delay"], [], body)
 
 
-def _emit_target(spec: TargetSpec, cls: str, guard: str) -> str:
+def _target_form(spec: TargetSpec):
+    """Render ``spec``'s shape once, as a function of a target of it, its class and guard."""
+    name, cls, guard, base, size, fill = (f"\x01{k}\x02" for k in range(6))  # in no C++ text
     n = len(spec.socket_delays_ps)
     body = []
     for i in range(n):
         body += _handler(spec, f"b_transport{i}", f"m_delay{i}", ["        execute(trans);"])
     body += [
         "private:",
-        f"    static const sc_dt::uint64 kBase = 0x{spec.storage_base:x};",
-        f"    static const unsigned kSize = {spec.storage_size};",
+        f"    static const sc_dt::uint64 kBase = 0x{base};",
+        f"    static const unsigned kSize = {size};",
         "",
         "    void execute(tlm::tlm_generic_payload& trans) {",
         "        const unsigned length = trans.get_data_length();",
@@ -252,17 +256,23 @@ def _emit_target(spec: TargetSpec, cls: str, guard: str) -> str:
         "    }",
         "",
         *(f"    sc_core::sc_time m_delay{i};" for i in range(n)),
-        f"    unsigned char m_storage[{spec.storage_size}];",
+        f"    unsigned char m_storage[{size}];",
     ]
     sockets = [f"socket{i}" for i in range(n)]
-    return _header(
+    text = _header(
         cls, guard, "cstring",
-        f"Target '{spec.name}': {n} in-socket(s), {spec.storage_size}-byte "
-        f"storage at 0x{spec.storage_base:x}.",
+        f"Target '{name}': {n} in-socket(s), {size}-byte storage at 0x{base}.",
         {"target": sockets}, None, [f"delay{i}" for i in range(n)],
         [f"{s}.register_b_transport(this, &{cls}::b_transport{i});"
          for i, s in enumerate(sockets)]
-        + [f"std::memset(m_storage, 0x{spec.storage_fill:02x}, kSize);"], body)
+        + [f"std::memset(m_storage, 0x{fill}, kSize);"], body)
+    parts = re.split("\x01([0-5])\x02", text)  # each mark's number at an odd place
+    pick = itemgetter(*map(int, parts[1::2]))
+    def header(target: TargetSpec, target_cls: str, target_guard: str) -> str:
+        parts[1::2] = pick((target.name, target_cls, target_guard, f"{target.storage_base:x}",
+                            f"{target.storage_size}", f"{target.storage_fill:02x}"))
+        return "".join(parts)
+    return header
 
 
 def _emit_router(spec: RouterSpec, cls: str, guard: str) -> str:
@@ -349,6 +359,7 @@ def export_tlm(description) -> dict[str, str]:
     classes: dict[str, str] = {}
     headers: dict[str, str] = {}
     spelled: dict[bytes, str] = {}  # template bytes -> its kData line, spelled once
+    shaped: dict[tuple, object] = {}  # target shape -> its header as a function, rendered once
     for spec in description.modules:
         cls = class_namer.unique(spec.name)
         classes[spec.name] = cls
@@ -357,7 +368,10 @@ def export_tlm(description) -> dict[str, str]:
         if isinstance(spec, InitiatorSpec):
             text = _emit_initiator(spec, cls, guard, spelled)
         elif isinstance(spec, TargetSpec):
-            text = _emit_target(spec, cls, guard)
+            shape = (len(spec.socket_delays_ps), spec.bandwidth, spec.dmi_allowed)
+            if (header := shaped.get(shape)) is None:
+                header = shaped[shape] = _target_form(spec)  # E-BANDWIDTH-RANGE names spec
+            text = header(spec, cls, guard)
         else:
             text = _emit_router(spec, cls, guard)
         headers[file_name] = text

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 from .components import (
     Binding,
@@ -495,6 +496,8 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
     specs = {m.name: m for m in d.modules}
     instances = {i.name: i for i in d.instances}
     spec_of = {inst.name: specs.get(inst.module) for inst in d.instances}
+    outs_of = {name: out_socket_count(spec) for name, spec in spec_of.items() if spec is not None}
+    ins_of = {name: in_socket_count(spec) for name, spec in spec_of.items() if spec is not None}
 
     # E005: duplicates within each namespace
     for label, names in (("cpus", [c.name for c in d.cpus]),
@@ -541,17 +544,17 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
         for end, name in (("from", binding.from_instance), ("to", binding.to_instance)):
             if name not in instances:
                 add("E001", f"unknown instance '{name}'", f"bindings[{i}].{end}")
-        from_spec = spec_of.get(binding.from_instance)
-        if from_spec is not None and not 0 <= binding.from_socket < out_socket_count(from_spec):
+        count = outs_of.get(binding.from_instance)
+        if count is not None and not 0 <= binding.from_socket < count:
             add("E002",
                 f"out-socket {binding.from_socket} out of range for '{binding.from_instance}' "
-                f"({out_socket_count(from_spec)} out-sockets)",
+                f"({count} out-sockets)",
                 f"bindings[{i}].from")
-        to_spec = spec_of.get(binding.to_instance)
-        if to_spec is not None and not 0 <= binding.to_socket < in_socket_count(to_spec):
+        count = ins_of.get(binding.to_instance)
+        if count is not None and not 0 <= binding.to_socket < count:
             add("E002",
                 f"in-socket {binding.to_socket} out of range for '{binding.to_instance}' "
-                f"({in_socket_count(to_spec)} in-sockets)",
+                f"({count} in-sockets)",
                 f"bindings[{i}].to")
         src = instances.get(binding.from_instance)
         dst = instances.get(binding.to_instance)
@@ -593,13 +596,13 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                         f"({spec.out_socket_count} out-sockets)", cwhere)
         if spec.address_map is None:
             continue  # a broadcast is one route, which nothing can overlap
+        mwhere = f"modules[{m}].address_map"
         for out, rng in spec.address_map.items():
-            mwhere = f"modules[{m}].address_map[{out}]"
             if not 0 <= out < spec.out_socket_count:
                 add("E006", f"address_map out-socket {out} out of range "
-                    f"({spec.out_socket_count} out-sockets)", mwhere)
+                    f"({spec.out_socket_count} out-sockets)", f"{mwhere}[{out}]")
             if rng[0] >= rng[1]:
-                add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", mwhere)
+                add("E006", f"empty address range [0x{rng[0]:x}, 0x{rng[1]:x})", f"{mwhere}[{out}]")
         # Overlapping routes, by a sweep in base order: each range still open at a base
         # overlaps the range that starts there.  An empty or inverted range, refused
         # above, is tested against every other range with the same overlap test.
@@ -615,7 +618,7 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                 live.append((limit, out))
             for a, b in map(sorted, pairs):  # the lower out, which routes() lists first
                 add("E006", f"address ranges of out-sockets {a} and {b} reachable from "
-                    f"in-socket {in_socket} overlap", f"modules[{m}].address_map")
+                    f"in-socket {in_socket} overlap", mwhere)
 
     # E010: a bound router in-socket has connections, and each out it lists is bound.
     for name, socket in bound_in:
@@ -630,17 +633,17 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
                     add("E010", f"router '{name}' out-socket {out} is unbound", where)
 
     # E004: a READ's out-socket must not reach a fan.  One reverse walk finds all that do.
-    predecessors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
-    for node, nexts in successors.items():
-        for nxt in nexts:
-            predecessors.setdefault(nxt, []).append(node)
-    reaches_fan = set(fans)
-    stack = list(reaches_fan)
-    while stack:
-        for prev in predecessors.get(stack.pop(), ()):
-            if prev not in reaches_fan:
-                reaches_fan.add(prev)
-                stack.append(prev)
+    reaches_fan, stack = set(fans), list(fans)
+    if fans:
+        predecessors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
+        for node, nexts in successors.items():
+            for nxt in nexts:
+                predecessors.setdefault(nxt, []).append(node)
+        while stack:
+            for prev in predecessors.get(stack.pop(), ()):
+                if prev not in reaches_fan:
+                    reaches_fan.add(prev)
+                    stack.append(prev)
 
     # E009: no binding cycle.  The search is iterative so no description can exhaust the stack.
     # In post-order it counts the routers on the deepest path from each socket, for E011.
@@ -656,12 +659,14 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
             if node is None:
                 done = path.pop()[0]
                 position[done] = -1
-                nexts = successors.get(done, ())  # only router in-sockets have successors
+                nexts = successors[done]  # an in-socket with successors is a router's
                 routers[done] = (not done[2] and bool(nexts)) + max(
-                    (routers.get(n, 0) for n in nexts), default=0)
+                    map(routers.get, nexts, repeat(0)), default=0)
+            elif node not in successors:
+                continue  # a target's socket, say: its path ends here, 0 routers deep
             elif node not in position:
                 position[node] = len(path)
-                path.append((node, iter(successors.get(node, ()))))
+                path.append((node, iter(successors[node])))
             elif position[node] >= 0:
                 loop = [f"{name}[{socket}]" for (name, socket, is_out), _ in path[position[node]:]
                         if not is_out]

@@ -988,6 +988,7 @@ def test_an_export_into_a_closed_stdout_removes_every_stale_file(tmp_path, abs_p
     ("1>&-", ["validate"], 2),
     ("2</dev/null", ["run", "--event-limit", "1"], 3),
     ("2</dev/null", ["run", "--quantum", "fast"], 2),
+    ("2</dev/null", ["validate", "--frobnicate"], 2),
     ("2>&-", ["run", "--event-limit", "1"], 3),
     ("2>&-", ["run", "--quantum", "fast"], 2),
     ("2>&-", ["validate", "--frobnicate"], 2),

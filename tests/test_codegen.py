@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import exportcorpus
 from conftest import GOLDEN
+from test_sysdesc import wide_map_text
 
 from tlmforge import codegen
 from tlmforge.codegen import CodegenError, export_tlm, sanitize_identifier
@@ -162,6 +163,60 @@ def test_a_bundle_spells_each_distinct_byte_string_once(monkeypatch):
     datas = [t.data for m in d.modules if isinstance(m, InitiatorSpec) for t in m.workload]
     assert (len(datas), len(spelled)) == (8, 4)
     assert spelled == list(dict.fromkeys(datas))
+
+
+# Both computed before target headers were filled in from their shapes.
+WIDE_MAP_SHA256 = "a872face07f489f545859cdbaa2a29fcae87fc4285251dabefb483bf89eb8d27"
+SAME_SHAPE_SHA256 = "c75165561dc3a8910d0fe18f8f162b3e76cc81fd1759bc0d16169a8d7df65f89"
+
+
+def same_shape_targets() -> SystemDescription:
+    """Targets of three shapes whose members differ in base, size and fill.  Their names
+    sanitize alike (Mem.1, Mem-1), collide but for case (mem_1), need a leading underscore
+    (9mem), or hold format syntax, which the library API does not refuse."""
+    wide = Fraction(3, 2)
+    modules = [TargetSpec("Mem.1", (1_000,), 0x0, 16, 0),
+               TargetSpec("Mem-1", (2_000,), 0x1000, 4096, 0xa5),
+               TargetSpec("9mem", (3_000,), 0xffff_ffff_ffff_fe00, 256, 0xff),
+               TargetSpec("mem_1", (4_000,), 0x40, 1, 7),
+               TargetSpec("Mem{0}\x01{5:x}", (1_000,), 0x80, 8, 0x10),
+               TargetSpec("Dmi", (1_000,), 0x2000, 64, 1, True),
+               TargetSpec("Dual", (1_000, 2_000), 0x3000, 32, 2, False, wide),
+               TargetSpec("dual", (5_000, 6_000), 0x4000, 48, 3, False, wide)]
+    return SystemDescription(cpus=[CpuSpec("C0", Fraction(1))], modules=modules,
+                             instances=[Instance(m.name, m.name, "C0") for m in modules])
+
+
+def test_same_shape_targets_export_the_pinned_bundles():
+    wide_map, diags = parse_description(wide_map_text(250))
+    assert diags == []
+    assert exportcorpus.bundle_digest(wide_map) == WIDE_MAP_SHA256
+    assert exportcorpus.bundle_digest(same_shape_targets()) == SAME_SHAPE_SHA256
+
+
+def test_a_bundle_renders_each_target_shape_once(monkeypatch):
+    """A shape is a target's in-socket count, bandwidth and DMI flag: wide_map's 250
+    targets have one, and same_shape_targets' eight have three."""
+    rendered = []
+    form = codegen._target_form
+    monkeypatch.setattr(codegen, "_target_form", lambda spec: rendered.append(spec) or form(spec))
+    export_tlm(parse_description(wide_map_text(250))[0])
+    assert [spec.name for spec in rendered] == ["Mem0"]
+    rendered.clear()
+    export_tlm(same_shape_targets())
+    assert [spec.name for spec in rendered] == ["Mem.1", "Dmi", "Dual"]
+
+
+def test_a_bandwidth_too_large_for_two_targets_names_the_first():
+    doc = json.loads(wide_map_text(4))
+    for m in (3, 5):  # Mem1 and Mem3, one shape
+        doc["modules"][m]["bandwidth"] = "18446744073709551616"
+    desc, diags = parse_description(json.dumps(doc))
+    assert diags == []
+    with pytest.raises(CodegenError) as info:
+        export_tlm(desc)
+    assert str(info.value) == ("E-BANDWIDTH-RANGE: module 'Mem1': bandwidth "
+                               "18446744073709551616 needs C++ arithmetic past 2^64 - 1")
 
 
 def test_sanitize_replaces_invalid_characters():
