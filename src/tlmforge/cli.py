@@ -1,12 +1,12 @@
 """Command-line front end: validate, run, render, check, export.
 
-Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage
-error (a file that cannot be read as UTF-8 or written, a closed stdout,
-an --event-limit below 1), 3 runtime error (event limit, 64-bit time
-overflow, an export the C++ cannot hold, out of memory).  Commands raise
-their refusals; ``run_command`` alone prints them and picks the exit code.
-A command runs with the cyclic collector held off; test_cli's safety fence pins why.
-Set TLMFORGE_COLOR=0 to force plain output.
+Exit codes: 0 success or PASS, 1 validation or constraint FAIL, 2 usage error (a file
+that cannot be read as UTF-8 or written, a closed stdout, an --event-limit below 1),
+3 runtime error (event limit, 64-bit time overflow, an export the C++ cannot hold, out
+of memory).  Commands raise their refusals; ``run_command`` alone prints them and picks
+the exit code, and leaves the caller's standard streams as they were: ``main()`` alone
+replaces one, and drops what stderr cannot take.  A command runs with the cyclic
+collector held off; test_cli's safety fence pins why.  TLMFORGE_COLOR=0 forces plain output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import io
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__
@@ -214,10 +214,6 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits with 0 (--help, --version) or 2
-        try:  # its message may still sit in a buffer that stderr cannot take; drop it, as below
-            sys.stderr.flush()
-        except (AttributeError, OSError):  # AttributeError: no stderr, as argparse allows
-            sys.stderr = None
         return exc.code
     enabled = gc.isenabled()
     gc.disable()  # the young generation fills with records and rows, and each scan frees nothing
@@ -237,10 +233,8 @@ def run_command(argv: list[str]) -> int:
     finally:
         if enabled:
             gc.enable()
-    try:  # a stderr that cannot be written (2</dev/null) drops the message, not the exit code,
+    with suppress(OSError):  # a stderr that cannot be written (2</dev/null) drops the message
         print(f"error: {error}", file=sys.stderr)
-    except OSError:  # and keeps no buffer for the interpreter to flush, and fail, at exit
-        sys.stderr = None
     return code
 
 
@@ -258,6 +252,10 @@ def main() -> None:
     except BrokenPipeError:  # as after `| head`; the signal module's recipe quiets the exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_USAGE
+    try:  # argparse's usage or an error line may sit in a buffer that stderr cannot take:
+        sys.stderr.flush()
+    except OSError:  # drop it here, not in a flush at exit that would fail with exit 120
+        sys.stderr = None
     sys.exit(code)
 
 

@@ -87,7 +87,7 @@ class _Namer:
         candidate = base = sanitize_identifier(name)
         counter = 2
         while (key := self._fold(candidate)) in self._used:
-            candidate = f"{base}_{counter}"
+            candidate = sanitize_identifier(f"{base}_{counter}")
             counter += 1
         self._used.add(key)
         return candidate

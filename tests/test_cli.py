@@ -993,16 +993,28 @@ def test_an_export_into_a_closed_stdout_removes_every_stale_file(tmp_path, abs_p
     ("2>&-", ["run", "--quantum", "fast"], 2),
     ("2>&-", ["validate", "--frobnicate"], 2),
 ])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_standard_stream_that_cannot_be_written_keeps_the_exit_code(
-        abs_path, redirect, argv, code):
+        abs_path, redirect, argv, code, unbuffered):
     """Started with stdout closed, a command ends in exit 2 with nothing on stderr, as on a
     closed pipe.  An error that stderr cannot take, read-only or closed, is dropped: the exit
     code stays the command's, and the message never goes to stdout in stderr's place."""
     command, *options = argv
     done = subprocess.run(["/bin/sh", "-c", f'exec "$0" -m tlmforge.cli "$@" {redirect}',
                            sys.executable, command, str(abs_path), *options],
-                          capture_output=True, text=True, env=child_env(False), timeout=60)
+                          capture_output=True, text=True, env=child_env(unbuffered), timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+
+def test_run_command_leaves_a_stderr_it_cannot_write_to_the_caller(monkeypatch, abs_path):
+    """A library call drops an error line that stderr cannot take and leaves ``sys.stderr``
+    as it found it, so a second call's error line never falls back to stdout."""
+    with open(os.devnull, encoding="utf-8") as read_only:
+        monkeypatch.setattr(sys, "stderr", read_only)
+        monkeypatch.setattr(sys, "stdout", out := io.StringIO())
+        for _ in range(2):
+            assert run_command(["run", str(abs_path), "--quantum", "fast"]) == 2
+            assert (out.getvalue(), sys.stderr) == ("", read_only)
 
 
 def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):

@@ -256,6 +256,23 @@ def test_an_instance_named_like_a_class_does_not_shadow_it():
     assert '    Mem m2("m2", ' in top
 
 
+def test_a_collision_suffix_never_rebuilds_a_reserved_name():
+    """A suffixed name is sanitized again: ``SC_X__2`` has SystemC's macro shape."""
+    pieces = ["SC_", "X", "-", ".", "1", "_", "socket", "TLMFORGE_", "H", "int", "m_delay"]
+    names = [a + b + c for a in pieces for b in ["", *pieces] for c in ["", *pieces]]
+    for case_insensitive in (False, True):
+        namer = codegen._Namer(case_insensitive)
+        for got in map(namer.unique, names):
+            assert got not in codegen._RESERVED, got
+            assert not codegen._RESERVED_RE.fullmatch(got) or got.endswith("_"), got
+    d = SystemDescription(cpus=[CpuSpec("C0", Fraction(1))],
+                          modules=[TargetSpec("SC_X", (1_000,), 0, 16, 0, False),
+                                   TargetSpec("SC-X", (1_000,), 0, 16, 0, False)])
+    bundle = export_tlm(d)
+    assert list(bundle) == ["top.cpp", "sc_x_.h", "sc_x__2_.h"]
+    assert "SC_MODULE(SC_X__2_) {" in bundle["sc_x__2_.h"]
+
+
 @pytest.mark.parametrize("keyword", ["int", "class", "and", "namespace", "this"])
 def test_cpp_keywords_get_an_underscore(keyword):
     assert sanitize_identifier(keyword) == keyword + "_"
