@@ -139,22 +139,6 @@ class Binding:
     to_socket: int
 
 
-def out_socket_count(spec: ModuleSpec) -> int:
-    if isinstance(spec, InitiatorSpec):
-        return spec.socket_count
-    if isinstance(spec, RouterSpec):
-        return spec.out_socket_count
-    return 0
-
-
-def in_socket_count(spec: ModuleSpec) -> int:
-    if isinstance(spec, TargetSpec):
-        return len(spec.socket_delays_ps)
-    if isinstance(spec, RouterSpec):
-        return spec.in_socket_count
-    return 0
-
-
 # --------------------------------------------------------------------------
 # Timing rules
 

@@ -29,10 +29,12 @@ _FREQ_UNITS_GHZ = {
     "Hz": Fraction(1, 10**9),
 }
 
+_TIME_UNITS = "|".join(TIME_UNITS_PS)
+_FREQ_UNITS = "|".join(_FREQ_UNITS_GHZ)
 # Digits are ASCII only: \d would also take other scripts' digits, which int() accepts.
-_TIME_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]+))?\s*(ps|ns|us|ms|s)\s*$")
+_TIME_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]+))?\s*(" + _TIME_UNITS + r")\s*$")
 _RATIONAL = r"^\s*([0-9]+(?:\.[0-9]+)?|[0-9]+\s*/\s*[0-9]+)\s*"
-_FREQ_RE = re.compile(_RATIONAL + r"(GHz|MHz|kHz|Hz)\s*$")
+_FREQ_RE = re.compile(_RATIONAL + "(" + _FREQ_UNITS + r")\s*$")
 _RATIONAL_RE = re.compile(_RATIONAL + "$")
 
 
@@ -69,7 +71,7 @@ def parse_time(text: str) -> int:
     """
     m = _TIME_RE.match(text)
     if m is None:
-        raise ValueError(f"bad time {text!r}: expected <number><ps|ns|us|ms|s>")
+        raise ValueError(f"bad time {text!r}: expected <number><{_TIME_UNITS}>")
     whole, frac, unit = m.groups("")
     scale = 10 ** len(frac)
     ps, rest = divmod((int(whole) * scale + int(frac or "0")) * TIME_UNITS_PS[unit], scale)
@@ -97,7 +99,7 @@ def parse_frequency_ghz(text: str) -> Fraction:
     """Parse "4GHz" / "250MHz" / "1/3GHz" into an exact GHz rational."""
     m = _FREQ_RE.match(text)
     if m is None:
-        raise ValueError(f"bad frequency {text!r}: expected <number><GHz|MHz|kHz|Hz>")
+        raise ValueError(f"bad frequency {text!r}: expected <number><{_FREQ_UNITS}>")
     value = _parse_rational(m.group(1)) * _FREQ_UNITS_GHZ[m.group(2)]
     if value <= 0:
         raise ValueError(f"bad frequency {text!r}: must be positive")

@@ -48,8 +48,6 @@ from .components import (
     TargetModel,
     TargetSpec,
     TransactionTemplate,
-    in_socket_count,
-    out_socket_count,
 )
 from .diagnostics import IDENTIFIER_RE, Diagnostic, sort_diagnostics
 from .jsontext import JsonSyntaxError, Positions, kind, load_json, parse_json
@@ -104,7 +102,7 @@ class InvalidDescriptionError(ValueError):
 
 _ADDRESS_RE = re.compile(r"0x[0-9A-Fa-f]+")
 _SOCKET_KEY_RE = re.compile(r"[0-9]+")
-_WHOLE_TIME_RE = re.compile(r"([0-9]{1,6})(ps|ns|us|ms|s)")  # at most 10**18 ps: in range
+_WHOLE_TIME_RE = re.compile(f"([0-9]{{1,6}})({'|'.join(TIME_UNITS_PS)})")  # <= 10**18 ps: in range
 _COMMANDS = {c.value: c for c in Command}
 _HEX_DIGITS = b"0123456789ABCDEFabcdef"
 MAX_LENGTH = 2**32 - 1  # a data length, a repeat count and a storage size export as unsigned
@@ -496,8 +494,6 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
     specs = {m.name: m for m in d.modules}
     instances = {i.name: i for i in d.instances}
     spec_of = {inst.name: specs.get(inst.module) for inst in d.instances}
-    outs_of = {name: out_socket_count(spec) for name, spec in spec_of.items() if spec is not None}
-    ins_of = {name: in_socket_count(spec) for name, spec in spec_of.items() if spec is not None}
 
     # E005: duplicates within each namespace
     for label, names in (("cpus", [c.name for c in d.cpus]),
@@ -530,12 +526,18 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
     # starts from the sockets in this order, which decides the loop its message names.
     successors: dict[tuple[str, int, bool], list[tuple[str, int, bool]]] = {}
     fans: list[tuple[str, int, bool]] = []
+    ins_of, outs_of = {}, {}  # socket counts of each instance whose module resolves, for E002
     for name, spec in spec_of.items():
-        if isinstance(spec, RouterSpec):
+        if isinstance(spec, InitiatorSpec):
+            ins_of[name], outs_of[name] = 0, spec.socket_count
+        elif isinstance(spec, RouterSpec):
+            ins_of[name], outs_of[name] = spec.in_socket_count, spec.out_socket_count
             for in_socket, outs in spec.connections.items():
                 successors[(name, in_socket, False)] = [(name, o, True) for o in outs]
                 if any(len(to) > 1 for _, _, to in spec.routes(in_socket)):
                     fans.append((name, in_socket, False))
+        elif spec is not None:  # a target
+            ins_of[name], outs_of[name] = len(spec.socket_delays_ps), 0
 
     # Per binding: E001 and E002 for each end, E003 for a cross-CPU binding, which needs
     # a shared bus, E008 for an in-socket bound before; and the binding's edge.

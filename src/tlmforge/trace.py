@@ -77,7 +77,7 @@ _sort_key = itemgetter(2, 0, 1)  # (start, instance, activation)
 
 def _record_problem(r: TraceRecord) -> str | None:
     """Why ``r`` cannot be a trace row, or None when it can."""
-    if not IDENTIFIER_RE.fullmatch(r.instance):
+    if not isinstance(r.instance, str) or not IDENTIFIER_RE.fullmatch(r.instance):
         return f"instance name {r.instance!r} is not a valid identifier"
     if {type(r.activation), type(r.start), type(r.end), type(r.txn_id)} != {int}:
         return f"activation, times and txn_id must be ints, got {r}"
@@ -96,23 +96,6 @@ def _record_problem(r: TraceRecord) -> str | None:
     return None
 
 
-def _shared_rules(names, acts, starts, ends, txns) -> bool:
-    """start <= end, 64-bit bounds, no repeat: the rules write_trace and read_columns share."""
-    return (all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
-            and len(set(zip(names, acts))) == len(names))
-
-
-def _writable(records: list[TraceRecord]) -> bool:
-    """Whether all records pass _record_problem and none repeats, checked by column."""
-    names, acts, starts, ends, txns, statuses = list(zip(*records)) or [()] * 6
-    return (set(map(type, names)) <= {str} and set(map(type, acts + starts + ends + txns)) <= {int}
-            and set(map(type, statuses)) <= {ResponseStatus}
-            and ResponseStatus.INCOMPLETE not in statuses
-            and all(map(IDENTIFIER_RE.fullmatch, set(names)))
-            and min(acts + starts + txns, default=0) >= 0
-            and _shared_rules(names, acts, starts, ends, txns))
-
-
 def format_trace(records: list[TraceRecord]) -> str:
     """The canonical log text (sorted, LF line ends) of records known valid, unchecked."""
     return _HEAD + "".join([f"{name},{act},{start},{end},{txn},{status._value_}\n" for
@@ -121,14 +104,15 @@ def format_trace(records: list[TraceRecord]) -> str:
 
 def write_trace(records: list[TraceRecord]) -> str:
     """:func:`format_trace` after checking that every record can be a row (a ValueError)."""
-    if not _writable(records):
-        seen: set[tuple[str, int]] = set()
-        for r in map(TraceRecord._make, records):  # a plain 6-tuple is read by field too
-            if problem := _record_problem(r):
-                raise ValueError(problem)
-            if (key := (r.instance, r.activation)) in seen:
-                raise ValueError(f"duplicate record for {key}")
-            seen.add(key)
+    seen: set[tuple[str, int]] = set()
+    for r in records:
+        if len(r) != 6:
+            raise ValueError(f"a trace record has 6 fields, got {len(r)} in {r!r}")
+        if problem := _record_problem(r := TraceRecord._make(r)):  # a plain 6-tuple too
+            raise ValueError(problem)
+        if (key := (r.instance, r.activation)) in seen:
+            raise ValueError(f"duplicate record for {key}")
+        seen.add(key)
     return format_trace(records)
 
 
@@ -152,7 +136,8 @@ def read_columns(text: str) -> tuple[list, list, list, list, list, list]:
             columns[k] = list(map(convert, columns[k]))
         names, acts, starts, ends, txns, _ = columns
         if (all(map(lt, zip(starts, names, acts), zip(starts[1:], names[1:], acts[1:])))
-                and _shared_rules(names, acts, starts, ends, txns)):
+                and all(map(le, starts, ends)) and max(acts + ends + txns, default=0) <= U64_MAX
+                and len(set(zip(names, acts))) == len(names)):
             return tuple(columns)
     raise _refusal(text)
 
@@ -179,7 +164,7 @@ def _refusal(text: str) -> TraceSyntaxError:
         if key in seen:
             return TraceSyntaxError(f"duplicate record for {key}", lineno)
         seen.add(key)
-        if (order := (r.start, r.instance, r.activation)) <= last:
+        if (order := _sort_key(r)) <= last:
             return TraceSyntaxError("row sorts before the row above it; rows ascend by "
                                     "(start, instance, activation)", lineno)
         last = order
