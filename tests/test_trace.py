@@ -288,6 +288,37 @@ def test_what_write_trace_writes_parse_trace_reads(records):
     assert parse_trace(text) == sorted(records, key=_sort_key)
 
 
+good_record_st = st.builds(
+    lambda name, act, start, width, txn, status: TraceRecord(name, act, start, start + width,
+                                                             txn, status),
+    st.sampled_from(["A", "B"]), st.integers(0, 3), st.integers(0, 9), st.integers(0, 9),
+    st.sampled_from([0, 7, U64_MAX]), st.sampled_from([s for s in ResponseStatus if s.is_terminal]))
+bad_values = {"instance": ["A,B", "", "C\n"], "status": [ResponseStatus.INCOMPLETE, "OK"]}
+
+
+@pytest.mark.parametrize("field", [None, *TraceRecord._fields])
+@given(records=st.lists(good_record_st, max_size=6), data=st.data())
+def test_column_check_agrees_with_the_record_check(field, records, data):
+    """write_trace checks record by record and read_columns by whole column, so
+    write_trace must accept exactly the lists whose unchecked text read_columns
+    accepts. The lists are valid but for repeats and one ``field`` of one record."""
+    if field and records:
+        value = data.draw(st.sampled_from(bad_values.get(field, [-1, 20, 2**64, 10**20, True, 5.0])))
+        i = data.draw(st.integers(0, len(records) - 1))
+        records[i] = records[i]._replace(**{field: value})
+    try:
+        read_columns(format_trace(records))
+        columns_pass = True
+    except (AttributeError, TraceSyntaxError):  # a plain-string status has no _value_
+        columns_pass = False
+    try:
+        write_trace(records)
+        records_pass = True
+    except ValueError:
+        records_pass = False
+    assert records_pass == columns_pass
+
+
 # -- latency -------------------------------------------------------------------
 
 
