@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, itemgetter, le, lt, sub
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .diagnostics import IDENTIFIER_RE
 from .payload import ResponseStatus
@@ -96,14 +96,15 @@ def _record_problem(r: TraceRecord) -> str | None:
     return None
 
 
-def format_trace(records: list[TraceRecord]) -> str:
+def format_trace(records: Iterable[TraceRecord]) -> str:
     """The canonical log text (sorted, LF line ends) of records known valid, unchecked."""
     return _HEAD + "".join([f"{name},{act},{start},{end},{txn},{status._value_}\n" for
                             name, act, start, end, txn, status in sorted(records, key=_sort_key)])
 
 
-def write_trace(records: list[TraceRecord]) -> str:
+def write_trace(records: Iterable[TraceRecord]) -> str:
     """:func:`format_trace` after checking that every record can be a row (a ValueError)."""
+    records = list(records)  # read once: the check and the format each go over them
     seen: set[tuple[str, int]] = set()
     for r in records:
         if len(r) != 6:
@@ -190,7 +191,7 @@ def _row_problem(line: str) -> str:
     return _record_problem(record) or "activation, times and txn_id must be integers"
 
 
-def end_to_end_latency(records: list[TraceRecord], instance: str) -> int:
+def end_to_end_latency(records: Iterable[TraceRecord], instance: str) -> int:
     """Last end minus first start over the instance's activations."""
     mine = [r for r in records if r[0] == instance]  # by index: a read by name costs more
     if not mine:
@@ -221,8 +222,9 @@ class ConstraintCheck:
                 f"{rel} deadline {self.deadline_ps} ps")
 
 
-def check_constraints(records: list[TraceRecord], constraints) -> list[ConstraintCheck]:
+def check_constraints(records: Iterable[TraceRecord], constraints) -> list[ConstraintCheck]:
     """check_columns on the records' instance and end columns."""
+    records = list(records)  # read once: each column goes over them
     return check_columns(*(list(map(itemgetter(i), records)) for i in (0, 3)), constraints)
 
 
@@ -255,7 +257,7 @@ def _tick_step(span_ps: int) -> int:
         scale *= 10
 
 
-def render_svg(records: list[TraceRecord]) -> str:
+def render_svg(records: Iterable[TraceRecord]) -> str:
     """render_svg_columns on the records' columns, in trace row order."""
     rows = sorted(records, key=_sort_key)
     return render_svg_columns(*(list(map(itemgetter(i), rows)) for i in (0, 2, 3)))
@@ -310,7 +312,7 @@ def render_svg_columns(names: list[str], starts: list[int], ends: list[int]) -> 
     return "\n".join(out)
 
 
-def render_text(records: list[TraceRecord]) -> str:
+def render_text(records: Iterable[TraceRecord]) -> str:
     """render_text_columns on the records' columns, in trace row order."""
     rows = sorted(records, key=_sort_key)
     return render_text_columns(*(list(map(itemgetter(i), rows)) for i in range(4)))

@@ -18,6 +18,7 @@ from hypothesis import example, given, strategies as st
 import descmut
 import exportcorpus
 import validatecorpus
+from conftest import GOLDEN
 from topogen import random_topology
 
 import tlmforge
@@ -156,10 +157,13 @@ def test_validate_ok(capsys, abs_path):
     assert out.startswith("OK:")
 
 
-def test_validate_prints_code_and_exits_one(capsys, broken_path):
+def test_validate_prints_code_and_exits_one(capsys, broken_path, tmp_path):
     code, out, _ = invoke(capsys, "validate", str(broken_path))
     assert code == 1
     assert "E003" in out
+    (tmp_path / "syntax.json").write_text('{"cpus": [}', encoding="utf-8")
+    assert invoke(capsys, "validate", str(tmp_path / "syntax.json")) == (
+        1, "E-SYNTAX 1:11: unexpected character '}'\n", "")
 
 
 def test_run_then_check_passes(capsys, abs_path, tmp_path):
@@ -255,19 +259,39 @@ def test_render_rejects_a_wrong_column_line_at_line_2(capsys, tmp_path):
                               "'instance,activation,start_ps,end_ps,txn_id,status'\n")
 
 
+LINE_BREAK_R = "line 1: line break '\\r' where only '\\n' may end a line"
+# Edits of the ABS trace that run writes: every ``old`` becomes ``new``, and the refusal
+# names the line at fault.  The trace's rows are lines 3 to 8, Brake's on line 3.
+TRACE_EDITS = {
+    "\r\n": ("\n", "\r\n", LINE_BREAK_R),
+    "\r": ("\n", "\r", LINE_BREAK_R),
+    "a column line of three names": (
+        "instance,activation,start_ps,end_ps,txn_id,status", "instance,start,end",
+        "line 2: expected column line 'instance,activation,start_ps,end_ps,txn_id,status'"),
+    "a row twice": ("Brake,0,0,16000,0,OK\n", "Brake,0,0,16000,0,OK\n" * 2,
+                    "line 4: duplicate record for ('Brake', 0)"),
+    "a signed activation": ("Brake,0,", "Brake,+0,",
+                            "line 3: activation, times and txn_id must be integers"),
+    "no final newline": ("ABSbrake4,0,11000,16000,0,OK\n", "ABSbrake4,0,11000,16000,0,OK",
+                         "line 8: the text does not end with a newline"),
+}
+
+
 @pytest.mark.parametrize("command", [
     ["render", "{trace}", "--svg", "{svg}"], ["render", "{trace}"], ["check", "{abs}", "{trace}"],
 ], ids=["render --svg", "render --text", "check"])
-@pytest.mark.parametrize("brk", ["\r\n", "\r"])
-def test_a_trace_read_from_a_file_keeps_its_line_ends(capsys, tmp_path, abs_path, command, brk):
+@pytest.mark.parametrize("edit", list(TRACE_EDITS))
+def test_a_trace_read_from_a_file_keeps_its_line_ends(capsys, tmp_path, abs_path, command, edit):
     """The commands once read a trace with universal newlines, which made each "\r\n" and
-    "\r" a "\n" before the reader saw them: they took the text parse_trace refuses."""
+    "\r" a "\n" before the reader saw them: they took the text parse_trace refuses.  A
+    trace is read only as run writes it, and the refusal names its first bad line."""
+    old, new, refusal = TRACE_EDITS[edit]
     trace = tmp_path / "t.csv"
     assert invoke(capsys, "run", str(abs_path), "--trace", str(trace))[0] == 0
-    trace.write_bytes(trace.read_bytes().replace(b"\n", brk.encode()))
+    trace.write_bytes(trace.read_bytes().replace(old.encode(), new.encode()))
     fields = {"trace": trace, "svg": tmp_path / "d.svg", "abs": abs_path}
-    assert invoke(capsys, *[a.format(**fields) for a in command])[:2] == (
-        1, "E-TRACE-SYNTAX line 1: line break '\\r' where only '\\n' may end a line\n")
+    assert invoke(capsys, *[a.format(**fields) for a in command]) == (
+        1, f"E-TRACE-SYNTAX {refusal}\n", "")
     assert not (tmp_path / "d.svg").exists()
 
 
@@ -338,18 +362,19 @@ def test_export_prints_each_written_path_as_pathlib_joins_it(
 
 def test_an_export_past_the_64_bit_literals_exits_3_and_writes_nothing(capsys, abs_text,
                                                                         tmp_path):
-    """A bandwidth the simulator reads exactly still runs; the export refuses it."""
-    doc = json.loads(abs_text)
-    doc["modules"][2]["bandwidth"] = "100000000000000000001/100000000000000000000"
-    path = write_description(tmp_path, doc)
-    assert invoke(capsys, "run", path)[0] == 0
-    out_dir = tmp_path / "gen"
-    code, out, err = invoke(capsys, "export", path, "--out", str(out_dir))
-    assert (code, out) == (3, "")
-    assert err == ("error: E-BANDWIDTH-RANGE: module 'Module2': bandwidth "
-                   "100000000000000000001/100000000000000000000 needs C++ arithmetic past "
-                   "2^64 - 1\n")
-    assert not out_dir.exists()
+    """A bandwidth the simulator reads exactly still runs; the export refuses it: literals
+    past 64 bits, or a denominator whose 1000 x (2^32 - 1) bytes wrap the C++ sum."""
+    for bandwidth in ("100000000000000000001/100000000000000000000", "1/4294968"):
+        doc = json.loads(abs_text)
+        doc["modules"][2]["bandwidth"] = bandwidth
+        path = write_description(tmp_path, doc)
+        assert invoke(capsys, "run", path)[0] == 0
+        out_dir = tmp_path / "gen"
+        code, out, err = invoke(capsys, "export", path, "--out", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err == (f"error: E-BANDWIDTH-RANGE: module 'Module2': bandwidth {bandwidth} "
+                       "needs C++ arithmetic past 2^64 - 1\n")
+        assert not out_dir.exists()
 
 
 def test_export_twice_is_byte_identical(capsys, abs_path, tmp_path):
@@ -570,10 +595,12 @@ def test_an_svg_written_into_a_fifo_is_the_bytes_written_into_a_file(capsys, tmp
 
 def test_a_rewrite_cuts_a_file_only_where_the_old_one_was_longer(capsys, monkeypatch, tmp_path,
                                                                   abs_path):
-    """Re-exporting an identical bundle cuts nothing; over longer old files, one cut each."""
+    """Re-exporting an identical bundle cuts nothing; over longer old files, one cut each.
+    Each export leaves the golden bundle, and the last also removes a stale header."""
     gen = tmp_path / "gen"
     assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
     fresh = _tree(gen)
+    assert fresh == _tree(GOLDEN / "abs")
     cuts = []
     ftruncate = os.ftruncate
 
@@ -585,6 +612,8 @@ def test_a_rewrite_cuts_a_file_only_where_the_old_one_was_longer(capsys, monkeyp
     assert (cuts, _tree(gen)) == ([], fresh)
     for name, data in fresh.items():
         (gen / name).write_bytes(data + PADDING.encode())
+    (gen / "stale.h").write_text(MARKER + " 0.1.0. A module an older export had.\n",
+                                 encoding="utf-8")
     assert invoke(capsys, "export", str(abs_path), "--out", str(gen))[0] == 0
     assert (sorted(cuts), _tree(gen)) == (sorted(map(len, fresh.values())), fresh)
 
@@ -1026,7 +1055,17 @@ def test_a_diagnostic_the_stdout_cannot_encode_is_escaped(tmp_path, abs_text):
            "connection key '\\xb2' must be a socket index\n", "")
 
 
-@pytest.mark.parametrize("escape", ["\\u-123", "\\u 12 ", "\\u+fff", "\\u1_2a"])
+# A string escape in '{"cpus": "..."}' and the place and message of its refusal.
+BAD_ESCAPES = {
+    "\\u-123": "1:13: bad \\u escape '-123'",
+    "\\u 12 ": "1:13: bad \\u escape ' 12 '",
+    "\\u+fff": "1:13: bad \\u escape '+fff'",
+    "\\u1_2a": "1:13: bad \\u escape '1_2a'",
+    "\\x": "1:12: bad escape \\x",
+}
+
+
+@pytest.mark.parametrize("escape", list(BAD_ESCAPES))
 def test_bad_unicode_escape_is_a_syntax_error(capsys, tmp_path, abs_path, escape):
     path = tmp_path / "desc.json"
     path.write_text('{"cpus": "%s"}' % escape, encoding="utf-8")
@@ -1035,7 +1074,7 @@ def test_bad_unicode_escape_is_a_syntax_error(capsys, tmp_path, abs_path, escape
     for argv in (("validate", path), ("run", path), ("check", path, trace),
                  ("export", path, "--out", tmp_path / "gen")):
         code, out, err = invoke(capsys, *map(str, argv))
-        assert (code, out, err) == (1, f"E-SYNTAX 1:13: bad \\u escape '{escape[2:]}'\n", "")
+        assert (code, out, err) == (1, f"E-SYNTAX {BAD_ESCAPES[escape]}\n", "")
 
 
 @pytest.mark.parametrize("depth", [495, 100_000])
@@ -1167,13 +1206,16 @@ def test_initiator_value_refusals(capsys, tmp_path, abs_text, path, value, expec
 
 
 def test_a_float_bandwidth_simulates_like_its_fraction(capsys, tmp_path, abs_text):
+    """A float runs as the fraction it spells: 0.5 as 1/2, and 1e-05, which json.dumps
+    writes in exponent form, as 1/100000."""
     traces = []
-    for value in (0.5, "1/2", None):
+    for value in (0.5, "1/2", None, 1e-05, "1/100000"):
         desc = edited_abs(tmp_path, abs_text, BRAKE + ("bandwidth",), value)
         code, out, err = invoke(capsys, "run", desc)
         assert (code, err) == (0, "")
         traces.append(out)
     assert traces[0] == traces[1] != traces[2]
+    assert traces[3] == traces[4]
 
 
 def test_an_initiator_transfer_past_64_bits_is_a_runtime_error(capsys, tmp_path, abs_text):

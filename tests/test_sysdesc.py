@@ -26,6 +26,7 @@ from tlmforge.components import (
     TransactionTemplate,
 )
 from tlmforge import sysdesc
+from tlmforge.cli import run_command
 from tlmforge.diagnostics import Diagnostic, sort_diagnostics
 from tlmforge.payload import Command
 from tlmforge.sysdesc import (
@@ -171,6 +172,13 @@ def test_a_present_null_data_or_length_is_reported(abs_text, members, expected):
     assert [str(d) for d in diags] == ["E-TYPE modules[0].workload[0]." + expected]
 
 
+def validate_command(capsys, tmp_path, text: str) -> tuple[int, str, str]:
+    """``tlmforge validate`` on ``text``, run in process: its exit code, stdout and stderr."""
+    path = tmp_path / "desc.json"
+    path.write_text(text, encoding="utf-8")
+    return run_command(["validate", str(path)]), *capsys.readouterr()
+
+
 def edited_abs(abs_text, repeat=1, storage=None) -> str:
     """abs.json, indented by 2, with the Brake WRITE's ``repeat`` and Module2's ``storage``."""
     doc = json.loads(abs_text)
@@ -193,12 +201,15 @@ def edited_abs(abs_text, repeat=1, storage=None) -> str:
     (1, {"base": "0xfffffffffffffff0"},
      "modules[2].storage (84:18): storage ends at 0x10000000000000030, past 0xffffffffffffffff"),
 ], ids=["repeat 2^32", "repeat 5e9", "size 2^32", "size 5 GiB", "end 2^64", "end past 2^64"])
-def test_repeat_size_and_storage_end_fit_the_exported_types(abs_text, repeat, storage, expected):
+def test_repeat_size_and_storage_end_fit_the_exported_types(capsys, tmp_path, abs_text, repeat,
+                                                            storage, expected):
     """The export holds a repeat count and a storage size in an unsigned int and
     computes base + size in 64 bits; a value past either is refused when parsed."""
-    desc, diags = parse_description(edited_abs(abs_text, repeat, storage))
+    text = edited_abs(abs_text, repeat, storage)
+    desc, diags = parse_description(text)
     assert desc is None
     assert [str(d) for d in diags] == ["E-TYPE " + expected]
+    assert validate_command(capsys, tmp_path, text) == (1, f"E-TYPE {expected}\n", "")
 
 
 @pytest.mark.parametrize("repeat, storage", [
@@ -391,16 +402,18 @@ def test_a_refused_description_is_built_once_and_read_for_positions_once(monkeyp
     ("in_sockets", "1", "modules[1].in_sockets (28:21)"),
     ("out_sockets", "4", "modules[1].out_sockets (29:22)"),
 ])
-def test_socket_counts_are_at_most_2_to_the_18(abs_text, key, old, where):
+def test_socket_counts_are_at_most_2_to_the_18(capsys, tmp_path, abs_text, key, old, where):
     """The export writes code per socket, so a count is bounded; 2^18 is parsed only."""
-    def with_count(n: int):
-        return parse_description(abs_text.replace(f'"{key}": {old}', f'"{key}": {n}', 1))
-    desc, diags = with_count(2**18)
+    def with_count(n: int) -> str:
+        return abs_text.replace(f'"{key}": {old}', f'"{key}": {n}', 1)
+    desc, diags = parse_description(with_count(2**18))
     assert desc is not None and diags == []
-    desc, diags = with_count(2**18 + 1)
+    refused = with_count(2**18 + 1)
+    line = f"E-TYPE {where}: expected an integer <= 262144, got 262145"
+    desc, diags = parse_description(refused)
     assert desc is None
-    assert [str(d) for d in diags] == [
-        f"E-TYPE {where}: expected an integer <= 262144, got 262145"]
+    assert [str(d) for d in diags] == [line]
+    assert validate_command(capsys, tmp_path, refused) == (1, line + "\n", "")
 
 
 def wide_map_text(k: int) -> str:
@@ -497,11 +510,12 @@ def test_a_bad_socket_key_is_reported_at_its_opening_quote(abs_text, old, new, w
     ('{\n  "cpus"', '{\n  "bogus": {}, "cpus"', "$.bogus (2:3)"),
     ('{"name": "Brake",', '{"name": "Brake", "bogus": null,', "instances[0].bogus (41:23)"),
 ])
-def test_an_unknown_key_is_reported_at_its_opening_quote(abs_text, old, new, where):
+def test_an_unknown_key_is_reported_at_its_opening_quote(capsys, tmp_path, abs_text, old, new,
+                                                         where):
     """As for a bad socket key: the key is what is wrong, not its value."""
-    text = abs_text.replace(old, new, 1)
-    assert [str(d) for d in parse_description(text)[1]] == [
-        f"E-TYPE {where}: unknown key 'bogus'"]
+    text, line = abs_text.replace(old, new, 1), f"E-TYPE {where}: unknown key 'bogus'"
+    assert [str(d) for d in parse_description(text)[1]] == [line]
+    assert validate_command(capsys, tmp_path, text) == (1, line + "\n", "")
 
 
 # Kernel events per run under the description's quantum and under the other one.

@@ -742,3 +742,29 @@ def test_text_chart_marks_an_activation_shorter_than_one_column():
         "A #0 |o" + "=" * 58 + "x| 0 .. 1000 ns",
         "B #0 |" + " " * 29 + "#" + " " * 30 + "| 500 .. 500.1 ns",
     ]
+
+
+# -- any iterable of records, read once ----------------------------------------
+
+RECORD_HELPERS = {
+    "write_trace": write_trace,
+    "format_trace": format_trace,
+    "check_constraints": lambda records: check_constraints(
+        records, [TimingConstraint("Brake", 16_000), TimingConstraint("Router", 10_000)]),
+    "render_svg": render_svg,
+    "render_text": render_text,
+    "end_to_end_latency": lambda records: end_to_end_latency(records, "Brake"),
+}
+RECORD_SHAPES = {"list": list, "tuple": tuple, "generator": lambda rows: (r for r in rows)}
+
+
+@pytest.mark.parametrize("shape", list(RECORD_SHAPES))
+@pytest.mark.parametrize("helper", sorted(RECORD_HELPERS))
+def test_a_record_helper_gives_any_iterable_of_the_records_one_result(helper, shape):
+    """A list, a tuple or a generator of the ABS rows, last row first, gives what their
+    list in row order gives.  write_trace once wrote the header alone for a generator,
+    its check having used the records up, and check_constraints failed each deadline
+    with E-NO-INSTANCE, its name column having used them up before its end column was
+    read."""
+    call = RECORD_HELPERS[helper]
+    assert call(RECORD_SHAPES[shape](reversed(ABS_ROWS))) == call(ABS_ROWS)
