@@ -83,9 +83,9 @@ class _Namer:
         self._used: set[str] = set()
         self._fold = str.lower if case_insensitive else str
 
-    def unique(self, name: str) -> str:
-        candidate = base = sanitize_identifier(name)
-        counter = 2
+    def unique(self, base: str) -> str:
+        """``base``, a sanitized name, or else the first free ``base_<n>``, sanitized again."""
+        candidate, counter = base, 2
         while (key := self._fold(candidate)) in self._used:
             candidate = sanitize_identifier(f"{base}_{counter}")
             counter += 1
@@ -361,9 +361,9 @@ def export_tlm(description) -> dict[str, str]:
     spelled: dict[bytes, str] = {}  # template bytes -> its kData line, spelled once
     shaped: dict[tuple, object] = {}  # target shape -> its header as a function, rendered once
     for spec in description.modules:
-        cls = class_namer.unique(spec.name)
-        classes[spec.name] = cls
-        stem = file_namer.unique(spec.name).lower()
+        base = sanitize_identifier(spec.name)
+        cls = classes[spec.name] = class_namer.unique(base)
+        stem = file_namer.unique(base).lower()
         file_name, guard = f"{stem}.h", f"TLMFORGE_{stem.upper()}_H"
         if isinstance(spec, InitiatorSpec):
             text = _emit_initiator(spec, cls, guard, spelled)
@@ -380,7 +380,8 @@ def export_tlm(description) -> dict[str, str]:
     specs = {m.name: m for m in description.modules}
     spec_of = {inst.name: specs[inst.module] for inst in description.instances}
     # Classes and sc_main's variables share one scope, so a variable never shadows a class.
-    variables = {inst.name: class_namer.unique(inst.name) for inst in description.instances}
+    variables = {inst.name: class_namer.unique(sanitize_identifier(inst.name))
+                 for inst in description.instances}
 
     top = [
         f"{BANNER} {__version__}. Instantiates and binds the described system.",

@@ -1,4 +1,4 @@
-"""System descriptions: parse, validate, serialize, and elaborate.
+"""System descriptions: parse, validate, and elaborate.
 
 A description is a single JSON document with the top-level keys ``cpus``,
 ``buses``, ``modules``, ``instances``, ``bindings``, ``constraints`` and
@@ -26,7 +26,6 @@ Validation rules on a parsed description:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -539,25 +538,19 @@ def validate_description(d: SystemDescription) -> list[Diagnostic]:
         elif spec is not None:  # a target
             ins_of[name], outs_of[name] = len(spec.socket_delays_ps), 0
 
-    # Per binding: E001 and E002 for each end, E003 for a cross-CPU binding, which needs
-    # a shared bus, E008 for an in-socket bound before; and the binding's edge.
+    # Per binding: E001 or else E002 for each end (the socket counts hold only known
+    # instances), E003 for a cross-CPU binding, which needs a shared bus, E008 for an
+    # in-socket bound before; and the binding's edge.
     bound_in: set[tuple[str, int]] = set()
     for i, binding in enumerate(d.bindings):
-        for end, name in (("from", binding.from_instance), ("to", binding.to_instance)):
+        for end, name, socket, counts, side in (
+                ("from", binding.from_instance, binding.from_socket, outs_of, "out"),
+                ("to", binding.to_instance, binding.to_socket, ins_of, "in")):
             if name not in instances:
                 add("E001", f"unknown instance '{name}'", f"bindings[{i}].{end}")
-        count = outs_of.get(binding.from_instance)
-        if count is not None and not 0 <= binding.from_socket < count:
-            add("E002",
-                f"out-socket {binding.from_socket} out of range for '{binding.from_instance}' "
-                f"({count} out-sockets)",
-                f"bindings[{i}].from")
-        count = ins_of.get(binding.to_instance)
-        if count is not None and not 0 <= binding.to_socket < count:
-            add("E002",
-                f"in-socket {binding.to_socket} out of range for '{binding.to_instance}' "
-                f"({count} in-sockets)",
-                f"bindings[{i}].to")
+            elif (count := counts.get(name)) is not None and not 0 <= socket < count:
+                add("E002", f"{side}-socket {socket} out of range for '{name}' "
+                    f"({count} {side}-sockets)", f"bindings[{i}].{end}")
         src = instances.get(binding.from_instance)
         dst = instances.get(binding.to_instance)
         if (src is not None and dst is not None and src.cpu != dst.cpu
@@ -708,52 +701,6 @@ def require_valid(d: SystemDescription) -> None:
     problems = validate_description(d)
     if problems:
         raise InvalidDescriptionError(problems)
-
-
-# --------------------------------------------------------------------------
-# Serialization
-
-def serialize_description(d: SystemDescription) -> str:
-    """Emit canonical description text; parsing it back yields an equal value."""
-    doc: dict = {"cpus": [{"name": c.name, "frequency": f"{c.frequency_ghz}GHz"} for c in d.cpus]}
-    doc["buses"] = [{"name": bus.name, "cpus": list(bus.cpus)} for bus in d.buses]
-    modules = []
-    for spec in d.modules:
-        if isinstance(spec, InitiatorSpec):
-            entry = {"kind": "initiator", "name": spec.name,
-                     "delay": f"{spec.delay_ps}ps", "sockets": spec.socket_count,
-                     "workload": [{"command": t.command.value, "address": f"0x{t.address:x}",
-                                   "data": t.data.hex(), "socket": t.socket, "repeat": t.repeat}
-                                  for t in spec.workload]}
-        elif isinstance(spec, TargetSpec):
-            entry = {"kind": "target", "name": spec.name,
-                     "socket_delays": [f"{t}ps" for t in spec.socket_delays_ps],
-                     "storage": {"base": f"0x{spec.storage_base:x}", "size": spec.storage_size,
-                                 "fill": spec.storage_fill},
-                     "dmi": spec.dmi_allowed}
-        else:
-            entry = {"kind": "router", "name": spec.name, "delay": f"{spec.delay_ps}ps",
-                     "in_sockets": spec.in_socket_count, "out_sockets": spec.out_socket_count,
-                     "connections": {str(k): list(v) for k, v in spec.connections.items()}}
-            if spec.address_map is not None:
-                entry["address_map"] = {str(k): [f"0x{v[0]:x}", f"0x{v[1]:x}"]
-                                        for k, v in spec.address_map.items()}
-        if spec.bandwidth is not None:
-            entry["bandwidth"] = str(spec.bandwidth)
-        modules.append(entry)
-    doc["modules"] = modules
-    doc["instances"] = [{"name": i.name, "module": i.module, "cpu": i.cpu}
-                        for i in d.instances]
-    doc["bindings"] = [{"from": [bi.from_instance, bi.from_socket],
-                        "to": [bi.to_instance, bi.to_socket]} for bi in d.bindings]
-    doc["constraints"] = [{"instance": c.instance, "max_end": f"{c.max_end_ps}ps"}
-                          for c in d.constraints]
-    options: dict = {"quantum": f"{d.options.quantum_ps}ps",
-                     "event_limit": d.options.event_limit}
-    if d.options.trace_path is not None:
-        options["trace"] = d.options.trace_path
-    doc["options"] = options
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,8 @@ weighted up, so rules that suppress or add diagnostics inside one record get
 exercised together.
 
 ``render`` turns a description text into what the parser made of it: the
-diagnostic lines, or ``ok`` and the ``serialize_description`` text on one
-line, keeping only the top-level sections that differ from the base's.
+diagnostic lines, or ``ok`` and the text of ``topogen.serialize_description``
+on one line, keeping only the top-level sections that differ from the base's.
 ``tests/golden/parse_diagnostics.txt`` holds the base's serialization and the
 rendering of ``cases(SEED, COUNT)``; regenerate it only when the parse output
 is meant to change::
@@ -29,7 +29,9 @@ import random
 import sys
 from pathlib import Path
 
-from tlmforge.sysdesc import parse_description, serialize_description
+from topogen import serialize_description
+
+from tlmforge.sysdesc import parse_description
 
 SEED = 20260418
 COUNT = 400

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,8 @@ from hypothesis import example, given, strategies as st
 import descmut
 import exportcorpus
 import validatecorpus
-from conftest import GOLDEN
-from topogen import random_topology
+from conftest import GOLDEN, REPO
+from topogen import random_topology, serialize_description
 
 import tlmforge
 from tlmforge import cli
@@ -27,7 +28,7 @@ from tlmforge.cli import run_command
 from tlmforge.codegen import export_tlm
 from tlmforge.payload import ResponseStatus
 from tlmforge.simtime import parse_time
-from tlmforge.sysdesc import elaborate, parse_description, serialize_description
+from tlmforge.sysdesc import elaborate, parse_description
 from tlmforge.trace import (
     TraceRecord,
     check_constraints,
@@ -951,6 +952,34 @@ def test_module_entry_point_runs_the_command(broken_path, abs_path, tmp_path):
         assert (done.returncode, argv) == (expected, argv)
         assert "Traceback" not in done.stderr
         assert expected != 1 or "E003" in done.stdout
+
+
+def test_the_example_scripts_run_in_a_copy_of_the_repository(tmp_path):
+    """All three example scripts elaborate the shipped ABS model, run as a user runs
+    them.  ``run_abs.py`` meets the Brake deadline at 16 ns; the CLI reads back the
+    trace it writes, and its export equals the golden bundle byte for byte, so the
+    scripts write UTF-8 with "\\n" line ends.  The quantum sweep fails if a quantum
+    changes a row or the final time."""
+    for part in ("scripts", "src", "fixtures"):
+        shutil.copytree(REPO / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+    def child(*argv: str) -> str:
+        done = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        return done.stdout
+
+    out = child("scripts/run_abs.py")
+    assert "PASS Brake" in out and "16 ns" in out
+    child("-m", "tlmforge.cli", "check", "fixtures/abs.json", "out/abs_trace.csv")
+    gen, goldens = tmp_path / "out" / "abs_tlm", sorted((GOLDEN / "abs").iterdir())
+    assert sorted(p.name for p in gen.iterdir()) == [golden.name for golden in goldens]
+    for golden in goldens:
+        assert (gen / golden.name).read_bytes() == golden.read_bytes(), golden.name
+    child("scripts/frequency_sweep.py")
+    child("scripts/quantum_sweep.py")
 
 
 def child_env(unbuffered: bool) -> dict[str, str]:

@@ -207,6 +207,19 @@ def test_a_bundle_renders_each_target_shape_once(monkeypatch):
     assert [spec.name for spec in rendered] == ["Mem.1", "Dmi", "Dual"]
 
 
+def test_the_exporter_sanitizes_each_module_and_instance_name_once(monkeypatch):
+    """A module's class and file share one sanitized base: wide_map's 252 modules and 252
+    instances take 504 sanitizes, where sanitizing a module's name per namer took 756."""
+    names = []
+    sanitize = codegen.sanitize_identifier
+    monkeypatch.setattr(codegen, "sanitize_identifier",
+                        lambda name: names.append(name) or sanitize(name))
+    d = parse_description(wide_map_text(250))[0]
+    export_tlm(d)
+    assert len(names) == 504
+    assert sorted(names) == sorted([m.name for m in d.modules] + [i.name for i in d.instances])
+
+
 def test_a_bandwidth_too_large_for_two_targets_names_the_first():
     doc = json.loads(wide_map_text(4))
     for m in (3, 5):  # Mem1 and Mem3, one shape
@@ -257,12 +270,13 @@ def test_an_instance_named_like_a_class_does_not_shadow_it():
 
 
 def test_a_collision_suffix_never_rebuilds_a_reserved_name():
-    """A suffixed name is sanitized again: ``SC_X__2`` has SystemC's macro shape."""
+    """A suffixed name is sanitized again: ``SC_X__2`` has SystemC's macro shape.  The
+    namer is fed sanitized names, as ``export_tlm`` feeds it."""
     pieces = ["SC_", "X", "-", ".", "1", "_", "socket", "TLMFORGE_", "H", "int", "m_delay"]
     names = [a + b + c for a in pieces for b in ["", *pieces] for c in ["", *pieces]]
     for case_insensitive in (False, True):
         namer = codegen._Namer(case_insensitive)
-        for got in map(namer.unique, names):
+        for got in map(namer.unique, map(sanitize_identifier, names)):
             assert got not in codegen._RESERVED, got
             assert not codegen._RESERVED_RE.fullmatch(got) or got.endswith("_"), got
     d = SystemDescription(cpus=[CpuSpec("C0", Fraction(1))],

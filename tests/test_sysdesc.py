@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import descmut
 import validatecorpus
 from conftest import GOLDEN, REPO, calls
-from topogen import random_topology
+from topogen import random_topology, serialize_description
 
 from tlmforge.components import (
     Binding,
@@ -35,7 +35,6 @@ from tlmforge.sysdesc import (
     TimingConstraint,
     elaborate,
     parse_description,
-    serialize_description,
     validate_description,
 )
 from tlmforge.simtime import U64_MAX, parse_time

@@ -4,10 +4,14 @@ The oracle walks the binding graph and enumerates every initiator-to-target
 path, summing scaled delays and transfer times with its own rational
 arithmetic.  It never touches the simulator's payload delivery machinery,
 so agreement between the two is meaningful evidence.
+
+``serialize_description`` writes a description back as canonical JSON text,
+so a generated or mutated description can be fed to the parser and the CLI.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -163,3 +167,46 @@ def max_path_latency(desc: SystemDescription) -> int:
     own = _scaled(init_spec.delay_ps, freqs[init.cpu]) + _serialized(length, init_spec.bandwidth)
     return own + max(walk(child, sock)
                      for child, sock in by_from[(init.name, template.socket)])
+
+
+def serialize_description(d: SystemDescription) -> str:
+    """Emit canonical description text; parsing it back yields an equal value."""
+    doc: dict = {"cpus": [{"name": c.name, "frequency": f"{c.frequency_ghz}GHz"} for c in d.cpus]}
+    doc["buses"] = [{"name": bus.name, "cpus": list(bus.cpus)} for bus in d.buses]
+    modules = []
+    for spec in d.modules:
+        if isinstance(spec, InitiatorSpec):
+            entry = {"kind": "initiator", "name": spec.name,
+                     "delay": f"{spec.delay_ps}ps", "sockets": spec.socket_count,
+                     "workload": [{"command": t.command.value, "address": f"0x{t.address:x}",
+                                   "data": t.data.hex(), "socket": t.socket, "repeat": t.repeat}
+                                  for t in spec.workload]}
+        elif isinstance(spec, TargetSpec):
+            entry = {"kind": "target", "name": spec.name,
+                     "socket_delays": [f"{t}ps" for t in spec.socket_delays_ps],
+                     "storage": {"base": f"0x{spec.storage_base:x}", "size": spec.storage_size,
+                                 "fill": spec.storage_fill},
+                     "dmi": spec.dmi_allowed}
+        else:
+            entry = {"kind": "router", "name": spec.name, "delay": f"{spec.delay_ps}ps",
+                     "in_sockets": spec.in_socket_count, "out_sockets": spec.out_socket_count,
+                     "connections": {str(k): list(v) for k, v in spec.connections.items()}}
+            if spec.address_map is not None:
+                entry["address_map"] = {str(k): [f"0x{v[0]:x}", f"0x{v[1]:x}"]
+                                        for k, v in spec.address_map.items()}
+        if spec.bandwidth is not None:
+            entry["bandwidth"] = str(spec.bandwidth)
+        modules.append(entry)
+    doc["modules"] = modules
+    doc["instances"] = [{"name": i.name, "module": i.module, "cpu": i.cpu}
+                        for i in d.instances]
+    doc["bindings"] = [{"from": [bi.from_instance, bi.from_socket],
+                        "to": [bi.to_instance, bi.to_socket]} for bi in d.bindings]
+    doc["constraints"] = [{"instance": c.instance, "max_end": f"{c.max_end_ps}ps"}
+                          for c in d.constraints]
+    options: dict = {"quantum": f"{d.options.quantum_ps}ps",
+                     "event_limit": d.options.event_limit}
+    if d.options.trace_path is not None:
+        options["trace"] = d.options.trace_path
+    doc["options"] = options
+    return json.dumps(doc, indent=2) + "\n"
